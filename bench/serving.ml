@@ -1,9 +1,11 @@
-(* Serving study: end-to-end request latency of the dispatcher, registry
-   dispatch vs naive dispatch, plus the streaming tier under load.
+(* Serving study: end-to-end request latency of registry dispatch vs
+   naive dispatch under closed-loop load, plus the server under open-loop
+   load.
 
    Part 1 tunes each subgraph of a small synthetic network briefly,
    builds a schedule registry from the results, then serves the same
-   request stream three ways:
+   closed-loop request stream (each completion issues the next request,
+   so latency is pure service time) three ways:
 
    - naive: every layer runs its default (unscheduled) program;
    - registry: every layer runs its tuned program (exact hits);
@@ -16,7 +18,7 @@
    layers, and the similarity fallback lands much closer to tuned than
    to naive.
 
-   Part 2 drives the streaming tier (open-loop Poisson arrivals through
+   Part 2 drives the server with open-loop Poisson arrivals through
    admission control) on the tuned registry: sustained throughput and
    accepted-tail latency as the worker/shard count scales, and a 10x
    burst spike against a bounded queue — overload must shed (classified,
@@ -34,9 +36,9 @@ let net_of cases name =
   { Ansor.Workloads.net_name = name; layers = List.map (fun c -> (c, 1)) cases }
 
 let serve_stats ~config ~registry ~machine net ~requests =
-  let d = Ansor.Dispatcher.create ~config ~registry ~machine net in
-  Ansor.Dispatcher.serve d ~requests;
-  Ansor.Dispatcher.stats d
+  let s = Ansor.Server.create ~config ~registry ~machine net in
+  Ansor.Server.run s ~requests;
+  Ansor.Server.stats s
 
 let run () =
   Common.header "Serving: registry dispatch vs naive dispatch";
@@ -80,7 +82,12 @@ let run () =
           result.trials_used)
     tuned_cases;
   let config =
-    { Ansor.Dispatcher.default_config with seed = Common.seed }
+    {
+      Ansor.Server.default_config with
+      Ansor.Server.seed = Common.seed;
+      load =
+        { Ansor.Loadgen.default_config with arrival_rate = 0.0; seed = Common.seed };
+    }
   in
   let tuned_net = net_of tuned_cases "tuned-mix" in
   let untuned_net = net_of untuned_cases "untuned-mix" in
@@ -98,28 +105,28 @@ let run () =
   in
   Common.subheader
     (Printf.sprintf "request latency (%d requests each)" requests);
-  let line label (s : Ansor.Dispatcher.stats) =
+  let line label (s : Ansor.Server.stats) =
     Printf.printf
       "  %-22s mean %10.4f ms   p95 %10.4f ms   %d exact / %d adapted / %d \
        default\n"
       label
-      (s.latency.Ansor.Histogram.mean *. 1e3)
-      (s.latency.Ansor.Histogram.p95 *. 1e3)
+      (s.sojourn.Ansor.Histogram.mean *. 1e3)
+      (s.sojourn.Ansor.Histogram.p95 *. 1e3)
       s.exact s.adapted s.defaulted
   in
   line "naive dispatch" naive;
   line "registry dispatch" tuned;
   line "adapted (untuned net)" adapted;
   line "naive (untuned net)" naive_untuned;
-  if tuned.latency.Ansor.Histogram.mean > 0.0 then
+  if tuned.sojourn.Ansor.Histogram.mean > 0.0 then
     Printf.printf "\n  registry speedup over naive: %.1fx\n"
-      (naive.latency.Ansor.Histogram.mean
-      /. tuned.latency.Ansor.Histogram.mean);
-  if adapted.latency.Ansor.Histogram.mean > 0.0 then
+      (naive.sojourn.Ansor.Histogram.mean
+      /. tuned.sojourn.Ansor.Histogram.mean);
+  if adapted.sojourn.Ansor.Histogram.mean > 0.0 then
     Printf.printf
       "  similarity fallback speedup over naive (untuned shapes): %.1fx\n"
-      (naive_untuned.latency.Ansor.Histogram.mean
-      /. adapted.latency.Ansor.Histogram.mean);
+      (naive_untuned.sojourn.Ansor.Histogram.mean
+      /. adapted.sojourn.Ansor.Histogram.mean);
 
   (* ---- part 2: the streaming tier under open-loop load ------------------ *)
   Common.subheader "Streaming tier: sustained load and a 10x burst spike";

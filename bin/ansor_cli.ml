@@ -344,9 +344,10 @@ let save_arg =
 let descent_arg =
   let doc =
     "Finish with the coordinate-descent exploitation stage: once evolution \
-     plateaus (or half the trial budget is spent), greedily line-search the \
-     incumbent's split/unroll/annotation coordinates under the cost model, \
-     measure only the per-coordinate winners, and stop on a measured plateau."
+     plateaus (or three quarters of the trial budget is spent), greedily \
+     line-search the incumbent's split/unroll/annotation coordinates under \
+     the cost model, measure only the per-coordinate winners, and stop on a \
+     measured plateau."
   in
   Arg.(value & flag & info [ "descent" ] ~doc)
 
@@ -646,12 +647,8 @@ let serve_cmd =
     let doc = "End-to-end inference requests to dispatch." in
     Arg.(value & opt int 100 & info [ "requests" ] ~doc)
   in
-  let request_batch_arg =
-    let doc = "Requests per dispatch batch." in
-    Arg.(value & opt int 16 & info [ "request-batch" ] ~doc)
-  in
   let capacity_arg =
-    let doc = "Compiled-program LRU capacity." in
+    let doc = "Compiled-program LRU capacity per shard." in
     Arg.(value & opt int 64 & info [ "capacity" ] ~doc)
   in
   let naive_arg =
@@ -671,9 +668,10 @@ let serve_cmd =
   in
   let arrival_rate_arg =
     let doc =
-      "Open-loop arrival rate (requests per virtual second).  0 keeps the \
-       legacy closed-loop dispatcher; any positive rate switches to the \
-       streaming tier (admission control, sharding, canary rollout)."
+      "Open-loop arrival rate (requests per virtual second).  0 serves \
+       closed-loop: each completion issues the next request, so requests \
+       never queue.  A positive rate offers a Poisson trace through \
+       admission control, where overload sheds."
     in
     Arg.(value & opt float 0.0 & info [ "arrival-rate" ] ~doc)
   in
@@ -725,7 +723,7 @@ let serve_cmd =
     Arg.(value & opt int 8 & info [ "tune-trials" ] ~doc)
   in
   let run net_name op index batch machine registry_path requests
-      request_batch capacity workers naive noise seed stats_json resume
+      capacity workers naive noise seed stats_json resume
       arrival_rate bursts queue_bound shed_policy discipline tenants shards
       canary tune_every tune_trials model_store =
     (* --resume here means: the registry is still being written by a live
@@ -757,68 +755,43 @@ let serve_cmd =
         reg
       | Some path -> or_die (Ansor.Registry.load ~path)
     in
-    if arrival_rate > 0.0 then begin
-      (* streaming tier: open-loop arrivals through admission control *)
-      let bursts =
-        List.map (fun s -> or_die (Ansor.Loadgen.burst_of_spec s)) bursts
-      in
-      let tenants = or_die (Ansor.Loadgen.tenants_of_spec tenants) in
-      let shed_policy = or_die (Ansor.Admission.shed_policy_of_string shed_policy) in
-      let discipline = or_die (Ansor.Admission.discipline_of_string discipline) in
-      let config =
-        {
-          Ansor.Server.shards;
-          capacity;
-          service_workers = workers;
-          pool_workers = 1;
-          noise;
-          seed;
-          naive;
-          load = { Ansor.Loadgen.arrival_rate; bursts; tenants; seed };
-          admission =
-            { Ansor.Admission.queue_bound; shed_policy; discipline };
-          canary = { Ansor.Server.default_canary with fraction = canary };
-          tuner =
-            (if tune_every > 0.0 then
-               Some { Ansor.Server.every = tune_every; trials = tune_trials }
-             else None);
-        }
-      in
-      let model_store = open_model_store model_store in
-      let s = Ansor.Server.create ~config ?model_store ~registry ~machine net in
-      Ansor.Server.run s ~requests;
-      print_string (Ansor.Server.report s);
-      emit_json ~what:"serving stats" stats_json
-        (Ansor.Server.stats_json (Ansor.Server.stats s))
-    end
-    else begin
-      if model_store <> None then
-        Printf.eprintf
-          "warning: --model-store only applies to the streaming tier \
-           (--arrival-rate > 0); ignored by the closed-loop dispatcher\n";
-      let config =
-        {
-          Ansor.Dispatcher.capacity;
-          num_workers = workers;
-          batch = request_batch;
-          noise;
-          naive;
-          seed;
-        }
-      in
-      let d = Ansor.Dispatcher.create ~config ~registry ~machine net in
-      Ansor.Dispatcher.serve d ~requests;
-      print_string (Ansor.Dispatcher.report d);
-      emit_json ~what:"serving stats" stats_json
-        (Ansor.Dispatcher.stats_json (Ansor.Dispatcher.stats d))
-    end
+    let bursts =
+      List.map (fun s -> or_die (Ansor.Loadgen.burst_of_spec s)) bursts
+    in
+    let tenants = or_die (Ansor.Loadgen.tenants_of_spec tenants) in
+    let shed_policy = or_die (Ansor.Admission.shed_policy_of_string shed_policy) in
+    let discipline = or_die (Ansor.Admission.discipline_of_string discipline) in
+    let config =
+      {
+        Ansor.Server.shards;
+        capacity;
+        service_workers = workers;
+        pool_workers = 1;
+        noise;
+        seed;
+        naive;
+        load = { Ansor.Loadgen.arrival_rate; bursts; tenants; seed };
+        admission = { Ansor.Admission.queue_bound; shed_policy; discipline };
+        canary = { Ansor.Server.default_canary with fraction = canary };
+        tuner =
+          (if tune_every > 0.0 then
+             Some { Ansor.Server.every = tune_every; trials = tune_trials }
+           else None);
+      }
+    in
+    let model_store = open_model_store model_store in
+    let s = Ansor.Server.create ~config ?model_store ~registry ~machine net in
+    Ansor.Server.run s ~requests;
+    print_string (Ansor.Server.report s);
+    emit_json ~what:"serving stats" stats_json
+      (Ansor.Server.stats_json (Ansor.Server.stats s))
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Serve inference requests from a schedule registry.")
     Term.(
       const run $ net_arg $ op_arg $ index_arg $ batch_arg $ machine_arg
-      $ registry_arg $ requests_arg $ request_batch_arg $ capacity_arg
+      $ registry_arg $ requests_arg $ capacity_arg
       $ workers_arg $ naive_arg $ noise_arg $ seed_arg $ stats_json_arg
       $ resume_arg $ arrival_rate_arg $ burst_arg $ queue_bound_arg
       $ shed_policy_arg $ discipline_arg $ tenants_arg $ shards_arg

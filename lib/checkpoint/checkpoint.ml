@@ -35,38 +35,12 @@ let save ~path image =
      crash anywhere below costs at most one round of progress *)
   if Sys.file_exists path then (
     try Sys.rename path (prev_path path) with Sys_error _ -> ());
-  let payload = Marshal.to_string (image : image) [] in
-  Ansor_util.Atomic_file.write ~path (fun oc ->
-      Printf.fprintf oc "%s\n%d\n" magic (String.length payload);
-      output_string oc payload;
-      Printf.fprintf oc "md5:%s\n" (Digest.to_hex (Digest.string payload)))
+  Ansor_util.Framed.write ~path ~magic (Marshal.to_string (image : image) [])
 
 let load ~path : (image, string) result =
-  match open_in_bin path with
-  | exception Sys_error e -> Error e
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        try
-          let header = input_line ic in
-          if not (String.equal header magic) then
-            Error (Printf.sprintf "bad magic %S (expected %s)" header magic)
-          else
-            let len = int_of_string (input_line ic) in
-            if len < 0 then Error "bad payload length"
-            else begin
-              let payload = really_input_string ic len in
-              let footer = input_line ic in
-              let expect = "md5:" ^ Digest.to_hex (Digest.string payload) in
-              if not (String.equal footer expect) then
-                Error "digest mismatch: snapshot is torn or corrupted"
-              else Ok (Marshal.from_string payload 0 : image)
-            end
-        with
-        | End_of_file -> Error "truncated snapshot"
-        | Failure _ -> Error "malformed snapshot header"
-        | e -> Error (Printexc.to_string e))
+  Result.map
+    (fun payload -> (Marshal.from_string payload 0 : image))
+    (Ansor_util.Framed.read ~path ~magic)
 
 type generation = Current | Previous of string
 
@@ -77,9 +51,7 @@ let load_latest ~path =
     match load ~path:(prev_path path) with
     | Ok img -> Ok (img, Previous current_err)
     | Error prev_err ->
-      Error
-        (Printf.sprintf "%s: %s; %s: %s" path current_err (prev_path path)
-           prev_err))
+      Error (Printf.sprintf "%s; %s" current_err prev_err))
 
 module Shutdown = struct
   let flag = ref None

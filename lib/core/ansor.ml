@@ -52,7 +52,6 @@ module Checkpoint = Ansor_checkpoint.Checkpoint
 module Registry = Ansor_registry.Registry
 module Lru = Ansor_util.Lru
 module Histogram = Ansor_serve.Histogram
-module Dispatcher = Ansor_serve.Dispatcher
 module Loadgen = Ansor_serve.Loadgen
 module Admission = Ansor_serve.Admission
 module Server = Ansor_serve.Server

@@ -93,22 +93,17 @@ module Model_store = Ansor_model_store.Model_store
 module Checkpoint = Ansor_checkpoint.Checkpoint
 
 (** The serving subsystem: a persistent best-schedule database built from
-    {!Record} logs (with a similarity fallback for untuned workloads), and
-    an inference dispatcher that compiles each subgraph once, caches
-    compiled programs in a bounded LRU and executes requests on a domain
-    pool (see {!Registry.resolve}, {!Dispatcher.serve}). *)
+    {!Record} logs (with a similarity fallback for untuned workloads,
+    {!Registry.resolve}), closed- or open-loop load generation
+    ({!Loadgen}), bounded-queue admission control with per-tenant quotas
+    ({!Admission}) and the sharded virtual-time server that compiles each
+    subgraph once into a bounded {!Lru}, with background tuning and
+    canary-gated live schedule rollout ({!Server.run},
+    {!Server.propose}). *)
 
 module Registry = Ansor_registry.Registry
 module Lru = Ansor_util.Lru
 module Histogram = Ansor_serve.Histogram
-module Dispatcher = Ansor_serve.Dispatcher
-
-(** The streaming serving tier: open-loop load generation ({!Loadgen}),
-    bounded-queue admission control with per-tenant quotas ({!Admission})
-    and the sharded virtual-time server with background tuning and
-    canary-gated live schedule rollout ({!Server.run},
-    {!Server.propose}). *)
-
 module Loadgen = Ansor_serve.Loadgen
 module Admission = Ansor_serve.Admission
 module Server = Ansor_serve.Server

@@ -251,49 +251,21 @@ let predict_batch t ~width m =
 let num_trees t = List.length t.trees
 
 (* ---- persistence --------------------------------------------------------
-   Same convention as Checkpoint: magic line, payload byte length,
-   marshalled payload, md5 digest foot.  Anything that fails a check is
-   reported as a clear [Error] — never a raw [Marshal] exception. *)
+   A marshalled model in the shared framed envelope ({!Ansor_util.Framed}):
+   anything that fails a check is a clear [Error], never a raw [Marshal]
+   exception. *)
 
 let file_version = 1
 
 let file_magic = Printf.sprintf "ansor-gbdt-v%d" file_version
 
 let save ~path t =
-  let payload = Marshal.to_string (t : t) [] in
-  Ansor_util.Atomic_file.write ~path (fun oc ->
-      Printf.fprintf oc "%s\n%d\n" file_magic (String.length payload);
-      output_string oc payload;
-      Printf.fprintf oc "md5:%s\n" (Digest.to_hex (Digest.string payload)))
+  Ansor_util.Framed.write ~path ~magic:file_magic (Marshal.to_string (t : t) [])
 
 let load ~path : (t, string) result =
-  match open_in_bin path with
-  | exception Sys_error e -> Error e
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        try
-          let header = input_line ic in
-          if not (String.equal header file_magic) then
-            Error
-              (Printf.sprintf "%s: bad magic %S (expected %s)" path header
-                 file_magic)
-          else
-            let len = int_of_string (input_line ic) in
-            if len < 0 then Error (path ^ ": bad payload length")
-            else begin
-              let payload = really_input_string ic len in
-              let footer = input_line ic in
-              let expect = "md5:" ^ Digest.to_hex (Digest.string payload) in
-              if not (String.equal footer expect) then
-                Error (path ^ ": digest mismatch: model file torn or corrupted")
-              else Ok (Marshal.from_string payload 0 : t)
-            end
-        with
-        | End_of_file -> Error (path ^ ": truncated model file")
-        | Failure _ -> Error (path ^ ": malformed model header")
-        | e -> Error (path ^ ": " ^ Printexc.to_string e))
+  Result.map
+    (fun payload -> (Marshal.from_string payload 0 : t))
+    (Ansor_util.Framed.read ~path ~magic:file_magic)
 
 let feature_importance t =
   let total = Array.fold_left ( +. ) 0.0 t.importance in

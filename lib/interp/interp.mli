@@ -50,9 +50,6 @@ val order_modes : exec_mode list
 (** The non-[Sequential] modes, in the order [order_sensitive] tries
     them. *)
 
-val run_prog_mode : mode:exec_mode -> Prog.t -> inputs:tensors -> tensors
-(** [run_prog_mode ~mode:Sequential] is {!run_prog}. *)
-
 val order_sensitive : ?tol:float -> Prog.t -> inputs:tensors -> exec_mode option
 (** Runs the program under every mode and returns the first whose
     outputs differ from [Sequential] by more than [tol] (default

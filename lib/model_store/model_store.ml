@@ -261,44 +261,16 @@ module Pretrained = struct
     | Some m -> Some (m, Exact)
     | None -> resolve_class t ~class_key:(Task_key.class_key task_key)
 
-  (* Persistence: Checkpoint convention (magic, length, marshal, digest). *)
+  (* Persistence: the shared framed envelope around a marshalled bundle. *)
   let file_magic = "ansor-models-v1"
 
   let save ~path t =
-    let payload = Marshal.to_string (t : t) [] in
-    Atomic_file.write ~path (fun oc ->
-        Printf.fprintf oc "%s\n%d\n" file_magic (String.length payload);
-        output_string oc payload;
-        Printf.fprintf oc "md5:%s\n" (Digest.to_hex (Digest.string payload)))
+    Ansor_util.Framed.write ~path ~magic:file_magic (Marshal.to_string (t : t) [])
 
   let load ~path : (t, string) result =
-    match open_in_bin path with
-    | exception Sys_error e -> Error e
-    | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          try
-            let header = input_line ic in
-            if not (String.equal header file_magic) then
-              Error
-                (Printf.sprintf "%s: bad magic %S (expected %s)" path header
-                   file_magic)
-            else
-              let len = int_of_string (input_line ic) in
-              if len < 0 then Error (path ^ ": bad payload length")
-              else begin
-                let payload = really_input_string ic len in
-                let footer = input_line ic in
-                let expect = "md5:" ^ Digest.to_hex (Digest.string payload) in
-                if not (String.equal footer expect) then
-                  Error (path ^ ": digest mismatch: models file torn")
-                else Ok (Marshal.from_string payload 0 : t)
-              end
-          with
-          | End_of_file -> Error (path ^ ": truncated models file")
-          | Failure _ -> Error (path ^ ": malformed models header")
-          | e -> Error (path ^ ": " ^ Printexc.to_string e))
+    Result.map
+      (fun payload -> (Marshal.from_string payload 0 : t))
+      (Ansor_util.Framed.read ~path ~magic:file_magic)
 end
 
 (* ---- session ------------------------------------------------------------- *)

@@ -45,15 +45,6 @@ let is_error d = d.severity = Error
 let errors ds = List.filter is_error ds
 let has_errors ds = List.exists is_error ds
 
-let max_severity ds =
-  List.fold_left
-    (fun acc d ->
-      match acc with
-      | None -> Some d.severity
-      | Some s ->
-        Some (if compare_severity d.severity s < 0 then d.severity else s))
-    None ds
-
 let sort ds =
   List.stable_sort (fun a b -> compare_severity a.severity b.severity) ds
 

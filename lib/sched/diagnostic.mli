@@ -52,9 +52,6 @@ val is_error : t -> bool
 val errors : t list -> t list
 val has_errors : t list -> bool
 
-val max_severity : t list -> severity option
-(** Worst severity present, [None] on an empty list. *)
-
 val sort : t list -> t list
 (** Stable sort, worst severity first. *)
 

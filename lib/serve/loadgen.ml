@@ -39,6 +39,19 @@ let rate_factor bursts t =
       if t >= b.after && t < b.after +. b.len then acc *. b.factor else acc)
     1.0 bursts
 
+let validate_tenants tenants =
+  if tenants = [] then invalid_arg "Loadgen: tenant list is empty";
+  List.iter
+    (fun t ->
+      if t.name = "" then invalid_arg "Loadgen: tenant name is empty";
+      if t.weight < 0.0 || not (Float.is_finite t.weight) then
+        invalid_arg "Loadgen: tenant weight must be finite and non-negative";
+      if t.quota_rate < 0.0 || t.quota_burst < 0.0 then
+        invalid_arg "Loadgen: tenant quota must be non-negative")
+    tenants;
+  if List.for_all (fun t -> t.weight = 0.0) tenants then
+    invalid_arg "Loadgen: every tenant has weight zero"
+
 let validate config =
   if (not (Float.is_finite config.arrival_rate)) || config.arrival_rate <= 0.0
   then invalid_arg "Loadgen: arrival_rate must be positive and finite";
@@ -48,17 +61,7 @@ let validate config =
          || not (Float.is_finite b.factor) then
         invalid_arg "Loadgen: burst needs after >= 0, len > 0, finite factor > 0")
     config.bursts;
-  if config.tenants = [] then invalid_arg "Loadgen: tenant list is empty";
-  List.iter
-    (fun t ->
-      if t.name = "" then invalid_arg "Loadgen: tenant name is empty";
-      if t.weight < 0.0 || not (Float.is_finite t.weight) then
-        invalid_arg "Loadgen: tenant weight must be finite and non-negative";
-      if t.quota_rate < 0.0 || t.quota_burst < 0.0 then
-        invalid_arg "Loadgen: tenant quota must be non-negative")
-    config.tenants;
-  if List.for_all (fun t -> t.weight = 0.0) config.tenants then
-    invalid_arg "Loadgen: every tenant has weight zero"
+  validate_tenants config.tenants
 
 (* Non-homogeneous Poisson process by thinning: draw candidate arrivals at
    the peak rate, accept each with probability rate(t)/peak.  Purely a
@@ -88,6 +91,17 @@ let generate config ~n =
     end
   done;
   out
+
+(* Closed loop has no arrival process: only ids and the tenant mix are
+   drawn here; the server stamps each arrival when a service slot frees. *)
+let closed_loop config ~n =
+  validate_tenants config.tenants;
+  if n < 0 then invalid_arg "Loadgen.closed_loop: n < 0";
+  let rng = Rng.create (config.seed + 0x10ad) in
+  let tenants = Array.of_list config.tenants in
+  let weights = Array.map (fun t -> t.weight) tenants in
+  Array.init n (fun id ->
+      { id; tenant = tenants.(Rng.weighted_index rng weights); arrival = 0.0 })
 
 (* ---- CLI spec parsing ---------------------------------------------------- *)
 

@@ -1,10 +1,11 @@
-(** Open-loop load generation for the serving tier.
+(** Load generation for the serving tier.
 
     A closed-loop driver (send, wait, send again) can never overload the
     system it measures: the clients slow down with the server, and the
     coordinated-omission bias hides exactly the tail latencies a serving
-    tier exists to control.  This module instead synthesizes an {e
-    open-loop} arrival trace — a non-homogeneous Poisson process with
+    tier exists to control.  It is still the right driver for measuring
+    compiled programs, so [arrival_rate = 0] selects it ({!closed_loop}).
+    Any positive rate synthesizes an {e open-loop} arrival trace — a non-homogeneous Poisson process with
     configurable burst episodes and a per-tenant request mix — in {e
     virtual time}, as pure data.  The {!Server} replays the trace through
     a discrete-event loop, so overload experiments are deterministic and
@@ -39,7 +40,8 @@ type burst = {
 }
 
 type config = {
-  arrival_rate : float;  (** base rate, requests per virtual second *)
+  arrival_rate : float;
+      (** base rate, requests per virtual second; [0] means closed loop *)
   bursts : burst list;
   tenants : tenant list;
   seed : int;
@@ -59,6 +61,14 @@ val generate : config -> n:int -> request array
     sorted by arrival time.  Equal configs yield equal traces.
     @raise Invalid_argument on a non-positive rate, malformed burst,
     empty/negative-weight tenant mix, or negative [n]. *)
+
+val closed_loop : config -> n:int -> request array
+(** [closed_loop config ~n] returns [n] requests with dense ids and tenants
+    drawn from the mix, every [arrival] 0: in closed loop the {!Server}
+    issues a request the moment a service slot frees and stamps its
+    arrival then.  The rate and bursts are ignored.
+    @raise Invalid_argument on an empty/negative-weight tenant mix or
+    negative [n]. *)
 
 val rate_factor : burst list -> float -> float
 (** The combined burst multiplier at a virtual instant (1.0 outside every

@@ -6,6 +6,7 @@ module Lower = Ansor_sched.Lower
 module Prog = Ansor_sched.Prog
 module Simulator = Ansor_machine.Simulator
 module Machine = Ansor_machine.Machine
+module Interp = Ansor_interp.Interp
 module Service = Ansor_measure_service.Service
 module Model_store = Ansor_model_store.Model_store
 module Task_key = Ansor_util.Task_key
@@ -262,6 +263,22 @@ let nominal_latency t =
     (fun acc live -> acc +. (float_of_int live.weight *. (fetch t live).base))
     0.0 t.layers
 
+let verify_outputs ?tol ?(seed = 2024) t =
+  let rec go i =
+    if i >= Array.length t.layers then Ok ()
+    else
+      let live = t.layers.(i) in
+      let dag = live.task.Task.dag in
+      let inputs = Interp.random_inputs (Rng.create (seed + i)) dag in
+      match Interp.check_equivalent ?tol dag (fetch t live).prog ~inputs with
+      | Ok () -> go (i + 1)
+      | Error msg ->
+        Error
+          (Printf.sprintf "layer %s (%s): %s" live.task.Task.name
+             (Registry.outcome_to_string live.outcome) msg)
+  in
+  go 0
+
 (* ---- canary gate --------------------------------------------------------- *)
 
 let push_event t ev = t.events_rev <- ev :: t.events_rev
@@ -463,16 +480,28 @@ let tstats_for t name =
     Hashtbl.replace t.tenants name s;
     s
 
-(* Deterministic discrete-event simulation over the open-loop trace.
+(* Deterministic discrete-event simulation over the arrival trace.
    Three event sources — arrivals, completions, tuner ticks — are merged
    in virtual-time order (completions first on ties, so a freed worker
-   can serve a simultaneous arrival).  Every offered request ends in
-   exactly one of: served, shed (classified), quota-rejected. *)
+   can serve a simultaneous arrival).  Open loop replays the generated
+   trace; closed loop issues the next request whenever a service slot is
+   free, stamped with the current virtual time, so requests never wait.
+   Every offered request ends in exactly one of: served, shed
+   (classified), quota-rejected. *)
 let run t ~requests =
   if requests < 1 then invalid_arg "Server.run: requests < 1";
   let t0 = Unix.gettimeofday () in
-  let arrivals = Loadgen.generate t.config.load ~n:requests in
-  let horizon = arrivals.(requests - 1).Loadgen.arrival in
+  let closed = t.config.load.Loadgen.arrival_rate = 0.0 in
+  let arrivals =
+    if closed then Loadgen.closed_loop t.config.load ~n:requests
+    else Loadgen.generate t.config.load ~n:requests
+  in
+  (* closed loop has no trace end; background ticks run while requests
+     remain to be issued *)
+  let horizon =
+    if closed then infinity else arrivals.(requests - 1).Loadgen.arrival
+  in
+  t.vtime <- 0.0;
   (* pending completions, ascending (time, request); at most
      service_workers entries, so sorted-list insertion is cheap *)
   let completions = ref [] in
@@ -532,10 +561,15 @@ let run t ~requests =
   let i = ref 0 in
   while !i < requests || !completions <> [] do
     let t_arr =
-      if !i < requests then arrivals.(!i).Loadgen.arrival else infinity
+      if !i >= requests then infinity
+      else if not closed then arrivals.(!i).Loadgen.arrival
+      else if !busy < t.config.service_workers then t.vtime
+      else infinity
     in
     let t_comp = match !completions with (tc, _) :: _ -> tc | [] -> infinity in
-    let t_tick = if !next_tick <= horizon then !next_tick else infinity in
+    let t_tick =
+      if !next_tick <= horizon && !i < requests then !next_tick else infinity
+    in
     if t_comp <= t_arr && t_comp <= t_tick then begin
       let tm, r = List.hd !completions in
       completions := List.tl !completions;
@@ -551,6 +585,7 @@ let run t ~requests =
     end
     else begin
       let r = arrivals.(!i) in
+      let r = if closed then { r with Loadgen.arrival = t_arr } else r in
       incr i;
       t.vtime <- r.Loadgen.arrival;
       arrive r

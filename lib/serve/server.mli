@@ -1,10 +1,10 @@
-(** The streaming serving tier: open-loop load, admission control, sharded
-    dispatch, and canary-gated live schedule rollout.
+(** The serving tier: closed- or open-loop load, admission control,
+    sharded dispatch, and canary-gated live schedule rollout.
 
-    Where {!Dispatcher} drains a fixed request list (closed-loop — fine
-    for measuring compiled programs, useless for studying overload), this
-    module serves an {!Loadgen} arrival trace through a deterministic
-    discrete-event loop in virtual time:
+    Requests come from {!Loadgen}: closed loop (the next request issues
+    when one completes — right for measuring compiled programs) or an
+    open-loop arrival trace (for studying overload).  Either way they are
+    served through a deterministic discrete-event loop in virtual time:
 
     {v
     Loadgen ──arrivals──▶ Admission ──queue──▶ workers ──▶ sojourn histogram
@@ -107,13 +107,24 @@ val net : t -> Workloads.net
 val machine : t -> Ansor_machine.Machine.t
 
 val run : t -> requests:int -> unit
-(** Generate [requests] open-loop arrivals and play the trace to
-    completion (the queue fully drains).  May be called repeatedly; the
-    trace restarts at virtual time 0 but statistics accumulate.
+(** Offer [requests] requests and play them to completion (the queue
+    fully drains).  With [config.load.arrival_rate > 0] they follow the
+    open-loop {!Loadgen.generate} trace.  With [arrival_rate = 0] the
+    loop is closed: one request starts per service worker at time 0 and
+    each completion issues the next at its completion time, so requests
+    never wait and sojourn equals service time.  May be called
+    repeatedly; virtual time restarts at 0 but statistics accumulate.
     @raise Invalid_argument if [requests < 1]. *)
 
 val warm : t -> unit
 (** Compile every layer's incumbent without serving (cold-start control). *)
+
+val verify_outputs : ?tol:float -> ?seed:int -> t -> (unit, string) result
+(** Executes every layer's incumbent {e compiled} program on random inputs
+    through the interpreter and compares against the naive DAG evaluation
+    ({!Ansor_interp.Interp.check_equivalent}, default tolerance) — the
+    serving-side soundness check.  [Error] names the first mismatching
+    layer.  Interprets real arrays: small shapes only. *)
 
 (** {1 Live rollout} *)
 

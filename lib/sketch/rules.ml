@@ -283,9 +283,6 @@ let reduction_factorization =
     exclusive = false;
   }
 
-let multi_level_tiling = multi_level_tiling_t default_tiling
-let multi_level_tiling_with_fusion = multi_level_tiling_with_fusion_t default_tiling
-
 let make ~tiling ~with_fusion ~with_cache ~with_rfactor =
   [ always_inline ]
   @ (if with_fusion then [ multi_level_tiling_with_fusion_t tiling ]

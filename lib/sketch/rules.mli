@@ -29,15 +29,6 @@ val skip : t
 val always_inline : t
 (** Rule 2: inline strictly-inlinable non-output nodes. Exclusive. *)
 
-val multi_level_tiling : t
-(** Rule 3: SSRSRS multi-level tiling for data-reuse nodes with no fusible
-    consumer (tile sizes left unfilled for the annotation pass). *)
-
-val multi_level_tiling_with_fusion : t
-(** Rule 4: multi-level tiling plus fusion of the (possibly transitively
-    inlined) elementwise consumer at the second space-tile level.
-    Exclusive. *)
-
 val add_cache_stage : t
 (** Rule 5: add a cache-write stage for data-reuse nodes without a fusible
     consumer, re-visiting the node so rule 4 fuses the copy. *)
@@ -47,7 +38,10 @@ val reduction_factorization : t
     partial-reduction stage plus a final reduction. *)
 
 val default : t list
-(** The Table-1 rule set, in priority order. *)
+(** The Table-1 rule set, in priority order.  Rules 3 (multi-level tiling
+    for data-reuse nodes with no fusible consumer) and 4 (the same plus
+    fusion of the elementwise consumer; exclusive) are built per {!tiling}
+    by {!make}. *)
 
 (** Tiling-structure parameters: number of space and reduction tile
     levels and how many outer levels fusion binds. *)

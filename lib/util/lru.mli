@@ -1,6 +1,6 @@
 (** A bounded least-recently-used cache (string keys).
 
-    Two subsystems build on it: the serving dispatcher holds compiled
+    Two subsystems build on it: the server's shards hold compiled
     programs keyed by task key (a cold or evicted subgraph is simply
     recompiled on the next request), and the cost model's batch scoring
     service memoizes per-program feature vectors and scores keyed by the

@@ -143,7 +143,7 @@ let test_registry_and_serve () =
       in
       check_int "merge exit 0" 0 code;
       check_bool "merged size" true (contains out "1 task");
-      (* serve the tuned shape: exact hits, zero fallbacks in the JSON *)
+      (* serve the tuned shape: exact hits, nothing adapted or defaulted *)
       let code, out =
         run_cli
           (Printf.sprintf
@@ -152,7 +152,8 @@ let test_registry_and_serve () =
       in
       check_int "serve exit 0" 0 code;
       check_bool "exact dispatch" true (contains out "1 exact");
-      check_bool "zero fallbacks" true (contains out "\"fallbacks\": 0");
+      check_bool "none adapted" true (contains out "\"adapted\": 0");
+      check_bool "none defaulted" true (contains out "\"defaulted\": 0");
       (* an untuned shape is answered by the similarity fallback *)
       let code, out =
         run_cli

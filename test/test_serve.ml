@@ -1,10 +1,11 @@
-(* The serving subsystem: LRU cache, latency histogram and the
-   inference dispatcher (serve-equivalence, telemetry, determinism). *)
+(* The serving subsystem: LRU cache, latency histogram and closed-loop
+   serving through the server (serve-equivalence, telemetry,
+   determinism). *)
 
 open Helpers
 module Lru = Ansor.Lru
 module Histogram = Ansor.Histogram
-module Dispatcher = Ansor.Dispatcher
+module Server = Ansor.Server
 module Registry = Ansor.Registry
 module Record = Ansor.Record
 module Task = Ansor.Task
@@ -111,7 +112,7 @@ let test_histogram_rejects_bad_samples () =
   | _ -> Alcotest.fail "nan accepted"
   | exception Invalid_argument _ -> ()
 
-(* ---- dispatcher --------------------------------------------------------- *)
+(* ---- closed-loop serving --------------------------------------------------------- *)
 
 let small_case name dag = { Ansor.Workloads.case_name = name; dag }
 
@@ -144,26 +145,48 @@ let registry_for net =
     net.Ansor.Workloads.layers;
   r
 
+(* closed loop: each completion issues the next request *)
+let closed_config =
+  {
+    Server.default_config with
+    Server.load = { Ansor.Loadgen.default_config with arrival_rate = 0.0 };
+  }
+
+let serve ?(config = closed_config) ?(registry_of = registry_for) net ~requests =
+  let s = Server.create ~config ~registry:(registry_of net) ~machine net in
+  Server.run s ~requests;
+  s
+
+let verify s what =
+  match Server.verify_outputs s with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "%s outputs diverge: %s" what msg
+
+let shard_sum f (st : Server.stats) =
+  List.fold_left (fun acc sh -> acc + f sh) 0 st.Server.shards
+
 let test_serve_counts_and_stats () =
   let net = small_net () in
-  let d =
-    Dispatcher.create ~registry:(registry_for net) ~machine net
-  in
-  (* two serve calls: compiles are hoisted out of the chunk loop, so the
-     first call misses once per layer and the second hits once per layer *)
-  Dispatcher.serve d ~requests:20;
-  Dispatcher.serve d ~requests:5;
-  let s = Dispatcher.stats d in
-  check_int "requests" 25 s.Dispatcher.requests;
-  check_int "layer runs" 50 s.Dispatcher.layer_runs;
-  check_int "one compile per layer" 2 s.Dispatcher.cache_misses;
-  check_int "one hit per layer on the second call" 2 s.Dispatcher.cache_hits;
-  check_int "all exact" 2 s.Dispatcher.exact;
-  check_int "no fallbacks" 0 (Dispatcher.fallbacks s);
-  check_int "latency samples" 25 s.Dispatcher.latency.Ansor.Histogram.count;
-  check_bool "positive latency" true
-    (s.Dispatcher.latency.Ansor.Histogram.mean > 0.0);
-  let json = Dispatcher.stats_json s in
+  let s = serve net ~requests:20 in
+  let st = Server.stats s in
+  check_int "offered" 20 st.Server.offered;
+  check_int "served" 20 st.Server.served;
+  check_int "nothing shed" 0 st.Server.shed;
+  check_bool "conserved" true (Server.conserved st);
+  check_int "layer runs" 40 st.Server.layer_runs;
+  check_int "one compile per layer" 2 (shard_sum (fun sh -> sh.Server.misses) st);
+  check_int "all exact" 2 st.Server.exact;
+  check_int "none adapted" 0 st.Server.adapted;
+  check_int "none defaulted" 0 st.Server.defaulted;
+  check_int "sojourn samples" 20 st.Server.sojourn.Histogram.count;
+  check_bool "positive latency" true (st.Server.sojourn.Histogram.mean > 0.0);
+  (* statistics accumulate across runs; compiled programs stay cached *)
+  Server.run s ~requests:5;
+  let st = Server.stats s in
+  check_int "offered across runs" 25 st.Server.offered;
+  check_int "still one compile per layer" 2
+    (shard_sum (fun sh -> sh.Server.misses) st);
+  let json = Server.stats_json st in
   let contains hay needle =
     let n = String.length needle and h = String.length hay in
     let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
@@ -171,30 +194,21 @@ let test_serve_counts_and_stats () =
   in
   List.iter
     (fun key -> check_bool (key ^ " in json") true (contains json key))
-    [ "requests"; "fallbacks"; "cache_hits"; "p99"; "p999" ]
+    [ "\"conserved\": true"; "\"adapted\": 0"; "\"defaulted\": 0"; "p999" ]
 
 let test_serve_equivalence () =
   (* the serving-side soundness oracle: every compiled program the
-     dispatcher would serve computes the same outputs as the naive
-     evaluation of its DAG *)
-  let net = small_net () in
-  let d = Dispatcher.create ~registry:(registry_for net) ~machine net in
-  Dispatcher.warm d;
-  match Dispatcher.verify_outputs d with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "served outputs diverge: %s" msg
+     server would run computes the same outputs as the naive evaluation
+     of its DAG *)
+  let s = serve (small_net ()) ~requests:1 in
+  verify s "served"
 
 let test_naive_dispatch () =
-  let net = small_net () in
-  let config = { Dispatcher.default_config with naive = true } in
-  let d = Dispatcher.create ~config ~registry:(registry_for net) ~machine net in
-  Dispatcher.serve d ~requests:4;
-  let s = Dispatcher.stats d in
-  check_int "all defaulted" 2 s.Dispatcher.defaulted;
-  check_int "no exact" 0 s.Dispatcher.exact;
-  match Dispatcher.verify_outputs d with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "naive outputs diverge: %s" msg
+  let s = serve ~config:{ closed_config with naive = true } (small_net ()) ~requests:4 in
+  let st = Server.stats s in
+  check_int "all defaulted" 2 st.Server.defaulted;
+  check_int "no exact" 0 st.Server.exact;
+  verify s "naive"
 
 let test_registry_beats_naive () =
   (* the acceptance bar: serving from a tuned registry is faster than
@@ -210,61 +224,67 @@ let test_registry_beats_naive () =
   (match Record.entry_of_tuner tuner with
   | Some e -> ignore (Registry.add r e)
   | None -> Alcotest.fail "tuning found nothing");
-  let noise_free = { Dispatcher.default_config with noise = 0.0 } in
-  let serve config =
-    let d = Dispatcher.create ~config ~registry:r ~machine net in
-    Dispatcher.serve d ~requests:10;
-    (Dispatcher.stats d).Dispatcher.latency.Ansor.Histogram.mean
+  let noise_free = { closed_config with noise = 0.0 } in
+  let mean config =
+    let s = serve ~config ~registry_of:(fun _ -> r) net ~requests:10 in
+    (Server.stats s).Server.sojourn.Histogram.mean
   in
-  let tuned = serve noise_free in
-  let naive = serve { noise_free with naive = true } in
-  check_bool "tuned dispatch is faster" true (tuned < naive)
+  check_bool "tuned dispatch is faster" true
+    (mean noise_free < mean { noise_free with naive = true })
+
+let test_noise_free_sojourn () =
+  (* requests never queue, so every sojourn is exactly one service time *)
+  let s = serve ~config:{ closed_config with noise = 0.0 } (small_net ()) ~requests:12 in
+  let nominal = Server.nominal_latency s in
+  let so = (Server.stats s).Server.sojourn in
+  List.iter
+    (fun (what, x) ->
+      check_bool (what ^ " = nominal") true
+        (Float.abs (x -. nominal) <= 1e-9 *. nominal))
+    [ ("min", so.Histogram.min); ("max", so.Histogram.max); ("p50", so.Histogram.p50);
+      ("p99", so.Histogram.p99) ]
 
 let test_worker_count_invariance () =
-  (* per-request jitter streams are a pure function of the request id, so
-     latencies are identical for any worker count *)
+  (* per-request jitter streams are a pure function of the request id and
+     closed-loop requests never wait, so sojourns are the same for any
+     number of service workers *)
   let net = small_net () in
-  let serve workers =
-    let config = { Dispatcher.default_config with num_workers = workers } in
-    let d =
-      Dispatcher.create ~config ~registry:(registry_for net) ~machine net
-    in
-    Dispatcher.serve d ~requests:20;
-    let s = Dispatcher.stats d in
-    ( s.Dispatcher.latency.Ansor.Histogram.mean,
-      s.Dispatcher.latency.Ansor.Histogram.p99 )
+  let summary workers =
+    let config = { closed_config with service_workers = workers } in
+    (Server.stats (serve ~config net ~requests:20)).Server.sojourn
   in
-  let m1, p1 = serve 1 and m3, p3 = serve 3 in
-  check_float "mean invariant" m1 m3;
-  check_float "p99 invariant" p1 p3
+  let a = summary 1 and b = summary 3 in
+  check_int "count" a.Histogram.count b.Histogram.count;
+  List.iter
+    (fun (what, x, y) ->
+      check_bool (what ^ " invariant") true (Float.abs (x -. y) <= 1e-9 *. x))
+    [
+      ("mean", a.Histogram.mean, b.Histogram.mean);
+      ("p50", a.Histogram.p50, b.Histogram.p50);
+      ("p99", a.Histogram.p99, b.Histogram.p99);
+      ("max", a.Histogram.max, b.Histogram.max);
+    ]
 
-let test_dispatcher_lru_eviction () =
-  (* capacity smaller than the layer count: every batch recompiles and
+let test_lru_eviction_under_pressure () =
+  (* one shard of capacity 1 for two layers: every request recompiles and
      the eviction counter moves *)
-  let net = small_net () in
-  let config = { Dispatcher.default_config with capacity = 1; batch = 4 } in
-  let d = Dispatcher.create ~config ~registry:(registry_for net) ~machine net in
-  Dispatcher.serve d ~requests:4;
-  Dispatcher.serve d ~requests:4;
-  let s = Dispatcher.stats d in
-  check_bool "evictions happened" true (s.Dispatcher.evictions > 0);
-  check_bool "recompiles happened" true (s.Dispatcher.cache_misses > 2);
-  match Dispatcher.verify_outputs d with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "outputs diverge under eviction: %s" msg
+  let config = { closed_config with shards = 1; capacity = 1 } in
+  let s = serve ~config (small_net ()) ~requests:4 in
+  let st = Server.stats s in
+  check_bool "evictions happened" true (shard_sum (fun sh -> sh.Server.evictions) st > 0);
+  check_bool "recompiles happened" true (shard_sum (fun sh -> sh.Server.misses) st > 2);
+  verify s "evicted"
 
 let test_create_validation () =
   let net = small_net () in
   let r = Registry.create () in
   (match
-     Dispatcher.create
-       ~config:{ Dispatcher.default_config with capacity = 0 }
-       ~registry:r ~machine net
+     Server.create ~config:{ closed_config with capacity = 0 } ~registry:r ~machine net
    with
   | _ -> Alcotest.fail "capacity 0 accepted"
   | exception Invalid_argument _ -> ());
   match
-    Dispatcher.create ~registry:r ~machine
+    Server.create ~registry:r ~machine
       { Ansor.Workloads.net_name = "empty"; layers = [] }
   with
   | _ -> Alcotest.fail "empty net accepted"
@@ -286,14 +306,15 @@ let () =
           case "merge against concatenation oracle" test_histogram_merge_oracle;
           case "bad samples rejected" test_histogram_rejects_bad_samples;
         ] );
-      ( "dispatcher",
+      ( "closed-loop",
         [
           case "serve counts and stats json" test_serve_counts_and_stats;
           case "served outputs match naive evaluation" test_serve_equivalence;
           case "naive dispatch" test_naive_dispatch;
           case "registry dispatch beats naive" test_registry_beats_naive;
+          case "noise-free sojourn is nominal" test_noise_free_sojourn;
           case "worker-count invariance" test_worker_count_invariance;
-          case "LRU eviction under pressure" test_dispatcher_lru_eviction;
+          case "LRU eviction under pressure" test_lru_eviction_under_pressure;
           case "creation validation" test_create_validation;
         ] );
     ]

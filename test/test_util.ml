@@ -249,6 +249,39 @@ let test_spearman () =
   check_floatish "textbook" 0.8
     (Stats.spearman [ 1.; 2.; 3.; 4.; 5. ] [ 2.; 1.; 3.; 5.; 4. ])
 
+(* ---------- Framed ---------- *)
+
+let test_framed_failures () =
+  let module Framed = Ansor_util.Framed in
+  let path = Filename.temp_file "ansor-framed" ".bin" in
+  let magic = "ansor-test-v1" and payload = "pay\nload\000bytes" in
+  Framed.write ~path ~magic payload;
+  (match Framed.read ~path ~magic with
+  | Ok p -> check_string "round trip" payload p
+  | Error e -> Alcotest.fail e);
+  let good = In_channel.with_open_bin path In_channel.input_all in
+  let n = String.length good in
+  let header = Printf.sprintf "%s\n%d\n" magic (String.length payload) in
+  let body = String.sub good (String.length header) (n - String.length header) in
+  let rejects what contents =
+    Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+    match Framed.read ~path ~magic with
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error e -> check_bool (what ^ " names the file") true (String.starts_with ~prefix:path e)
+  in
+  rejects "bad magic" ("ansor-test-v0" ^ String.sub good (String.length magic) (n - String.length magic));
+  rejects "bad length" (magic ^ "\nforty\n" ^ body);
+  rejects "negative length" (magic ^ "\n-1\n" ^ body);
+  rejects "truncated payload" (String.sub good 0 (String.length header + 5));
+  rejects "missing footer" (String.sub good 0 (n - 37));
+  let flipped = Bytes.of_string good in
+  Bytes.set flipped (String.length header) 'P';
+  rejects "digest mismatch" (Bytes.to_string flipped);
+  Sys.remove path;
+  match Framed.read ~path ~magic with
+  | Ok _ -> Alcotest.fail "missing file accepted"
+  | Error _ -> ()
+
 let () =
   Alcotest.run "util"
     [
@@ -292,4 +325,5 @@ let () =
           case "ranks" test_ranks;
           case "spearman" test_spearman;
         ] );
+      ("framed", [ case "every defect is an Error" test_framed_failures ]);
     ]
