@@ -56,22 +56,9 @@ let cost_model_ablation () =
     (fun (label, options) ->
       let tuner, service = Ansor.Tuner.tune ~seed options ~trials task in
       let stats = Ansor.Measure_service.stats service in
-      (* the sum over every phase timer — descent included — accounts
-         for the whole attributed search time *)
-      let phase_sum =
-        List.fold_left
-          (fun acc (_, s) -> acc +. s)
-          0.0 stats.Ansor.Telemetry.phase_seconds
-      in
-      Printf.printf "  %-38s %8.4f ms  (phases sum %.1fs%s)\n%!" label
+      Printf.printf "  %-38s %8.4f ms\n    %s\n%!" label
         (Ansor.Tuner.best_latency tuner *. 1e3)
-        phase_sum
-        (if stats.Ansor.Telemetry.descent_sweeps = 0 then ""
-         else
-           Printf.sprintf "; descent %d sweeps / %d trials / %d improving"
-             stats.Ansor.Telemetry.descent_sweeps
-             stats.Ansor.Telemetry.descent_trials
-             stats.Ansor.Telemetry.descent_improvements))
+        (Ansor.Telemetry.summary stats))
     [
       ("model-guided fine-tuning (Ansor)", Ansor.Tuner.ansor_options);
       ( "model-guided + descent finisher",

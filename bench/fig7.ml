@@ -32,36 +32,9 @@ let run () =
           time_of (fun () -> Ansor.Tuner.tune ~seed options ~trials task)
         in
         let stats = Ansor.Measure_service.stats service in
-        Printf.printf
-          "  %-16s best %8.4f ms (%.1fs, %d unsafe mutants filtered before \
-           measurement, %d bounds-refused, %d certified, %d cert cache \
-           hits)\n%!"
-          name
+        Printf.printf "  %-16s best %8.4f ms (%.1fs)\n    %s\n%!" name
           (Ansor.Tuner.best_latency tuner *. 1e3)
-          elapsed stats.Ansor.Telemetry.statically_rejected
-          stats.Ansor.Telemetry.bounds_rejected
-          stats.Ansor.Telemetry.certified
-          stats.Ansor.Telemetry.cert_cache_hits;
-        (* every phase timer — including the descent phase — so the
-           attribution sums to the search time *)
-        let phase_sum =
-          List.fold_left
-            (fun acc (_, s) -> acc +. s)
-            0.0 stats.Ansor.Telemetry.phase_seconds
-        in
-        Printf.printf "    phases (sum %.1fs):%s\n%!" phase_sum
-          (String.concat ""
-             (List.map
-                (fun (p, s) -> Printf.sprintf " %s %.1fs" p s)
-                stats.Ansor.Telemetry.phase_seconds));
-        if stats.Ansor.Telemetry.descent_sweeps > 0 then
-          Printf.printf
-            "    descent: %d sweeps, %d trials, %d improving, %d plateau \
-             stops\n%!"
-            stats.Ansor.Telemetry.descent_sweeps
-            stats.Ansor.Telemetry.descent_trials
-            stats.Ansor.Telemetry.descent_improvements
-            stats.Ansor.Telemetry.descent_plateau_stops;
+          elapsed (Ansor.Telemetry.summary stats);
         (name, Ansor.Tuner.curve tuner, Ansor.Tuner.best_latency tuner))
       variants
   in

@@ -370,17 +370,6 @@ let descent_options descent descent_plateau options =
     in
     { options with Ansor.Tuner.descent = Some cfg }
 
-let print_descent_stats (stats : Ansor.Telemetry.stats) =
-  if stats.Ansor.Telemetry.descent_sweeps > 0 then
-    Printf.printf
-      "descent: %d sweeps, %d trials, %d improving sweeps%s\n"
-      stats.Ansor.Telemetry.descent_sweeps
-      stats.Ansor.Telemetry.descent_trials
-      stats.Ansor.Telemetry.descent_improvements
-      (if stats.Ansor.Telemetry.descent_plateau_stops > 0 then
-         ", stopped on plateau"
-       else "")
-
 let curve_arg =
   let doc = "Plot the best-latency-vs-trials curve." in
   Arg.(value & flag & info [ "curve" ] ~doc)
@@ -412,7 +401,6 @@ let tune_cmd =
       case.case_name machine.name strategy result.trials_used
       (result.best_latency *. 1e3);
     Printf.printf "telemetry: %s\n" (Ansor.Telemetry.summary result.stats);
-    print_descent_stats result.stats;
     emit_json ~what:"telemetry" stats_json (tune_stats_json result);
     if curve then print_string (Ansor.Ascii_plot.render_latency_curve result.curve);
     (match result.best_state with

@@ -484,31 +484,14 @@ let check (prog : Prog.t) : verdict * Diagnostic.t list =
    [ansor lint].  Not domain-safe — certify only from the owning domain
    (all current call sites run on the calling domain). *)
 
-type counters = {
-  mutable certified : int;
-  mutable unsafe : int;
-  mutable unknown : int;
-  mutable cache_hits : int;
-}
-
-let counters = { certified = 0; unsafe = 0; unknown = 0; cache_hits = 0 }
-
-let stats () = counters
-
 let memo : (verdict * Diagnostic.t list) Lru.t = Lru.create ~capacity:8192
 
 let certify_full prog : (verdict * Diagnostic.t list) * bool =
   let key = Prog.canonical_hash prog in
   match Lru.find memo key with
-  | Some r ->
-    counters.cache_hits <- counters.cache_hits + 1;
-    (r, true)
+  | Some r -> (r, true)
   | None ->
     let r = check prog in
-    (match fst r with
-    | Certified -> counters.certified <- counters.certified + 1
-    | Unsafe _ -> counters.unsafe <- counters.unsafe + 1
-    | Unknown -> counters.unknown <- counters.unknown + 1);
     Lru.add memo key r;
     (r, false)
 

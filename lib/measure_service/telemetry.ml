@@ -8,19 +8,6 @@ type phase =
   | Native_run
   | Descent
 
-let phases =
-  [| Sample; Evolve; Model_rank; Measure; Retrain; Compile; Native_run; Descent |]
-
-let phase_index = function
-  | Sample -> 0
-  | Evolve -> 1
-  | Model_rank -> 2
-  | Measure -> 3
-  | Retrain -> 4
-  | Compile -> 5
-  | Native_run -> 6
-  | Descent -> 7
-
 let phase_name = function
   | Sample -> "sample"
   | Evolve -> "evolve"
@@ -95,49 +82,88 @@ let empty_stats =
     score_batches = 0;
     score_wall_seconds = 0.0;
     score_work_seconds = 0.0;
-    phase_seconds = Array.to_list (Array.map (fun p -> (phase_name p, 0.0)) phases);
+    phase_seconds =
+      List.map (fun p -> (phase_name p, 0.0))
+        [ Sample; Evolve; Model_rank; Measure; Retrain; Compile; Native_run; Descent ];
   }
 
+(* Every counter of [stats] except the phase timers, in JSON order: its
+   JSON name, getter and functional setter.  Summing, JSON and the text
+   summary are folds over this table, so a new counter is one record
+   field, one [empty_stats] entry and one row here. *)
+type field =
+  | Int of string * (stats -> int) * (stats -> int -> stats)
+  | Float of string * (stats -> float) * (stats -> float -> stats)
+
+let fields =
+  [
+    Int ("trials", (fun s -> s.trials), fun s v -> { s with trials = v });
+    Int ("measured", (fun s -> s.measured), fun s v -> { s with measured = v });
+    Int ("cache_hits", (fun s -> s.cache_hits), fun s v -> { s with cache_hits = v });
+    Int ("build_errors", (fun s -> s.build_errors),
+      fun s v -> { s with build_errors = v });
+    Int ("compile_errors", (fun s -> s.compile_errors),
+      fun s v -> { s with compile_errors = v });
+    Int ("run_errors", (fun s -> s.run_errors), fun s v -> { s with run_errors = v });
+    Int ("timeouts", (fun s -> s.timeouts), fun s v -> { s with timeouts = v });
+    Int ("retries", (fun s -> s.retries), fun s v -> { s with retries = v });
+    Int ("batches", (fun s -> s.batches), fun s v -> { s with batches = v });
+    Int ("statically_rejected", (fun s -> s.statically_rejected),
+      fun s v -> { s with statically_rejected = v });
+    Int ("bounds_rejected", (fun s -> s.bounds_rejected),
+      fun s v -> { s with bounds_rejected = v });
+    Int ("certified", (fun s -> s.certified), fun s v -> { s with certified = v });
+    Int ("cert_cache_hits", (fun s -> s.cert_cache_hits),
+      fun s v -> { s with cert_cache_hits = v });
+    Int ("warm_starts", (fun s -> s.warm_starts),
+      fun s v -> { s with warm_starts = v });
+    Int ("store_samples", (fun s -> s.store_samples),
+      fun s v -> { s with store_samples = v });
+    Int ("finetune_rounds", (fun s -> s.finetune_rounds),
+      fun s v -> { s with finetune_rounds = v });
+    Int ("native_compiles", (fun s -> s.native_compiles),
+      fun s v -> { s with native_compiles = v });
+    Int ("native_kernels", (fun s -> s.native_kernels),
+      fun s v -> { s with native_kernels = v });
+    Int ("descent_trials", (fun s -> s.descent_trials),
+      fun s v -> { s with descent_trials = v });
+    Int ("descent_sweeps", (fun s -> s.descent_sweeps),
+      fun s v -> { s with descent_sweeps = v });
+    Int ("descent_improvements", (fun s -> s.descent_improvements),
+      fun s v -> { s with descent_improvements = v });
+    Int ("descent_plateau_stops", (fun s -> s.descent_plateau_stops),
+      fun s v -> { s with descent_plateau_stops = v });
+    Float ("backoff_seconds", (fun s -> s.backoff_seconds),
+      fun s v -> { s with backoff_seconds = v });
+    Int ("score_hits", (fun s -> s.score_hits), fun s v -> { s with score_hits = v });
+    Int ("score_misses", (fun s -> s.score_misses),
+      fun s v -> { s with score_misses = v });
+    Int ("score_evictions", (fun s -> s.score_evictions),
+      fun s v -> { s with score_evictions = v });
+    Int ("score_batches", (fun s -> s.score_batches),
+      fun s v -> { s with score_batches = v });
+    Float ("score_wall_seconds", (fun s -> s.score_wall_seconds),
+      fun s v -> { s with score_wall_seconds = v });
+    Float ("score_work_seconds", (fun s -> s.score_work_seconds),
+      fun s v -> { s with score_work_seconds = v });
+  ]
+
 let total stats =
-  List.fold_left
-    (fun acc s ->
-      {
-        trials = acc.trials + s.trials;
-        measured = acc.measured + s.measured;
-        cache_hits = acc.cache_hits + s.cache_hits;
-        build_errors = acc.build_errors + s.build_errors;
-        compile_errors = acc.compile_errors + s.compile_errors;
-        run_errors = acc.run_errors + s.run_errors;
-        timeouts = acc.timeouts + s.timeouts;
-        retries = acc.retries + s.retries;
-        batches = acc.batches + s.batches;
-        statically_rejected = acc.statically_rejected + s.statically_rejected;
-        bounds_rejected = acc.bounds_rejected + s.bounds_rejected;
-        certified = acc.certified + s.certified;
-        cert_cache_hits = acc.cert_cache_hits + s.cert_cache_hits;
-        warm_starts = acc.warm_starts + s.warm_starts;
-        store_samples = acc.store_samples + s.store_samples;
-        finetune_rounds = acc.finetune_rounds + s.finetune_rounds;
-        native_compiles = acc.native_compiles + s.native_compiles;
-        native_kernels = acc.native_kernels + s.native_kernels;
-        descent_trials = acc.descent_trials + s.descent_trials;
-        descent_sweeps = acc.descent_sweeps + s.descent_sweeps;
-        descent_improvements = acc.descent_improvements + s.descent_improvements;
-        descent_plateau_stops =
-          acc.descent_plateau_stops + s.descent_plateau_stops;
-        backoff_seconds = acc.backoff_seconds +. s.backoff_seconds;
-        score_hits = acc.score_hits + s.score_hits;
-        score_misses = acc.score_misses + s.score_misses;
-        score_evictions = acc.score_evictions + s.score_evictions;
-        score_batches = acc.score_batches + s.score_batches;
-        score_wall_seconds = acc.score_wall_seconds +. s.score_wall_seconds;
-        score_work_seconds = acc.score_work_seconds +. s.score_work_seconds;
-        phase_seconds =
-          List.map2
-            (fun (name, a) (_, b) -> (name, a +. b))
-            acc.phase_seconds s.phase_seconds;
-      })
-    empty_stats stats
+  let add acc s =
+    let acc =
+      List.fold_left
+        (fun acc -> function
+          | Int (_, get, set) -> set acc (get acc + get s)
+          | Float (_, get, set) -> set acc (get acc +. get s))
+        acc fields
+    in
+    {
+      acc with
+      phase_seconds =
+        List.map2 (fun (n, a) (_, b) -> (n, a +. b)) acc.phase_seconds s.phase_seconds;
+    }
+  in
+  List.fold_left add empty_stats stats
 
 let results s =
   s.measured + s.cache_hits + s.build_errors + s.compile_errors
@@ -147,288 +173,125 @@ let score_speedup s =
   if s.score_wall_seconds > 0.0 then s.score_work_seconds /. s.score_wall_seconds
   else 1.0
 
+(* Every counter as (JSON name, printed value), float counters printed
+   with [float_fmt]; with [~nonzero:true], zero counters are dropped. *)
+let counters ?(nonzero = false) ~float_fmt s =
+  List.filter_map
+    (function
+      | Int (n, get, _) ->
+        if nonzero && get s = 0 then None else Some (n, string_of_int (get s))
+      | Float (n, get, _) ->
+        if nonzero && get s = 0.0 then None
+        else Some (n, Printf.sprintf float_fmt (get s)))
+    fields
+
 let summary s =
-  let counters =
-    Printf.sprintf
-      "trials=%d ok=%d cache=%d build_err=%d compile_err=%d run_err=%d \
-       timeout=%d retries=%d static_rej=%d bounds_rej=%d certified=%d \
-       cert_cache=%d native_cc=%d descent=%d/%d score_hit=%d score_miss=%d \
-       score_speedup=%.2fx"
-      s.trials s.measured s.cache_hits s.build_errors s.compile_errors
-      s.run_errors s.timeouts s.retries s.statically_rejected
-      s.bounds_rejected s.certified s.cert_cache_hits s.native_compiles
-      s.descent_trials s.descent_improvements
-      s.score_hits s.score_misses (score_speedup s)
-  in
+  let pair (n, v) = n ^ "=" ^ v in
   let timers =
-    String.concat " "
-      (List.map (fun (n, v) -> Printf.sprintf "%s=%.3fs" n v) s.phase_seconds)
+    List.map (fun (n, v) -> pair (n, Printf.sprintf "%.3fs" v)) s.phase_seconds
   in
-  counters ^ " | " ^ timers
+  String.concat " "
+    (List.map pair (counters ~nonzero:true ~float_fmt:"%.3fs" s)
+    @ ("|" :: timers))
 
 let to_json s =
-  let phase_fields =
-    String.concat ","
-      (List.map
-         (fun (n, v) -> Printf.sprintf "\"%s\":%.6f" n v)
-         s.phase_seconds)
+  let pair (n, v) = Printf.sprintf "\"%s\":%s" n v in
+  let timers =
+    List.map (fun (n, v) -> pair (n, Printf.sprintf "%.6f" v)) s.phase_seconds
   in
-  Printf.sprintf
-    "{\"trials\":%d,\"measured\":%d,\"cache_hits\":%d,\"build_errors\":%d,\
-     \"compile_errors\":%d,\
-     \"run_errors\":%d,\"timeouts\":%d,\"retries\":%d,\"batches\":%d,\
-     \"statically_rejected\":%d,\"bounds_rejected\":%d,\
-     \"certified\":%d,\"cert_cache_hits\":%d,\"warm_starts\":%d,\
-     \"store_samples\":%d,\"finetune_rounds\":%d,\
-     \"native_compiles\":%d,\
-     \"native_kernels\":%d,\"descent_trials\":%d,\"descent_sweeps\":%d,\
-     \"descent_improvements\":%d,\"descent_plateau_stops\":%d,\
-     \"backoff_seconds\":%.6f,\
-     \"score_hits\":%d,\"score_misses\":%d,\"score_evictions\":%d,\
-     \"score_batches\":%d,\"score_wall_seconds\":%.6f,\
-     \"score_work_seconds\":%.6f,\"score_parallel_speedup\":%.6f,\
-     \"phase_seconds\":{%s}}"
-    s.trials s.measured s.cache_hits s.build_errors s.compile_errors
-    s.run_errors s.timeouts s.retries s.batches s.statically_rejected
-    s.bounds_rejected s.certified s.cert_cache_hits
-    s.warm_starts s.store_samples s.finetune_rounds
-    s.native_compiles s.native_kernels s.descent_trials s.descent_sweeps
-    s.descent_improvements s.descent_plateau_stops s.backoff_seconds s.score_hits
-    s.score_misses s.score_evictions s.score_batches s.score_wall_seconds
-    s.score_work_seconds (score_speedup s) phase_fields
+  Printf.sprintf "{%s,\"score_parallel_speedup\":%.6f,\"phase_seconds\":{%s}}"
+    (String.concat "," (List.map pair (counters ~float_fmt:"%.6f" s)))
+    (score_speedup s) (String.concat "," timers)
 
-type t = {
-  mutable trials : int;
-  mutable measured : int;
-  mutable cache_hits : int;
-  mutable build_errors : int;
-  mutable compile_errors : int;
-  mutable run_errors : int;
-  mutable timeouts : int;
-  mutable retries : int;
-  mutable batches : int;
-  mutable statically_rejected : int;
-  mutable bounds_rejected : int;
-  mutable certified : int;
-  mutable cert_cache_hits : int;
-  mutable warm_starts : int;
-  mutable store_samples : int;
-  mutable finetune_rounds : int;
-  mutable native_compiles : int;
-  mutable native_kernels : int;
-  mutable descent_trials : int;
-  mutable descent_sweeps : int;
-  mutable descent_improvements : int;
-  mutable descent_plateau_stops : int;
-  mutable backoff_seconds : float;
-  mutable score_hits : int;
-  mutable score_misses : int;
-  mutable score_evictions : int;
-  mutable score_batches : int;
-  mutable score_wall_seconds : float;
-  mutable score_work_seconds : float;
-  phase : float array;
-}
+type t = { mutable s : stats }
 
-let create () =
-  {
-    trials = 0;
-    measured = 0;
-    cache_hits = 0;
-    build_errors = 0;
-    compile_errors = 0;
-    run_errors = 0;
-    timeouts = 0;
-    retries = 0;
-    batches = 0;
-    statically_rejected = 0;
-    bounds_rejected = 0;
-    certified = 0;
-    cert_cache_hits = 0;
-    warm_starts = 0;
-    store_samples = 0;
-    finetune_rounds = 0;
-    native_compiles = 0;
-    native_kernels = 0;
-    descent_trials = 0;
-    descent_sweeps = 0;
-    descent_improvements = 0;
-    descent_plateau_stops = 0;
-    backoff_seconds = 0.0;
-    score_hits = 0;
-    score_misses = 0;
-    score_evictions = 0;
-    score_batches = 0;
-    score_wall_seconds = 0.0;
-    score_work_seconds = 0.0;
-    phase = Array.make (Array.length phases) 0.0;
-  }
-
-let reset t =
-  t.trials <- 0;
-  t.measured <- 0;
-  t.cache_hits <- 0;
-  t.build_errors <- 0;
-  t.compile_errors <- 0;
-  t.run_errors <- 0;
-  t.timeouts <- 0;
-  t.retries <- 0;
-  t.batches <- 0;
-  t.statically_rejected <- 0;
-  t.bounds_rejected <- 0;
-  t.certified <- 0;
-  t.cert_cache_hits <- 0;
-  t.warm_starts <- 0;
-  t.store_samples <- 0;
-  t.finetune_rounds <- 0;
-  t.native_compiles <- 0;
-  t.native_kernels <- 0;
-  t.descent_trials <- 0;
-  t.descent_sweeps <- 0;
-  t.descent_improvements <- 0;
-  t.descent_plateau_stops <- 0;
-  t.backoff_seconds <- 0.0;
-  t.score_hits <- 0;
-  t.score_misses <- 0;
-  t.score_evictions <- 0;
-  t.score_batches <- 0;
-  t.score_wall_seconds <- 0.0;
-  t.score_work_seconds <- 0.0;
-  Array.fill t.phase 0 (Array.length t.phase) 0.0
-
-let stats t =
-  {
-    trials = t.trials;
-    measured = t.measured;
-    cache_hits = t.cache_hits;
-    build_errors = t.build_errors;
-    compile_errors = t.compile_errors;
-    run_errors = t.run_errors;
-    timeouts = t.timeouts;
-    retries = t.retries;
-    batches = t.batches;
-    statically_rejected = t.statically_rejected;
-    bounds_rejected = t.bounds_rejected;
-    certified = t.certified;
-    cert_cache_hits = t.cert_cache_hits;
-    warm_starts = t.warm_starts;
-    store_samples = t.store_samples;
-    finetune_rounds = t.finetune_rounds;
-    native_compiles = t.native_compiles;
-    native_kernels = t.native_kernels;
-    descent_trials = t.descent_trials;
-    descent_sweeps = t.descent_sweeps;
-    descent_improvements = t.descent_improvements;
-    descent_plateau_stops = t.descent_plateau_stops;
-    backoff_seconds = t.backoff_seconds;
-    score_hits = t.score_hits;
-    score_misses = t.score_misses;
-    score_evictions = t.score_evictions;
-    score_batches = t.score_batches;
-    score_wall_seconds = t.score_wall_seconds;
-    score_work_seconds = t.score_work_seconds;
-    phase_seconds =
-      Array.to_list
-        (Array.map (fun p -> (phase_name p, t.phase.(phase_index p))) phases);
-  }
-
-let restore t (s : stats) =
-  t.trials <- s.trials;
-  t.measured <- s.measured;
-  t.cache_hits <- s.cache_hits;
-  t.build_errors <- s.build_errors;
-  t.compile_errors <- s.compile_errors;
-  t.run_errors <- s.run_errors;
-  t.timeouts <- s.timeouts;
-  t.retries <- s.retries;
-  t.batches <- s.batches;
-  t.statically_rejected <- s.statically_rejected;
-  t.bounds_rejected <- s.bounds_rejected;
-  t.certified <- s.certified;
-  t.cert_cache_hits <- s.cert_cache_hits;
-  t.warm_starts <- s.warm_starts;
-  t.store_samples <- s.store_samples;
-  t.finetune_rounds <- s.finetune_rounds;
-  t.native_compiles <- s.native_compiles;
-  t.native_kernels <- s.native_kernels;
-  t.descent_trials <- s.descent_trials;
-  t.descent_sweeps <- s.descent_sweeps;
-  t.descent_improvements <- s.descent_improvements;
-  t.descent_plateau_stops <- s.descent_plateau_stops;
-  t.backoff_seconds <- s.backoff_seconds;
-  t.score_hits <- s.score_hits;
-  t.score_misses <- s.score_misses;
-  t.score_evictions <- s.score_evictions;
-  t.score_batches <- s.score_batches;
-  t.score_wall_seconds <- s.score_wall_seconds;
-  t.score_work_seconds <- s.score_work_seconds;
-  List.iteri
-    (fun i (_, v) -> if i < Array.length t.phase then t.phase.(i) <- v)
-    s.phase_seconds
+let create () = { s = empty_stats }
+let reset t = t.s <- empty_stats
+let stats t = t.s
+let restore t s = t.s <- s
+let update t f = t.s <- f t.s
 
 let add_phase t phase seconds =
-  let i = phase_index phase in
-  t.phase.(i) <- t.phase.(i) +. seconds
+  let name = phase_name phase in
+  let bump (n, v) = if n = name then (n, v +. seconds) else (n, v) in
+  update t (fun s -> { s with phase_seconds = List.map bump s.phase_seconds })
 
 let time t phase f =
   let t0 = Unix.gettimeofday () in
   Fun.protect ~finally:(fun () -> add_phase t phase (Unix.gettimeofday () -. t0)) f
 
 let record_result t ?(attempts = 1) ?(cache_hit = false) latency =
-  t.trials <- t.trials + attempts;
-  t.retries <- t.retries + max 0 (attempts - 1);
-  if cache_hit then t.cache_hits <- t.cache_hits + 1
-  else
-    match latency with
-    | Ok _ -> t.measured <- t.measured + 1
-    | Error (Protocol.Build_error _) -> t.build_errors <- t.build_errors + 1
-    | Error (Protocol.Compile_error _) ->
-      t.compile_errors <- t.compile_errors + 1
-    | Error (Protocol.Bounds_error _) ->
-      t.bounds_rejected <- t.bounds_rejected + 1
-    | Error (Protocol.Run_error _) -> t.run_errors <- t.run_errors + 1
-    | Error Protocol.Timeout -> t.timeouts <- t.timeouts + 1
+  update t (fun s ->
+      let retries = s.retries + max 0 (attempts - 1) in
+      let s = { s with trials = s.trials + attempts; retries } in
+      if cache_hit then { s with cache_hits = s.cache_hits + 1 }
+      else
+        match latency with
+        | Ok _ -> { s with measured = s.measured + 1 }
+        | Error (Protocol.Build_error _) ->
+          { s with build_errors = s.build_errors + 1 }
+        | Error (Protocol.Compile_error _) ->
+          { s with compile_errors = s.compile_errors + 1 }
+        | Error (Protocol.Bounds_error _) ->
+          { s with bounds_rejected = s.bounds_rejected + 1 }
+        | Error (Protocol.Run_error _) -> { s with run_errors = s.run_errors + 1 }
+        | Error Protocol.Timeout -> { s with timeouts = s.timeouts + 1 })
 
-let add_backoff t seconds = t.backoff_seconds <- t.backoff_seconds +. seconds
+let add_backoff t seconds =
+  update t (fun s -> { s with backoff_seconds = s.backoff_seconds +. seconds })
+
+let incr_batches t = update t (fun s -> { s with batches = s.batches + 1 })
 
 let incr_statically_rejected t =
-  t.statically_rejected <- t.statically_rejected + 1
+  update t (fun s -> { s with statically_rejected = s.statically_rejected + 1 })
 
-(* Certification events observed by the service's native gate: [hit]
-   distinguishes memo-table hits from fresh certifications. *)
 let add_certification t ~hit =
-  if hit then t.cert_cache_hits <- t.cert_cache_hits + 1
-  else t.certified <- t.certified + 1
+  update t (fun s ->
+      if hit then { s with cert_cache_hits = s.cert_cache_hits + 1 }
+      else { s with certified = s.certified + 1 })
 
-let incr_warm_starts t = t.warm_starts <- t.warm_starts + 1
-let add_store_samples t n = t.store_samples <- t.store_samples + n
-let incr_finetune_rounds t = t.finetune_rounds <- t.finetune_rounds + 1
+let incr_warm_starts t = update t (fun s -> { s with warm_starts = s.warm_starts + 1 })
+
+let add_store_samples t n =
+  update t (fun s -> { s with store_samples = s.store_samples + n })
+
+let incr_finetune_rounds t =
+  update t (fun s -> { s with finetune_rounds = s.finetune_rounds + 1 })
 
 let add_native_compiles t ~compiles ~kernels =
-  t.native_compiles <- t.native_compiles + compiles;
-  t.native_kernels <- t.native_kernels + kernels
+  update t (fun s ->
+      {
+        s with
+        native_compiles = s.native_compiles + compiles;
+        native_kernels = s.native_kernels + kernels;
+      })
 
-(* One completed descent sweep: [trials] is the Service.trials delta its
-   winner batch consumed (so descent trials are counted once, inside the
-   global budget), [improved] whether the measured sweep beat the
-   incumbent. *)
 let add_descent_sweep t ~trials ~improved =
-  t.descent_sweeps <- t.descent_sweeps + 1;
-  t.descent_trials <- t.descent_trials + trials;
-  if improved then t.descent_improvements <- t.descent_improvements + 1
+  update t (fun s ->
+      {
+        s with
+        descent_sweeps = s.descent_sweeps + 1;
+        descent_trials = s.descent_trials + trials;
+        descent_improvements =
+          (s.descent_improvements + if improved then 1 else 0);
+      })
 
 let incr_descent_plateau_stops t =
-  t.descent_plateau_stops <- t.descent_plateau_stops + 1
-let incr_batches t = t.batches <- t.batches + 1
+  update t (fun s -> { s with descent_plateau_stops = s.descent_plateau_stops + 1 })
 
 let add_score_probe t ~hit =
-  if hit then t.score_hits <- t.score_hits + 1
-  else t.score_misses <- t.score_misses + 1
+  update t (fun s ->
+      if hit then { s with score_hits = s.score_hits + 1 }
+      else { s with score_misses = s.score_misses + 1 })
 
 let add_score_batch t ~hits ~misses ~evictions ~wall ~work =
-  t.score_hits <- t.score_hits + hits;
-  t.score_misses <- t.score_misses + misses;
-  t.score_evictions <- t.score_evictions + evictions;
-  t.score_batches <- t.score_batches + 1;
-  t.score_wall_seconds <- t.score_wall_seconds +. wall;
-  t.score_work_seconds <- t.score_work_seconds +. work
+  update t (fun s ->
+      {
+        s with
+        score_hits = s.score_hits + hits;
+        score_misses = s.score_misses + misses;
+        score_evictions = s.score_evictions + evictions;
+        score_batches = s.score_batches + 1;
+        score_wall_seconds = s.score_wall_seconds +. wall;
+        score_work_seconds = s.score_work_seconds +. work;
+      })

@@ -3,10 +3,14 @@
 
     The single source of truth for trial accounting: every backend
     measurement run (including retries) increments [trials] here — the
-    scheduler's budget math and the CLI both read these stats.  The phase
-    timers break a tuner round into the five stages of the search loop
-    (sample / evolve / model-rank / measure / retrain), answering "where
-    does round time go". *)
+    scheduler's budget math and the CLI both read these stats.  The eight
+    phase timers (sample / evolve / model-rank / measure / retrain /
+    compile / native-run / descent) answer "where does round time go".
+
+    Each counter is declared once, in a field table inside the
+    implementation: summing, JSON and the text summary are folds over
+    that table, so adding a counter means one [stats] field, one
+    [empty_stats] entry, one table row and the mutator that bumps it. *)
 
 type phase =
   | Sample
@@ -94,11 +98,15 @@ val results : stats -> int
 (** Classified results delivered: measured + cache hits + failures. *)
 
 val summary : stats -> string
-(** One line for round/session logs, e.g.
-    ["trials=96 ok=90 cache=4 build_err=0 run_err=2 timeout=0 retries=3 | sample=0.12s evolve=0.48s ..."]. *)
+(** One line for round/session logs: every non-zero counter by its JSON
+    name, then [|] and every phase timer, e.g.
+    ["trials=96 measured=90 cache_hits=4 run_errors=2 retries=3 batches=6
+    | sample=0.120s evolve=0.480s ..."] (one line). *)
 
 val to_json : stats -> string
-(** Stable single-object JSON encoding of every field. *)
+(** Stable single-object JSON encoding of every field, in declaration
+    order, followed by [score_parallel_speedup] and the [phase_seconds]
+    object. *)
 
 type t
 

@@ -261,6 +261,27 @@ let test_cache_shared_across_services () =
 
 (* ---------- telemetry ---------- *)
 
+(* Top-level (key, raw value) members of a telemetry JSON object; the only
+   nested value, [phase_seconds], is an object of numbers. *)
+let json_members json =
+  let body = String.sub json 1 (String.length json - 2) in
+  let n = String.length body in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else
+      let k_end = String.index_from body (i + 1) '"' in
+      let v_start = k_end + 2 in
+      let v_end =
+        if body.[v_start] = '{' then String.index_from body v_start '}' + 1
+        else Option.value (String.index_from_opt body v_start ',') ~default:n
+      in
+      go (v_end + 1)
+        ((String.sub body (i + 1) (k_end - i - 1),
+          String.sub body v_start (v_end - v_start))
+        :: acc)
+  in
+  go 0 []
+
 let test_telemetry_accounting_and_json () =
   let service = Service.create ~seed:12 Machine.intel_cpu in
   let _ = Service.measure_batch service (batch_of_sizes [ 16; 24 ]) in
@@ -288,7 +309,98 @@ let test_telemetry_accounting_and_json () =
   check_int "total sums trials" (2 * stats.Telemetry.trials)
     doubled.Telemetry.trials;
   check_int "total sums results" (2 * Telemetry.results stats)
-    (Telemetry.results doubled)
+    (Telemetry.results doubled);
+  (* every mutator, each counter driven to a distinct non-zero value *)
+  let t = Telemetry.create () in
+  let repeat n f = for _ = 1 to n do f () done in
+  let record ?attempts ?cache_hit n r =
+    repeat n (fun () -> Telemetry.record_result t ?attempts ?cache_hit r)
+  in
+  record 1 (Ok 1.0);
+  record ~attempts:4 1 (Ok 1.0);
+  record ~attempts:0 ~cache_hit:true 4 (Ok 1.0);
+  record ~attempts:0 5 (Error (Protocol.Build_error "b"));
+  record ~attempts:0 6 (Error (Protocol.Compile_error "c"));
+  record ~attempts:0 7 (Error (Protocol.Bounds_error "o"));
+  record ~attempts:0 8 (Error (Protocol.Run_error "r"));
+  record 9 (Error Protocol.Timeout);
+  repeat 10 (fun () -> Telemetry.incr_batches t);
+  repeat 11 (fun () -> Telemetry.incr_statically_rejected t);
+  repeat 12 (fun () -> Telemetry.add_certification t ~hit:false);
+  repeat 13 (fun () -> Telemetry.add_certification t ~hit:true);
+  repeat 15 (fun () -> Telemetry.incr_warm_starts t);
+  Telemetry.add_store_samples t 7;
+  Telemetry.add_store_samples t 9;
+  repeat 17 (fun () -> Telemetry.incr_finetune_rounds t);
+  Telemetry.add_native_compiles t ~compiles:8 ~kernels:9;
+  Telemetry.add_native_compiles t ~compiles:10 ~kernels:10;
+  Telemetry.add_descent_sweep t ~trials:2 ~improved:false;
+  repeat 20 (fun () -> Telemetry.add_descent_sweep t ~trials:1 ~improved:true);
+  repeat 23 (fun () -> Telemetry.incr_descent_plateau_stops t);
+  Telemetry.add_backoff t 0.125;
+  Telemetry.add_backoff t 0.125;
+  Telemetry.add_score_batch t ~hits:24 ~misses:25 ~evictions:28 ~wall:0.5
+    ~work:1.5;
+  repeat 2 (fun () -> Telemetry.add_score_probe t ~hit:true);
+  repeat 2 (fun () -> Telemetry.add_score_probe t ~hit:false);
+  List.iteri
+    (fun i p -> Telemetry.add_phase t p (2.0 +. float_of_int i))
+    Telemetry.
+      [ Sample; Evolve; Model_rank; Measure; Retrain; Compile; Native_run;
+        Descent ];
+  let s = Telemetry.stats t in
+  (* the external format: the counters in their historical order, each
+     with the value its mutators produced *)
+  let expected =
+    [
+      ("trials", 14.); ("measured", 2.); ("cache_hits", 4.);
+      ("build_errors", 5.); ("compile_errors", 6.); ("run_errors", 8.);
+      ("timeouts", 9.); ("retries", 3.); ("batches", 10.);
+      ("statically_rejected", 11.); ("bounds_rejected", 7.);
+      ("certified", 12.); ("cert_cache_hits", 13.); ("warm_starts", 15.);
+      ("store_samples", 16.); ("finetune_rounds", 17.);
+      ("native_compiles", 18.); ("native_kernels", 19.);
+      ("descent_trials", 22.); ("descent_sweeps", 21.);
+      ("descent_improvements", 20.); ("descent_plateau_stops", 23.);
+      ("backoff_seconds", 0.25); ("score_hits", 26.); ("score_misses", 27.);
+      ("score_evictions", 28.); ("score_batches", 1.);
+      ("score_wall_seconds", 0.5); ("score_work_seconds", 1.5);
+      ("score_parallel_speedup", 3.);
+    ]
+  in
+  let members s = json_members (Telemetry.to_json s) in
+  Alcotest.(check (list string))
+    "json keys and order"
+    (List.map fst expected @ [ "phase_seconds" ])
+    (List.map fst (members Telemetry.empty_stats));
+  let numbers s =
+    List.filter (fun (k, _) -> k <> "phase_seconds") (members s)
+  in
+  List.iter2
+    (fun (k, want) (_, got) -> check_float k want (float_of_string got))
+    expected (numbers s);
+  List.iter2
+    (fun (k, v) (_, v2) ->
+      if k <> "score_parallel_speedup" then
+        check_float ("total doubles " ^ k)
+          (2.0 *. float_of_string v) (float_of_string v2))
+    (numbers s)
+    (numbers (Telemetry.total [ s; s ]));
+  check_bool "total doubles phase timers" true
+    ((Telemetry.total [ s; s ]).Telemetry.phase_seconds
+    = List.map (fun (n, v) -> (n, 2.0 *. v)) s.Telemetry.phase_seconds);
+  let t' = Telemetry.create () in
+  Telemetry.restore t' s;
+  check_bool "restore then stats round-trips" true (Telemetry.stats t' = s);
+  Telemetry.reset t';
+  Telemetry.incr_batches t';
+  let line = Telemetry.summary (Telemetry.stats t') in
+  check_bool "summary shows non-zero counters" true
+    (contains ~needle:"batches=1 |" line);
+  check_bool "summary omits zero counters" false
+    (contains ~needle:"trials" line);
+  check_bool "summary lists phase timers" true
+    (contains ~needle:"| sample=0.000s evolve=" line)
 
 let () =
   Alcotest.run "measure_service"
