@@ -20,8 +20,6 @@ let static_checks prog =
 
 let static_errors prog = Diagnostic.errors (static_checks prog)
 
-let race_free prog = not (Diagnostic.has_errors (Races.check prog))
-
 let analyze ?(config = default_config) ?(bounds = true) prog =
   let base = Validate.check prog @ Races.check prog @ Lint.check config prog in
   let extra =

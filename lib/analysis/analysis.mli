@@ -50,9 +50,6 @@ val static_checks : Ansor_sched.Prog.t -> Ansor_sched.Diagnostic.t list
 val static_errors : Ansor_sched.Prog.t -> Ansor_sched.Diagnostic.t list
 (** The [Error]-severity subset of {!static_checks}. *)
 
-val race_free : Ansor_sched.Prog.t -> bool
-(** No [Error]-severity race diagnostics. *)
-
 val analyze :
   ?config:config ->
   ?bounds:bool ->

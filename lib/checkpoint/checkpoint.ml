@@ -5,16 +5,7 @@ type meta = {
   rounds : int;
 }
 
-type payload =
-  | Single of {
-      tuner : Ansor_search.Tuner.Snapshot.t;
-      shared : Ansor_search.Tuner.Shared.snapshot;
-      cache : (string * float) list;
-      stats : Ansor_measure_service.Telemetry.stats;
-    }
-  | Session of Ansor_scheduler.Scheduler.Snapshot.t
-
-type image = { meta : meta; payload : payload }
+type image = { meta : meta; session : Ansor_scheduler.Scheduler.Snapshot.t }
 
 (* v2: Shared.snapshot gained the cross-task warm-start fields
    (pretrained base model, store-derived records, provenance).
@@ -22,9 +13,12 @@ type image = { meta : meta; payload : payload }
    (bounds_rejected / certified / cert_cache_hits).
    v4: Tuner.Snapshot gained the exploitation-descent cursor and
    plateau-detector state; Telemetry.stats gained the descent counters.
+   v5: the Single/Session payload variant is gone — a single-operator
+   session is a one-task scheduler session, so every image holds one
+   Scheduler.Snapshot.t.
    The version lives in the magic line, so a snapshot from an older
    binary is rejected cleanly instead of misparsed by Marshal. *)
-let version = 4
+let version = 5
 
 let magic = Printf.sprintf "ansor-snapshot-v%d" version
 

@@ -8,7 +8,7 @@
     versioned, digest-footed image:
 
     {v
-ansor-snapshot-v2\n
+ansor-snapshot-v5\n
 <payload byte length>\n
 <payload bytes (marshalled image)>
 md5:<hex digest of payload>\n
@@ -43,17 +43,9 @@ type meta = {
     a different machine, task set or seed silently starts fresh instead
     of corrupting the session. *)
 
-type payload =
-  | Single of {
-      tuner : Ansor_search.Tuner.Snapshot.t;
-      shared : Ansor_search.Tuner.Shared.snapshot;
-      cache : (string * float) list;  (** dedup-cache entries *)
-      stats : Ansor_measure_service.Telemetry.stats;
-    }  (** a single-task {!Ansor_search.Tuner.tune} session *)
-  | Session of Ansor_scheduler.Scheduler.Snapshot.t
-      (** a multi-task {!Ansor_scheduler.Scheduler} session *)
-
-type image = { meta : meta; payload : payload }
+type image = { meta : meta; session : Ansor_scheduler.Scheduler.Snapshot.t }
+(** A single-operator session is a one-task scheduler session, so one
+    payload shape covers both [tune] and [network]. *)
 
 val version : int
 

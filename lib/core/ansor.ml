@@ -66,12 +66,12 @@ type tune_result = {
   stats : Telemetry.stats;
 }
 
-(* Resume plumbing shared by {!tune} and {!tune_networks_with_stats}:
-   load the latest valid snapshot generation, check its compatibility
-   fingerprint, and hand the image to [apply]; any problem degrades to a
-   fresh start with a warning — a resumed session must never crash on a
-   missing, torn or mismatched snapshot. *)
-let try_resume ~resume ~snapshot_path ~seed ~machine_name ~task_keys apply =
+(* Resume plumbing of {!run_session}: load the latest valid snapshot
+   generation, check its compatibility fingerprint, and restore the
+   scheduler from it; any problem degrades to a fresh start with a
+   warning — a resumed session must never crash on a missing, torn or
+   mismatched snapshot. *)
+let try_resume ~resume ~snapshot_path ~seed ~machine_name ~task_keys sched =
   if not resume then ()
   else
     match snapshot_path with
@@ -102,7 +102,7 @@ let try_resume ~resume ~snapshot_path ~seed ~machine_name ~task_keys apply =
              %!"
             path
         else
-          match apply img.Checkpoint.payload with
+          match Scheduler.restore sched img.Checkpoint.session with
           | Ok () -> ()
           | Error msg ->
             Printf.eprintf
@@ -167,161 +167,33 @@ let adopt_model_store ~shared ~telemetry ~task_keys (ms : Model_store.session) =
       (Tuner.Shared.num_aux shared)
   end
 
-let tune ?(seed = 0) ?(trials = 200) ?(options = Tuner.ansor_options)
-    ?(service_config = Measure_service.default_config) ?cache ?model_store
-    ?snapshot_path ?(resume = false) ?record_log
-    ?(should_stop = fun () -> false) ?on_round machine dag =
-  let task = Task.create ~name:"tune" ~machine dag in
-  let service =
+(* The one tuning-session runner behind {!tune} and
+   {!tune_networks_with_stats}: resume, model-store adoption, per-round
+   batched improvement logging and checkpointing around
+   {!Scheduler.run}. *)
+let run_session ?cache ?model_store ?snapshot_path ~resume ?record_log
+    ~should_stop ?on_round (options : Scheduler.options) machine ~tasks
+    ~networks ~trial_budget =
+  let seed = options.Scheduler.seed in
+  let sched =
     (* the native runner is always supplied: a Sim-backend config never
        calls it, and a Native one gets gcc measurement with no extra
        plumbing at the call sites *)
-    Measure_service.create ~config:service_config ?cache
-      ~native_runner:(Measure_native.runner ())
-      ~seed:(seed + 17) machine
-  in
-  let shared = Tuner.Shared.create () in
-  let restored = ref None in
-  try_resume ~resume ~snapshot_path ~seed
-    ~machine_name:machine.Machine.name
-    ~task_keys:[ Task.key task ]
-    (function
-      | Checkpoint.Session _ -> Error "snapshot is a multi-task session"
-      | Checkpoint.Single { tuner; shared = sh; cache = entries; stats } ->
-        Tuner.Shared.restore shared sh;
-        let c = Measure_service.cache service in
-        List.iter (fun (k, v) -> Measure_cache.add c k v) entries;
-        Telemetry.restore (Measure_service.telemetry service) stats;
-        restored := Some tuner;
-        Ok ());
-  (match model_store with
-  | None -> ()
-  | Some ms ->
-    adopt_model_store ~shared
-      ~telemetry:(Measure_service.telemetry service)
-      ~task_keys:[ Task.key task ] ms);
-  (* per-round improvement logging: one atomic batch append per round
-     (Record.append_batch), so a crash preserves every earlier best and a
-     long session pays one rewrite per round, not per entry *)
-  let last_logged =
-    ref
-      (match !restored with
-      | Some (snap : Tuner.Snapshot.t) -> (
-        match snap.Tuner.Snapshot.best with Some (_, l) -> l | None -> infinity)
-      | None -> infinity)
-  in
-  let log_improvement t =
-    match record_log with
-    | None -> ()
-    | Some path -> (
-      match Record.entry_of_tuner t with
-      | Some e when e.Record.latency < !last_logged ->
-        Record.append_batch ~path [ e ];
-        last_logged := e.Record.latency
-      | _ -> ())
-  in
-  let checkpoint t =
-    match snapshot_path with
-    | None -> ()
-    | Some path ->
-      Checkpoint.save ~path
-        {
-          Checkpoint.meta =
-            {
-              Checkpoint.seed;
-              machine = machine.Machine.name;
-              task_keys = [ Task.key task ];
-              rounds = Tuner.rounds_done t;
-            };
-          payload =
-            Checkpoint.Single
-              {
-                tuner = Tuner.snapshot t;
-                shared = Tuner.Shared.snapshot shared;
-                cache = Measure_cache.entries (Measure_service.cache service);
-                stats = Measure_service.stats service;
-              };
-        }
-  in
-  let tuner, service =
-    Tuner.tune ~seed ~shared ~service ?snapshot:!restored ~should_stop
-      ~on_round:(fun t ->
-        log_improvement t;
-        checkpoint t;
-        match on_round with Some f -> f () | None -> ())
-      options ~trials task
-  in
-  {
-    best_state = Tuner.best_state tuner;
-    best_latency = Tuner.best_latency tuner;
-    trials_used = Measure_service.trials service;
-    curve = Tuner.curve tuner;
-    stats = Measure_service.stats service;
-  }
-
-type network_result = {
-  net : Workloads.net;
-  latency : float;
-  per_task : (string * float) list;
-}
-
-let tune_networks_with_stats ?(seed = 0) ?trial_budget
-    ?(objective = Scheduler.F1_sum) ?(tuner_options = Tuner.ansor_options)
-    ?(service_config = Measure_service.default_config) ?model_store
-    ?snapshot_path ?(resume = false) ?record_log
-    ?(should_stop = fun () -> false) ?on_round machine nets =
-  (* deduplicate tasks shared between networks by workload key *)
-  let table = Hashtbl.create 32 in
-  let order = ref [] in
-  let index_of task =
-    let key = Task.key task in
-    match Hashtbl.find_opt table key with
-    | Some (i, _) -> i
-    | None ->
-      let i = Hashtbl.length table in
-      Hashtbl.replace table key (i, task);
-      order := task :: !order;
-      i
-  in
-  let networks =
-    List.map
-      (fun net ->
-        let task_weights =
-          List.map
-            (fun (task, w) -> (index_of task, w))
-            (Workloads.net_tasks ~machine net)
-        in
-        { Scheduler.net_name = net.Workloads.net_name; task_weights })
-      nets
-  in
-  let tasks = Array.of_list (List.rev !order) in
-  let budget =
-    match trial_budget with Some b -> b | None -> 64 * Array.length tasks
-  in
-  let sched =
-    Scheduler.create
-      ~native_runner:(Measure_native.runner ())
-      {
-        Scheduler.default_options with
-        objective;
-        tuner_options;
-        service_config;
-        seed;
-      }
+    Scheduler.create ~native_runner:(Measure_native.runner ()) ?cache options
       ~tasks ~networks
   in
   let task_keys = Array.to_list (Array.map Task.key tasks) in
   try_resume ~resume ~snapshot_path ~seed ~machine_name:machine.Machine.name
-    ~task_keys (function
-    | Checkpoint.Single _ -> Error "snapshot is a single-task session"
-    | Checkpoint.Session snap -> Scheduler.restore sched snap);
+    ~task_keys sched;
   (match model_store with
   | None -> ()
   | Some ms ->
     adopt_model_store ~shared:(Scheduler.shared sched)
       ~telemetry:(Scheduler.telemetry sched 0) ~task_keys ms);
-  (* per-allocation improvement logging, batched: every task whose best
-     improved this round lands in one atomic Record.append_batch *)
+  (* per-allocation improvement logging: every task whose best improved
+     this round lands in one atomic Record.append_batch, so a crash
+     preserves every earlier best and a long session pays one rewrite per
+     round, not per entry *)
   let last_logged =
     Array.init (Array.length tasks) (fun i -> Scheduler.best_latency sched i)
   in
@@ -361,7 +233,7 @@ let tune_networks_with_stats ?(seed = 0) ?trial_budget
               task_keys;
               rounds = Array.fold_left ( + ) 0 (Scheduler.allocations sched);
             };
-          payload = Checkpoint.Session (Scheduler.snapshot sched);
+          session = Scheduler.snapshot sched;
         }
   in
   Scheduler.run ~should_stop
@@ -369,7 +241,86 @@ let tune_networks_with_stats ?(seed = 0) ?trial_budget
       log_improvements s;
       checkpoint s;
       match on_round with Some f -> f () | None -> ())
-    sched ~trial_budget:budget;
+    sched ~trial_budget;
+  sched
+
+let tune ?(seed = 0) ?(trials = 200) ?(options = Tuner.ansor_options)
+    ?(service_config = Measure_service.default_config) ?cache ?model_store
+    ?snapshot_path ?(resume = false) ?record_log
+    ?(should_stop = fun () -> false) ?on_round machine dag =
+  let sched =
+    run_session ?cache ?model_store ?snapshot_path ~resume ?record_log
+      ~should_stop ?on_round
+      {
+        Scheduler.default_options with
+        tuner_options = options;
+        service_config;
+        seed;
+      }
+      machine
+      ~tasks:[| Task.create ~name:"tune" ~machine dag |]
+      ~networks:[ { Scheduler.net_name = "tune"; task_weights = [ (0, 1) ] } ]
+      ~trial_budget:trials
+  in
+  {
+    best_state = Scheduler.best_state sched 0;
+    best_latency = Scheduler.best_latency sched 0;
+    trials_used = Scheduler.total_trials sched;
+    curve = (Scheduler.snapshot sched).Scheduler.Snapshot.tuners.(0).curve;
+    stats = Scheduler.stats sched;
+  }
+
+type network_result = {
+  net : Workloads.net;
+  latency : float;
+  per_task : (string * float) list;
+}
+
+let tune_networks_with_stats ?(seed = 0) ?trial_budget
+    ?(objective = Scheduler.F1_sum) ?(tuner_options = Tuner.ansor_options)
+    ?(service_config = Measure_service.default_config) ?model_store
+    ?snapshot_path ?(resume = false) ?record_log
+    ?(should_stop = fun () -> false) ?on_round machine nets =
+  (* deduplicate tasks shared between networks by workload key *)
+  let table = Hashtbl.create 32 in
+  let order = ref [] in
+  let index_of task =
+    let key = Task.key task in
+    match Hashtbl.find_opt table key with
+    | Some (i, _) -> i
+    | None ->
+      let i = Hashtbl.length table in
+      Hashtbl.replace table key (i, task);
+      order := task :: !order;
+      i
+  in
+  let networks =
+    List.map
+      (fun net ->
+        let task_weights =
+          List.map
+            (fun (task, w) -> (index_of task, w))
+            (Workloads.net_tasks ~machine net)
+        in
+        { Scheduler.net_name = net.Workloads.net_name; task_weights })
+      nets
+  in
+  let tasks = Array.of_list (List.rev !order) in
+  let trial_budget =
+    match trial_budget with Some b -> b | None -> 64 * Array.length tasks
+  in
+  let sched =
+    run_session ?model_store ?snapshot_path ~resume ?record_log ~should_stop
+      ?on_round
+      {
+        Scheduler.default_options with
+        objective;
+        tuner_options;
+        service_config;
+        seed;
+      }
+      machine ~tasks ~networks ~trial_budget
+  in
   let results =
     List.map2
       (fun net snet ->

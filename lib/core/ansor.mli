@@ -137,8 +137,11 @@ val tune :
   Dag.t ->
   tune_result
 (** Tunes one computation on one machine (default 200 trials, full Ansor
-    strategy).  [service_config] controls the measurement service (worker
-    domains, timeout, retries); [cache] shares or preloads a dedup cache —
+    strategy) as a one-task {!Scheduler} session: the runner behind
+    {!tune_networks_with_stats}, with one network of weight 1, drawing
+    exactly the seeds and rounds of {!Tuner.tune}.  [service_config]
+    controls the measurement service (worker domains, timeout,
+    retries); [cache] shares or preloads a dedup cache —
     pass one {!Measure_cache.load}ed from a previous session to skip
     re-measuring known schedules, and {!Measure_cache.save} it afterwards.
 

@@ -122,12 +122,6 @@ type exec_mode =
           models lost updates between concurrent workers *)
   | Snapshot_reversed  (** as above, logs applied in reverse order *)
 
-let exec_mode_name = function
-  | Sequential -> "sequential"
-  | Reversed_parallel -> "reversed-parallel"
-  | Snapshot_forward -> "snapshot-forward"
-  | Snapshot_reversed -> "snapshot-reversed"
-
 let order_modes = [ Reversed_parallel; Snapshot_forward; Snapshot_reversed ]
 
 let run_prog_mode ~mode (prog : Prog.t) ~inputs =

@@ -44,8 +44,6 @@ type exec_mode =
   | Snapshot_reversed  (** as [Snapshot_forward], logs applied in
           reverse iteration order *)
 
-val exec_mode_name : exec_mode -> string
-
 val order_modes : exec_mode list
 (** The non-[Sequential] modes, in the order [order_sensitive] tries
     them. *)

@@ -63,9 +63,6 @@ let add_all t samples =
 
 let samples t = List.rev t.rev_samples
 
-let samples_for_task t ~task_key =
-  List.filter (fun s -> String.equal s.task_key task_key) (samples t)
-
 let samples_for_class t ~class_key =
   List.filter
     (fun s -> String.equal (Task_key.class_key s.task_key) class_key)

@@ -42,8 +42,6 @@ val add_all : t -> sample list -> int
 val samples : t -> sample list
 (** All samples, oldest first (insertion order — deterministic). *)
 
-val samples_for_task : t -> task_key:string -> sample list
-
 val samples_for_class : t -> class_key:string -> sample list
 (** Samples whose task key digit-blanks to [class_key]. *)
 

@@ -262,8 +262,6 @@ let outcome_to_string = function
     Printf.sprintf "adapted from %s (distance %.3f)" source_key distance
   | Defaulted reason -> Printf.sprintf "default (%s)" reason
 
-let pp_outcome fmt o = Format.pp_print_string fmt (outcome_to_string o)
-
 (* The serving bar: the state must lower, pass static validation, carry
    no provable data race, and certify memory-safe ([static_errors]
    includes the affine bounds certifier, so a schedule whose accesses

@@ -98,7 +98,6 @@ type outcome =
       (** served by re-fitting the nearest tuned task's schedule *)
   | Defaulted of string  (** the reason no tuned schedule applied *)
 
-val pp_outcome : Format.formatter -> outcome -> unit
 val outcome_to_string : outcome -> string
 
 val resolve : t -> Task.t -> Ansor_sched.State.t * outcome

@@ -42,7 +42,8 @@ type task_state = {
   service : Service.t;
   mutable history : float list;  (* best latency after each unit, newest first *)
   mutable no_improve : int;
-  mutable dead : bool;  (* no further progress possible *)
+  mutable empty_rounds : int;
+      (* consecutive allocations that delivered no classified result *)
 }
 
 type t = {
@@ -62,7 +63,7 @@ type t = {
    so 512 and 1024 variants of one operator fall in the same class. *)
 let class_key task = Ansor_util.Task_key.class_key (Task.key task)
 
-let create ?native_runner options ~tasks ~networks =
+let create ?native_runner ?cache options ~tasks ~networks =
   if Array.length tasks = 0 then invalid_arg "Scheduler.create: no tasks";
   if networks = [] then invalid_arg "Scheduler.create: no networks";
   List.iter
@@ -80,12 +81,12 @@ let create ?native_runner options ~tasks ~networks =
         {
           tuner = Tuner.create ~seed:(options.seed + i) options.tuner_options task;
           service =
-            Service.create ~config:options.service_config ?native_runner
-              ~seed:(options.seed + (31 * i) + 7)
+            Service.create ~config:options.service_config ?cache ?native_runner
+              ~seed:(options.seed + 17 + (31 * i))
               task.Task.machine;
           history = [];
           no_improve = 0;
-          dead = false;
+          empty_rounds = 0;
         })
       tasks
   in
@@ -106,7 +107,7 @@ module Snapshot = struct
     tuners : Tuner.Snapshot.t array;
     histories : float list array;  (* newest first, as held in task_state *)
     no_improves : int array;
-    deads : bool array;
+    empty_rounds : int array;
     curve : (int * float array) list;  (* oldest first *)
     shared : Tuner.Shared.snapshot;
     caches : (string * float) list array;  (* per-task dedup-cache entries *)
@@ -122,7 +123,7 @@ let snapshot t =
     tuners = Array.map (fun s -> Tuner.snapshot s.tuner) t.states;
     histories = Array.map (fun s -> s.history) t.states;
     no_improves = Array.map (fun s -> s.no_improve) t.states;
-    deads = Array.map (fun s -> s.dead) t.states;
+    empty_rounds = Array.map (fun s -> s.empty_rounds) t.states;
     curve = List.rev t.curve_rev;
     shared = Tuner.Shared.snapshot t.shr;
     caches = Array.map (fun s -> Cache.entries (Service.cache s.service)) t.states;
@@ -156,7 +157,7 @@ let restore t (s : Snapshot.t) =
           | Error _ -> assert false (* keys were validated above *));
           st.history <- s.Snapshot.histories.(i);
           st.no_improve <- s.Snapshot.no_improves.(i);
-          st.dead <- s.Snapshot.deads.(i);
+          st.empty_rounds <- s.Snapshot.empty_rounds.(i);
           let cache = Service.cache st.service in
           List.iter (fun (k, v) -> Cache.add cache k v) s.Snapshot.caches.(i);
           Telemetry.restore (Service.telemetry st.service) s.Snapshot.stats.(i))
@@ -265,33 +266,48 @@ let dg_dt t g i =
     (t.options.alpha *. backward) +. ((1.0 -. t.options.alpha) *. forward)
   end
 
+(* A task is dead — its tuner cannot propose anything new — once
+   [stall_limit] allocations in a row delivered no classified result
+   (not even cache hits or failures); {!run} stops after [stall_limit]
+   trial-free allocations per task in a row.  3 is {!Tuner.tune}'s
+   bound, so a one-task session stops where the plain tuner loop does. *)
+let stall_limit = 3
+
+let dead s = s.empty_rounds >= stall_limit
+
 let gradient t g i =
   let s = t.states.(i) in
-  if s.dead then 0.0
+  if dead s then 0.0
   else
     match t.options.objective with
     | F4_early_stopping { patience } when s.no_improve >= patience -> 0.0
     | _ -> dobj_dg t g i *. dg_dt t g i
 
-let allocate t i =
+let allocate t ~trial_budget i =
   let s = t.states.(i) in
   let before = Service.stats s.service in
   let before_best = Tuner.best_latency s.tuner in
-  Tuner.round s.tuner t.shr s.service;
+  Tuner.round ~budget:trial_budget s.tuner t.shr s.service;
   let g = Tuner.best_latency s.tuner in
   s.history <- g :: s.history;
-  (* dead = the round delivered no classified results at all (not even
-     cache hits or failures): the tuner cannot propose anything new *)
   let after = Service.stats s.service in
-  if Telemetry.results after = Telemetry.results before then s.dead <- true;
+  if Telemetry.results after = Telemetry.results before then
+    s.empty_rounds <- s.empty_rounds + 1
+  else s.empty_rounds <- 0;
   if Float.is_finite before_best && g >= before_best *. 0.999 then
     s.no_improve <- s.no_improve + 1
   else s.no_improve <- 0;
   t.curve_rev <- (total_trials t, netlats_of t (latencies t)) :: t.curve_rev
 
 let run ?(should_stop = fun () -> false) ?on_round t ~trial_budget =
+  (* a task whose rounds only return cache hits stays alive but consumes no
+     trials; bound the number of consecutive trial-free allocations (warm-up
+     included) so the budget loop always terminates *)
+  let stagnant = ref 0 in
   let allocate t i =
-    allocate t i;
+    let before = total_trials t in
+    allocate t ~trial_budget i;
+    if total_trials t = before then incr stagnant else stagnant := 0;
     match on_round with Some f -> f t | None -> ()
   in
   (* warm-up: one unit per task, round-robin (a resumed session's tasks
@@ -303,19 +319,15 @@ let run ?(should_stop = fun () -> false) ?on_round t ~trial_budget =
     t.states;
   let n = Array.length t.tasks in
   let continue = ref true in
-  (* a task whose rounds only return cache hits stays alive but consumes no
-     trials; bound the number of consecutive trial-free allocations so the
-     budget loop always terminates *)
-  let stagnant = ref 0 in
   while
     (not (should_stop ()))
     && !continue
     && total_trials t < trial_budget
-    && !stagnant < 3 * n
+    && !stagnant < stall_limit * n
   do
     let alive =
       Array.to_list (Array.init n Fun.id)
-      |> List.filter (fun i -> not t.states.(i).dead)
+      |> List.filter (fun i -> not (dead t.states.(i)))
     in
     if alive = [] then continue := false
     else begin
@@ -335,9 +347,7 @@ let run ?(should_stop = fun () -> false) ?on_round t ~trial_budget =
           fst best
         end
       in
-      let before = total_trials t in
-      allocate t i;
-      if total_trials t = before then incr stagnant else stagnant := 0
+      allocate t i
     end
   done
 

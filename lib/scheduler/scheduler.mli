@@ -57,6 +57,7 @@ type t
 
 val create :
   ?native_runner:Ansor_measure_service.Service.native_runner ->
+  ?cache:Ansor_measure_service.Cache.t ->
   options ->
   tasks:Ansor_search.Task.t array ->
   networks:network list ->
@@ -65,6 +66,12 @@ val create :
     required when [options.service_config.backend] is
     {!Ansor_measure_service.Protocol.Native} (a create-time parameter, not
     an option field, so the marshal-safe snapshot never holds a closure).
+    [cache] is one dedup cache shared by every task's service (e.g. one
+    preloaded from a past session's [.cache] file); by default each
+    service starts with its own empty cache.  Task [i]'s service is
+    seeded with [options.seed + 17 + 31 * i] and its tuner with
+    [options.seed + i], so a one-task session draws exactly the streams
+    of {!Ansor_search.Tuner.tune} at the same seed.
 
     @raise Invalid_argument on empty tasks, empty networks or references
     to out-of-range task indices. *)
@@ -79,7 +86,8 @@ module Snapshot : sig
     tuners : Ansor_search.Tuner.Snapshot.t array;
     histories : float list array;  (** newest first, per task *)
     no_improves : int array;
-    deads : bool array;
+    empty_rounds : int array;
+        (** per task, consecutive allocations that delivered no result *)
     curve : (int * float array) list;  (** oldest first *)
     shared : Ansor_search.Tuner.Shared.snapshot;
     caches : (string * float) list array;
@@ -102,7 +110,10 @@ val restore : t -> Snapshot.t -> (unit, string) result
 val run :
   ?should_stop:(unit -> bool) -> ?on_round:(t -> unit) -> t -> trial_budget:int -> unit
 (** Allocates units until the total measurement trials reach the budget
-    (or no task can make progress). Can be called repeatedly to extend.
+    (or no task can make progress: three trial-free allocations per task
+    in a row).  Every unit is one {!Ansor_search.Tuner.round} given
+    [~budget:trial_budget], so a descent stage can start by budget
+    fraction.  Can be called repeatedly to extend.
     [should_stop] is polled before each allocation — graceful shutdown
     between rounds, never mid-batch.  [on_round] runs after every
     allocation (checkpoint hook). *)

@@ -801,8 +801,8 @@ let round ?budget t shared service =
       ignore (Evolution.Plateau.observe t.plateau (best_latency t));
       maybe_start_descent ?budget t service cfg)
 
-let tune ?(seed = 0) ?shared ?service ?snapshot:snap
-    ?(should_stop = fun () -> false) ?on_round options ~trials task =
+let tune ?(seed = 0) ?shared ?service ?(should_stop = fun () -> false)
+    ?on_round options ~trials task =
   let shared = match shared with Some s -> s | None -> Shared.create () in
   let service =
     match service with
@@ -810,12 +810,6 @@ let tune ?(seed = 0) ?shared ?service ?snapshot:snap
     | None -> Service.create ~seed:(seed + 17) task.Task.machine
   in
   let t = create ~seed options task in
-  (match snap with
-  | None -> ()
-  | Some s -> (
-    match restore t s with
-    | Ok () -> ()
-    | Error msg -> invalid_arg ("Tuner.tune: " ^ msg)));
   let stuck = ref 0 in
   while
     (not (should_stop ())) && Service.trials service < trials && !stuck < 3

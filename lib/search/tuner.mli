@@ -214,7 +214,6 @@ val tune :
   ?seed:int ->
   ?shared:Shared.t ->
   ?service:Ansor_measure_service.Service.t ->
-  ?snapshot:Snapshot.t ->
   ?should_stop:(unit -> bool) ->
   ?on_round:(t -> unit) ->
   options ->
@@ -226,8 +225,6 @@ val tune :
     the service (freshly created with default config unless supplied) for
     inspection.
 
-    [snapshot] restores the tuner before the first round (resume);
-    @raise Invalid_argument if it belongs to a different task.
     [should_stop] is polled before each round — graceful shutdown: the
     loop exits between rounds, never mid-batch.  [on_round] runs after
     every completed round (checkpoint hook). *)

@@ -19,16 +19,10 @@ let shed_policy_of_string = function
   | "drop-oldest" -> Ok Drop_oldest
   | s -> Error (Printf.sprintf "shed policy %S: want reject-newest or drop-oldest" s)
 
-let shed_policy_to_string = function
-  | Reject_newest -> "reject-newest"
-  | Drop_oldest -> "drop-oldest"
-
 let discipline_of_string = function
   | "fifo" -> Ok Fifo
   | "priority" -> Ok Priority
   | s -> Error (Printf.sprintf "queue discipline %S: want fifo or priority" s)
-
-let discipline_to_string = function Fifo -> "fifo" | Priority -> "priority"
 
 type config = {
   queue_bound : int;

@@ -34,9 +34,7 @@ type shed_policy =
 type discipline = Fifo | Priority
 
 val shed_policy_of_string : string -> (shed_policy, string) result
-val shed_policy_to_string : shed_policy -> string
 val discipline_of_string : string -> (discipline, string) result
-val discipline_to_string : discipline -> string
 
 type config = {
   queue_bound : int;  (** maximum waiting requests *)

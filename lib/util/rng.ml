@@ -21,8 +21,6 @@ let state t = t.state
 
 let set_state t s = t.state <- s
 
-let of_state s = { state = s }
-
 let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
 (* 62 usable bits, always non-negative as an OCaml int. *)
 

@@ -28,10 +28,6 @@ val state : t -> int64
 val set_state : t -> int64 -> unit
 (** Rewinds/forwards [t] to a cursor previously read with {!state}. *)
 
-val of_state : int64 -> t
-(** A generator starting at a saved cursor ([of_state (state t)] behaves
-    like [copy t]). *)
-
 val int : t -> int -> int
 (** [int t bound] draws uniformly from [0, bound).
     @raise Invalid_argument if [bound <= 0]. *)

@@ -164,6 +164,18 @@ let test_snapshot_roundtrip_and_fallback () =
       | Ok (_, Checkpoint.Previous _) ->
         Alcotest.fail "should load the current generation"
       | Error e -> Alcotest.failf "load_latest failed: %s" e);
+      (* an image framed under the previous format version is refused by
+         its magic line before Marshal could misread its payload *)
+      (match
+         Ansor_util.Framed.read ~path:p
+           ~magic:(Printf.sprintf "ansor-snapshot-v%d" Checkpoint.version)
+       with
+      | Ok payload ->
+        Ansor_util.Framed.write ~path:p ~magic:"ansor-snapshot-v4" payload
+      | Error e -> Alcotest.failf "current generation unreadable: %s" e);
+      (match Checkpoint.load ~path:p with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "v4 snapshot loaded");
       (* truncate the current generation: fall back to the previous one *)
       let s = read_file p in
       write_file p (String.sub s 0 (String.length s / 2));

@@ -182,6 +182,70 @@ let test_incremental_run () =
   let t2 = Scheduler.total_trials sched in
   check_bool "extends the budget" true (t2 > t1)
 
+(* A single-operator [Ansor.tune] is a one-task scheduler session; it must
+   replay the plain [Tuner.tune] loop bit for bit — the same task-0 tuner
+   and service seeds, the same trial budget reaching every round (so a
+   descent stage starts by budget fraction), the same stopping rule.  The
+   feature/score cache counters are excluded: they are not part of the
+   search trajectory. *)
+let check_one_task_session_is_tuner_loop ?(seed = 4)
+    ?(dag = Nn.matmul ~m:32 ~n:32 ~k:32 ()) ~options ~trials () =
+  let session = Ansor.tune ~seed ~options ~trials Machine.intel_cpu dag in
+  let tuner, service =
+    Tuner.tune ~seed options ~trials (mk_task "tune" dag)
+  in
+  let counters (s : Ansor.Telemetry.stats) =
+    Ansor.Telemetry.to_json
+      {
+        s with
+        score_hits = 0;
+        score_misses = 0;
+        backoff_seconds = 0.0;
+        score_wall_seconds = 0.0;
+        score_work_seconds = 0.0;
+        phase_seconds = [];
+      }
+  in
+  check_bool "same best latency bits" true
+    (Int64.equal
+       (Int64.bits_of_float session.Ansor.best_latency)
+       (Int64.bits_of_float (Tuner.best_latency tuner)));
+  check_int "same trials" (Ansor.Measure_service.trials service)
+    session.Ansor.trials_used;
+  check_bool "same curve" true (session.Ansor.curve = Tuner.curve tuner);
+  check_string "same integer counters"
+    (counters (Ansor.Measure_service.stats service))
+    (counters session.Ansor.stats);
+  session.Ansor.stats
+
+let test_one_task_session_plain () =
+  ignore
+    (check_one_task_session_is_tuner_loop ~options:Tuner.ansor_options
+       ~trials:48 ())
+
+let descent_options =
+  { Tuner.ansor_options with descent = Some Ansor.Descent.default_config }
+
+let test_one_task_session_descent () =
+  (* 64 trials: three quarters of the budget is spent after three rounds
+     of 16, long before the 6-round plateau rule could start descent *)
+  let stats =
+    check_one_task_session_is_tuner_loop ~options:descent_options ~trials:64 ()
+  in
+  check_bool "descent ran" true (stats.Ansor.Telemetry.descent_sweeps > 0)
+
+let test_one_task_session_stops_like_tuner () =
+  (* a tiny space exhausts long before 400 trials: some rounds deliver no
+     result at all, and both loops must stop on the same round (a task is
+     dead only after 3 result-free rounds in a row) *)
+  let stats =
+    check_one_task_session_is_tuner_loop ~seed:0
+      ~dag:(Nn.matrix_norm ~m:4 ~n:4 ())
+      ~options:descent_options ~trials:400 ()
+  in
+  check_bool "stopped before the budget" true
+    (stats.Ansor.Telemetry.trials < 400)
+
 let () =
   Alcotest.run "scheduler"
     [
@@ -190,6 +254,11 @@ let () =
           case "validation" test_create_validation;
           case "warm-up and allocation" test_warmup_and_allocation;
           case "incremental run" test_incremental_run;
+          case "one-task session is the tuner loop" test_one_task_session_plain;
+          case "one-task session is the tuner loop (descent)"
+            test_one_task_session_descent;
+          case "one-task session stops like the tuner loop"
+            test_one_task_session_stops_like_tuner;
         ] );
       ( "allocation",
         [
