@@ -202,6 +202,11 @@ let compact_record_log ~resume save =
       Printf.eprintf "warning: cannot compact record log %s: %s\n" path msg)
   | _ -> ()
 
+let warn_skipped ~what skipped =
+  if skipped > 0 then
+    Printf.eprintf "warning: %s: skipped %d malformed line%s\n" what skipped
+      (if skipped = 1 then "" else "s")
+
 let cache_path save = save ^ ".cache"
 
 let load_cache save =
@@ -214,10 +219,7 @@ let load_cache save =
       Printf.printf "measurement cache: %d entries from %s\n"
         (Ansor.Measure_cache.size cache)
         (cache_path path);
-      if skipped > 0 then
-        Printf.eprintf "warning: cache %s: skipped %d malformed line%s\n"
-          (cache_path path) skipped
-          (if skipped = 1 then "" else "s");
+      warn_skipped ~what:("cache " ^ cache_path path) skipped;
       cache
     | Error msg ->
       Printf.eprintf "warning: ignoring cache %s: %s\n" (cache_path path) msg;
@@ -269,10 +271,7 @@ let open_model_store = function
   | None -> None
   | Some path ->
     let ms = or_die (Ansor.Model_store.open_session ~path ()) in
-    if ms.Ansor.Model_store.salvaged > 0 then
-      Printf.eprintf "warning: model store %s: skipped %d malformed line%s\n"
-        path ms.salvaged
-        (if ms.salvaged = 1 then "" else "s");
+    warn_skipped ~what:("model store " ^ path) ms.Ansor.Model_store.salvaged;
     (match ms.Ansor.Model_store.models_error with
     | Some e ->
       Printf.eprintf
@@ -448,10 +447,7 @@ let replay_cmd =
       (* salvage mode: recover every intact record from a torn log *)
       match Ansor.Record.load_salvage ~path with
       | Ok (e, skipped) ->
-        if skipped > 0 then
-          Printf.eprintf "warning: %s: skipped %d malformed line%s\n" path
-            skipped
-            (if skipped = 1 then "" else "s");
+        warn_skipped ~what:path skipped;
         e
       | Error m -> or_die (Error m)
     in
@@ -537,11 +533,6 @@ let network_cmd =
 let registry_out_arg =
   let doc = "Output registry file." in
   Arg.(required & opt (some string) None & info [ "o"; "out" ] ~doc)
-
-let warn_skipped ~what skipped =
-  if skipped > 0 then
-    Printf.eprintf "warning: %s: skipped %d malformed line%s\n" what skipped
-      (if skipped = 1 then "" else "s")
 
 let registry_build_cmd =
   let from_arg =

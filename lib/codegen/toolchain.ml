@@ -34,12 +34,8 @@ let with_temp_dir ~prefix f =
   Fun.protect ~finally:cleanup (fun () -> f dir)
 
 let read_file path =
-  match open_in_bin path with
-  | exception Sys_error _ -> ""
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error _ -> ""
 
 let write_file path contents =
   let oc = open_out path in

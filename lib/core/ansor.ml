@@ -122,17 +122,6 @@ let try_resume ~resume ~snapshot_path ~seed ~machine_name ~task_keys sched =
 let adopt_model_store ~shared ~telemetry ~task_keys (ms : Model_store.session) =
   Tuner.Shared.attach_store ?path:ms.Model_store.path shared
     ms.Model_store.store;
-  (match ms.Model_store.models_error with
-  | Some e ->
-    Printf.eprintf
-      "warning: pretrained models file unusable (%s); pretraining from the \
-       store\n\
-       %!"
-      e
-  | None -> ());
-  if ms.Model_store.salvaged > 0 then
-    Printf.eprintf "warning: model store: %d malformed line(s) skipped\n%!"
-      ms.Model_store.salvaged;
   let classes =
     List.sort_uniq String.compare (List.map Task_key.class_key task_keys)
   in

@@ -141,8 +141,8 @@ val tune :
     {!tune_networks_with_stats}, with one network of weight 1, drawing
     exactly the seeds and rounds of {!Tuner.tune}.  [service_config]
     controls the measurement service (worker domains, timeout,
-    retries); [cache] shares or preloads a dedup cache —
-    pass one {!Measure_cache.load}ed from a previous session to skip
+    retries); [cache] shares or preloads a dedup cache — pass one
+    {!Measure_cache.load_salvage} read from a previous session to skip
     re-measuring known schedules, and {!Measure_cache.save} it afterwards.
 
     [snapshot_path] checkpoints the full session (tuner population,

@@ -33,11 +33,7 @@ let entries t =
 
 let magic = "ansor-cache-v1"
 
-let save ~path t =
-  Ansor_util.Atomic_file.write ~path (fun oc ->
-      List.iter
-        (fun (k, v) -> Printf.fprintf oc "%s\t%s\t%.9e\n" magic k v)
-        (entries t))
+let to_line (k, v) = Printf.sprintf "%s\t%s\t%.9e" magic k v
 
 let parse_line line =
   match String.split_on_char '\t' line with
@@ -49,42 +45,12 @@ let parse_line line =
     Error (Printf.sprintf "bad magic (expected %s)" magic)
   | _ -> Error "malformed cache line"
 
-let fold_lines ~path ~on_line ~init =
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let rec go acc lineno =
-          match input_line ic with
-          | exception End_of_file -> Ok acc
-          | "" -> go acc (lineno + 1)
-          | line -> (
-            match on_line acc lineno line with
-            | Ok acc -> go acc (lineno + 1)
-            | Error _ as e -> e)
-        in
-        go init 1)
-
-let load ~path =
-  let t = create () in
-  Result.map
-    (fun () -> t)
-    (fold_lines ~path ~init:()
-       ~on_line:(fun () lineno line ->
-         match parse_line line with
-         | Ok (key, l) -> Ok (add t key l)
-         | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)))
+let save ~path t = Ansor_util.Line_file.write ~path (List.map to_line (entries t))
 
 let load_salvage ~path =
-  let t = create () in
   Result.map
-    (fun skipped -> (t, skipped))
-    (fold_lines ~path ~init:0
-       ~on_line:(fun skipped _lineno line ->
-         match parse_line line with
-         | Ok (key, l) ->
-           add t key l;
-           Ok skipped
-         | Error _ -> Ok (skipped + 1)))
+    (fun (kvs, skipped) ->
+      let t = create () in
+      List.iter (fun (key, l) -> add t key l) kvs;
+      (t, skipped))
+    (Ansor_util.Line_file.read ~path ~strict:false parse_line)

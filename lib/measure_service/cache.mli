@@ -38,16 +38,13 @@ val entries : t -> (string * float) list
 (** Sorted by key (deterministic). *)
 
 val save : path:string -> t -> unit
-(** Atomically replaces [path] (write-temp + rename, see
-    {!Ansor_util.Atomic_file}) with one [ansor-cache-v1] line per entry:
-    an interrupted save can never leave a truncated cache behind. *)
-
-val load : path:string -> (t, string) result
-(** Strict: [Error] describes the first malformed line; empty lines are
-    skipped. *)
+(** Atomically replaces [path] ({!Ansor_util.Line_file}) with one line per
+    entry, sorted by key:
+    {v
+ansor-cache-v1 <key> <latency-seconds>      (tab-separated)
+    v} *)
 
 val load_salvage : path:string -> (t * int, string) result
-(** Torn-file recovery: loads every well-formed line and returns the cache
-    together with the number of malformed lines skipped (e.g. the partial
-    final line of a file whose writer was killed).  [Error] only when the
-    file cannot be opened at all. *)
+(** Every well-formed line of a cache file, plus the number of malformed
+    lines skipped (e.g. the partial final line of a file whose writer was
+    killed).  [Error] only when the file cannot be opened. *)

@@ -94,8 +94,9 @@ val create :
   seed:int ->
   Ansor_machine.Machine.t ->
   t
-(** [cache] shares or preloads a dedup cache (e.g. {!Cache.load}ed from a
-    previous session); a fresh one is created otherwise.
+(** [cache] shares or preloads a dedup cache (e.g. read with
+    {!Cache.load_salvage} from a previous session); a fresh one is created
+    otherwise.
 
     @raise Invalid_argument
       when [config.backend] is {!Protocol.Native} and no [native_runner]

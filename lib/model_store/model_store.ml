@@ -11,19 +11,18 @@
    and fine-tunes from a warm model instead of from scratch
    (Chen et al., "Learning to Optimize Tensor Programs").
 
-   File format (text, versioned, salvageable like Record/Registry):
+   File format (an Ansor_util.Line_file with a version header):
 
      ansor-store-v1
      <task_key> \t <prog_key> \t <latency %h> \t <features>
 
    where <features> is the per-statement feature vectors, statements
    joined by ';', floats within a statement joined by ',' and printed
-   with %h so the round-trip is bit-exact.  Appends go through
-   Atomic_file; the salvage loader skips malformed lines and counts
-   them. *)
+   with %h so the round-trip is bit-exact.  The loader skips malformed
+   lines and counts them. *)
 
 module Task_key = Ansor_util.Task_key
-module Atomic_file = Ansor_util.Atomic_file
+module Line_file = Ansor_util.Line_file
 module Gbdt = Ansor_gbdt.Gbdt
 module Cost_model = Ansor_cost_model.Cost_model
 
@@ -105,64 +104,28 @@ let encode_sample s =
 let decode_sample line =
   match String.split_on_char '\t' line with
   | [ task_key; prog_key; lat; feats ] -> (
-    match float_of_string_opt lat with
-    | Some latency when latency > 0.0 && not (String.equal prog_key "") -> (
-      match decode_features feats with
-      | features -> Some { task_key; prog_key; latency; features }
-      | exception _ -> None)
-    | _ -> None)
-  | _ -> None
+    match (float_of_string_opt lat, decode_features feats) with
+    | Some latency, features when latency > 0.0 && not (String.equal prog_key "")
+      ->
+      Ok { task_key; prog_key; latency; features }
+    | _ | (exception Failure _) -> Error "malformed store line")
+  | _ -> Error "malformed store line"
 
 (* ---- persistence -------------------------------------------------------- *)
 
 let save ~path t =
-  Atomic_file.write ~path (fun oc ->
-      output_string oc (magic ^ "\n");
-      List.iter (fun s -> output_string oc (encode_sample s ^ "\n")) (samples t))
+  Line_file.write ~path ~header:magic (List.map encode_sample (samples t))
 
-let load_lines ~strict path =
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        match input_line ic with
-        | exception End_of_file -> Error (path ^ ": empty store file")
-        | header when not (String.equal header magic) ->
-          Error
-            (Printf.sprintf "%s: bad magic %S (expected %s)" path header magic)
-        | _ ->
-          let t = create () in
-          let skipped = ref 0 in
-          (try
-             while true do
-               let line = input_line ic in
-               if not (String.equal line "") then
-                 match decode_sample line with
-                 | Some s -> ignore (add t s)
-                 | None -> incr skipped
-             done
-           with End_of_file -> ());
-          if strict && !skipped > 0 then
-            Error (Printf.sprintf "%s: %d malformed line(s)" path !skipped)
-          else Ok (t, !skipped))
-
-let load ~path =
-  match load_lines ~strict:true path with Ok (t, _) -> Ok t | Error e -> Error e
-
-let load_salvage ~path = load_lines ~strict:false path
+let load_salvage ~path =
+  Result.map
+    (fun (samples, skipped) ->
+      let t = create () in
+      ignore (add_all t samples);
+      (t, skipped))
+    (Line_file.read ~path ~header:magic ~strict:false decode_sample)
 
 let append_batch ~path samples =
-  if samples <> [] then
-    if Sys.file_exists path then
-      Atomic_file.append_lines ~path (List.map encode_sample samples)
-    else
-      Atomic_file.write ~path (fun oc ->
-          output_string oc (magic ^ "\n");
-          List.iter
-            (fun s -> output_string oc (encode_sample s ^ "\n"))
-            samples)
+  Line_file.append ~path ~header:magic (List.map encode_sample samples)
 
 (* Keep only the newest [keep_per_class] samples of each structure class
    (newest = latest appended).  Returns the number dropped. *)

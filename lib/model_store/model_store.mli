@@ -10,10 +10,14 @@
     (Chen et al., "Learning to Optimize Tensor Programs",
     arXiv:1805.08166).
 
-    Store files are versioned text ([ansor-store-v1]) with [%h]-printed
-    floats (bit-exact round-trips), written through
-    {!Ansor_util.Atomic_file}, with a salvage loader that skips torn or
-    malformed lines. *)
+    A store file is an {!Ansor_util.Line_file} with an [ansor-store-v1]
+    header and one tab-separated sample per line, floats printed with
+    [%h] so round-trips are bit-exact:
+
+    {v
+ansor-store-v1
+<task_key> <prog_key> <latency> <f,f,...;f,f,...>
+    v} *)
 
 type sample = {
   task_key : string;
@@ -53,13 +57,10 @@ val to_record : sample -> Ansor_cost_model.Cost_model.record
 
 val save : path:string -> t -> unit
 
-val load : path:string -> (t, string) result
-(** Strict load: any malformed line is an error. *)
-
 val load_salvage : path:string -> (t * int, string) result
-(** Salvage load: skips malformed lines, returning how many were
-    dropped.  Only a missing file, a bad magic line or an empty file is
-    an error. *)
+(** Every well-formed sample, plus the number of malformed lines skipped
+    (e.g. a torn final line).  A missing file or a missing or foreign
+    header is an [Error]. *)
 
 val append_batch : path:string -> sample list -> unit
 (** Atomically append samples to the store file, creating it (with

@@ -51,92 +51,45 @@ let prune (t : t) ~keep =
 (* ---- persistence -------------------------------------------------------- *)
 
 let save ~path t =
-  Ansor_util.Atomic_file.write ~path (fun oc ->
-      output_string oc magic;
-      output_char oc '\n';
-      List.iter
-        (fun e ->
-          output_string oc (Record.to_line e);
-          output_char oc '\n')
-        (entries t))
+  Ansor_util.Line_file.write ~path ~header:magic
+    (List.map Record.to_line (entries t))
 
-let load_lines ~path ~strict =
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        match input_line ic with
-        | exception End_of_file ->
-          Error (Printf.sprintf "%s: empty file (missing %s header)" path magic)
-        | header when not (String.equal header magic) ->
-          Error
-            (Printf.sprintf
-               "%s: not a schedule registry (expected %s header; raw record \
-                logs go through `registry build`)"
-               path magic)
-        | _header ->
-          let t = create () in
-          let skipped = ref 0 in
-          let rec go lineno =
-            match input_line ic with
-            | exception End_of_file -> Ok (t, !skipped)
-            | "" -> go (lineno + 1)
-            | line -> (
-              match Record.of_line line with
-              | Ok e ->
-                ignore (add t e);
-                go (lineno + 1)
-              | Error msg ->
-                if strict then
-                  Error (Printf.sprintf "%s: line %d: %s" path lineno msg)
-                else begin
-                  incr skipped;
-                  go (lineno + 1)
-                end)
-          in
-          go 2)
+(* Any content error — above all a raw record log, which has no header —
+   comes with the hint that logs become registries through the CLI. *)
+let read ~path ~strict =
+  match Ansor_util.Line_file.read ~path ~header:magic ~strict Record.of_line with
+  | Error msg when Sys.file_exists path ->
+    Error (msg ^ " (raw record logs go through `registry build`)")
+  | r -> r
 
 let load ~path =
-  Result.map (fun (t, _) -> t) (load_lines ~path ~strict:true)
+  Result.map (fun (es, _) -> of_entries es) (read ~path ~strict:true)
 
-let load_salvage ~path = load_lines ~path ~strict:false
+let load_salvage ~path =
+  Result.map
+    (fun (es, skipped) -> (of_entries es, skipped))
+    (read ~path ~strict:false)
 
 let build_from_logs ~paths =
   let t = create () in
   let rec go skipped = function
     | [] -> Ok (t, skipped)
-    | path :: rest -> (
-      match Record.load_salvage ~path with
-      | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-      | Ok (es, s) ->
-        ignore (add_all t es);
-        go (skipped + s) rest)
+    | path :: rest ->
+      Result.bind (Record.load_salvage ~path) (fun (es, s) ->
+          ignore (add_all t es);
+          go (skipped + s) rest)
   in
   go 0 paths
 
+(* every entry line read, malformed or not, that does not survive as a
+   per-key best counts as dropped *)
 let compact_file ~path =
-  match load_salvage ~path with
-  | Error msg -> Error msg
-  | Ok (t, _skipped) ->
-    (* physical entry-line count before, for an honest drop count (stale
-       non-best duplicates and malformed lines all get dropped) *)
-    let before =
-      let ic = open_in path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          let n = ref 0 in
-          (try
-             while true do
-               if not (String.equal (input_line ic) "") then incr n
-             done
-           with End_of_file -> ());
-          max 0 (!n - 1))
-    in
-    save ~path t;
-    Ok (max 0 (before - size t))
+  Result.map
+    (fun (es, skipped) ->
+      let t = of_entries es in
+      save ~path t;
+      List.length es + skipped - size t)
+    (read ~path ~strict:false)
 
 (* ---- similarity --------------------------------------------------------- *)
 

@@ -6,16 +6,14 @@
     record per subgraph at compile time (§7); AutoTVM institutionalised
     the same idea as a tuning database.  A registry holds exactly one
     entry per {!Ansor_search.Task.key} — the lowest-latency record ever
-    seen for that task — and persists as a versioned text file:
+    seen for that task — and persists as an {!Ansor_util.Line_file} with
+    a version header:
 
     {v
 ansor-registry-v1
-<record line>    (one per task key, Record.to_line format)
+<record line>    (one per task key, sorted, Record.to_line format)
 ...
     v}
-
-    Saves go through {!Ansor_util.Atomic_file}, so an interrupted save
-    never truncates an existing registry.
 
     {b Resolution ladder.}  {!resolve} answers every query with a
     schedule, never an exception:
@@ -70,8 +68,9 @@ val save : path:string -> t -> unit
 (** Atomic replace (write-temp + rename). *)
 
 val load : path:string -> (t, string) result
-(** Strict: verifies the version header and every line; [Error] describes
-    the first problem. *)
+(** Strict: verifies the version header and every line; [Error] names
+    the path and the first problem, and reminds that raw record logs go
+    through [registry build]. *)
 
 val load_salvage : path:string -> (t * int, string) result
 (** Tolerates malformed record lines (e.g. the torn final line of a file
@@ -81,14 +80,15 @@ val load_salvage : path:string -> (t * int, string) result
 
 val build_from_logs : paths:string list -> (t * int, string) result
 (** Builds a registry from record logs written by [tune --save]
-    (salvage-loaded), keeping per-key bests across all of them.  Returns
-    the registry and the number of malformed lines skipped.  [Error] when
-    any log cannot be opened. *)
+    ({!Ansor_search.Record.load_salvage}), keeping per-key bests across
+    all of them.  Returns the registry and the number of malformed lines
+    skipped.  [Error] when any log cannot be opened. *)
 
 val compact_file : path:string -> (int, string) result
 (** Rewrites a registry file in canonical form (header + one best entry
-    per key, sorted); returns the number of lines dropped.  Heals files
-    produced by concatenation or older versions of the format. *)
+    per key, sorted); returns the number of entry lines dropped (stale
+    duplicates and malformed lines).  Heals files produced by
+    concatenation or older versions of the format. *)
 
 (** {1 Resolution} *)
 

@@ -176,53 +176,12 @@ let of_line line =
 
 (* ---- files --------------------------------------------------------------- *)
 
-let save ~path entries =
-  Ansor_util.Atomic_file.write ~path (fun oc ->
-      List.iter
-        (fun e ->
-          output_string oc (to_line e);
-          output_char oc '\n')
-        entries)
-
-let append ~path entry = Ansor_util.Atomic_file.append_line ~path (to_line entry)
+let save ~path entries = Ansor_util.Line_file.write ~path (List.map to_line entries)
 
 let append_batch ~path entries =
-  Ansor_util.Atomic_file.append_lines ~path (List.map to_line entries)
+  Ansor_util.Line_file.append ~path (List.map to_line entries)
 
-let fold_lines ~path ~on_line ~init =
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let rec go acc lineno =
-          match input_line ic with
-          | exception End_of_file -> Ok acc
-          | "" -> go acc (lineno + 1)
-          | line -> (
-            match on_line acc lineno line with
-            | Ok acc -> go acc (lineno + 1)
-            | Error _ as e -> e)
-        in
-        go init 1)
-
-let load ~path =
-  Result.map List.rev
-    (fold_lines ~path ~init:[]
-       ~on_line:(fun acc lineno line ->
-         match of_line line with
-         | Ok e -> Ok (e :: acc)
-         | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)))
-
-let load_salvage ~path =
-  Result.map
-    (fun (acc, skipped) -> (List.rev acc, skipped))
-    (fold_lines ~path ~init:([], 0)
-       ~on_line:(fun (acc, skipped) _lineno line ->
-         match of_line line with
-         | Ok e -> Ok (e :: acc, skipped)
-         | Error _ -> Ok (acc, skipped + 1)))
+let load_salvage ~path = Ansor_util.Line_file.read ~path ~strict:false of_line
 
 (* Keep the best (lowest-latency) entry of every task key, preserving the
    file order of the survivors.  Ties keep the earliest entry, so a log of

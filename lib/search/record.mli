@@ -3,8 +3,8 @@
     The original Ansor keeps a JSON-lines log file of every measurement
     (workload key, transform steps, measured cost) so that tuning results
     can be reused across runs, shipped with applications, and replayed
-    without re-searching.  This module provides the same facility with a
-    compact line-oriented text format:
+    without re-searching.  This module provides the same facility as a
+    headerless {!Ansor_util.Line_file}, one tab-separated entry per line:
 
     {v
 ansor-v1 <task-key> <latency-seconds> <step>;<step>;...
@@ -12,8 +12,9 @@ ansor-v1 <task-key> <latency-seconds> <step>;<step>;...
 
     Steps serialize losslessly; a record's steps can be replayed on the
     task's DAG with {!Ansor_sched.State.replay} (or applied through
-    {!best_state}).  Unparseable lines are reported, not ignored
-    silently. *)
+    {!best_state}).  This module owns the line codec ({!to_line} /
+    {!of_line}); reading and writing the file is {!Ansor_util.Line_file}'s
+    job. *)
 
 open Ansor_sched
 
@@ -33,15 +34,16 @@ val save : path:string -> entry list -> unit
 (** Atomically replaces [path] (write-temp + rename): an interrupted save
     cannot truncate an existing log. *)
 
-val append : path:string -> entry -> unit
-(** Atomic append (copy + rename through {!Ansor_util.Atomic_file}): a
-    torn append can lose the new entry but never corrupt the entries
-    already in the log. *)
-
 val append_batch : path:string -> entry list -> unit
 (** Appends a whole batch with {e one} copy + rename — one O(file-size)
-    rewrite per batch instead of per entry, the right call for per-round
-    logging.  The empty batch is a no-op. *)
+    rewrite per batch, the right call for per-round logging.  A torn
+    append can lose the new batch but never corrupts the entries already
+    in the log.  The empty batch is a no-op. *)
+
+val load_salvage : path:string -> (entry list * int, string) result
+(** Every well-formed entry in file order, plus the number of malformed
+    lines skipped (e.g. the partial final line left by a killed writer).
+    [Error] only when the file cannot be opened. *)
 
 val compact : path:string -> (int, string) result
 (** Rewrites the log keeping only the best (lowest-latency) entry of each
@@ -50,15 +52,6 @@ val compact : path:string -> (int, string) result
     Returns the number of lines removed; [Error] only when the file cannot
     be opened.  Long sessions call this on resume so improvement logs stop
     growing unboundedly. *)
-
-val load : path:string -> (entry list, string) result
-(** Strict: all entries; [Error] describes the first malformed line. Empty
-    lines are skipped. *)
-
-val load_salvage : path:string -> (entry list * int, string) result
-(** Torn-file recovery: every well-formed entry, plus the number of
-    malformed lines skipped (e.g. the partial final line left by a killed
-    writer).  [Error] only when the file cannot be opened. *)
 
 val best_for : entry list -> task_key:string -> entry option
 (** Lowest-latency entry for a task. *)

@@ -149,7 +149,7 @@ type t
 val create :
   ?seed:int -> ?warm_start:Ansor_sched.Step.t list list -> options -> Task.t -> t
 (** [warm_start] seeds the tuner with previously-recorded step histories
-    (e.g. from {!Record.load} entries of the same task key): they join the
+    (e.g. from {!Record.load_salvage} entries of the same task key): they join the
     evolution's initial population from the first round, so a re-tuning
     session starts from past results instead of from scratch. Histories
     that no longer replay are ignored. *)

@@ -15,24 +15,3 @@ let write ~path f =
     raise e
 
 let write_string ~path s = write ~path (fun oc -> output_string oc s)
-
-let append_lines ~path lines =
-  if lines <> [] then begin
-    let existing =
-      match open_in_bin path with
-      | exception Sys_error _ -> ""
-      | ic ->
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    write ~path (fun oc ->
-        output_string oc existing;
-        List.iter
-          (fun line ->
-            output_string oc line;
-            output_char oc '\n')
-          lines)
-  end
-
-let append_line ~path line = append_lines ~path [ line ]

@@ -1,9 +1,9 @@
 (** Atomic file replacement: write-temp + rename.
 
-    Every persistent artifact of a tuning session (record logs, dedup
-    caches, checkpoints) goes through this module, so an interrupted save
-    — crash, OOM kill, Ctrl-C — can never leave a truncated file where a
-    previously-valid one stood.  The temp file is created in the target's
+    Every persistent artifact of a tuning session goes through this module
+    (text files via {!Line_file}, binary images via {!Framed}), so an
+    interrupted save — crash, OOM kill, Ctrl-C — can never leave a
+    truncated file where a previously-valid one stood.  The temp file is created in the target's
     own directory (rename is only atomic within one filesystem) and
     renamed over the destination only after the writer ran to completion
     and the channel was flushed and closed. *)
@@ -15,13 +15,3 @@ val write : path:string -> (out_channel -> unit) -> unit
 
 val write_string : path:string -> string -> unit
 (** [write_string ~path s] atomically replaces [path]'s content with [s]. *)
-
-val append_lines : path:string -> string list -> unit
-(** [append_lines ~path lines] appends every line (each followed by ["\n"])
-    with {e one} copy + rename, so appending a batch costs one O(file-size)
-    rewrite instead of one per line.  A torn append can lose the new batch,
-    but never corrupts the lines already present.  The empty batch is a
-    no-op (the file is not even touched). *)
-
-val append_line : path:string -> string -> unit
-(** [append_line ~path line] = [append_lines ~path [line]]. *)

@@ -184,6 +184,35 @@ let test_serve_errors () =
       check_int "raw log rejected" 1 code;
       check_bool "explains" true (contains out "registry build"))
 
+let count_occurrences hay needle =
+  let n = String.length needle in
+  let rec go i acc =
+    if i + n > String.length hay then acc
+    else if String.sub hay i n = needle then go (i + n) (acc + 1)
+    else go (i + 1) acc
+  in
+  go 0 0
+
+let test_torn_store_warns_once () =
+  require_cli ();
+  in_temp_dir (fun path ->
+      let store = path "tune.store" in
+      let tune () =
+        run_cli (Printf.sprintf "tune -o GMM -t 8 --model-store %s" store)
+      in
+      let code, _ = tune () in
+      check_int "first tune exit 0" 0 code;
+      (* a writer killed mid-append: the final line keeps only a prefix
+         of its task key *)
+      let bytes = In_channel.with_open_bin store In_channel.input_all in
+      let last = String.rindex_from bytes (String.length bytes - 2) '\n' in
+      Out_channel.with_open_bin store (fun oc ->
+          output_string oc (String.sub bytes 0 (last + 1 + 8)));
+      let code, out = tune () in
+      check_int "tune on a torn store exit 0" 0 code;
+      check_int "one skipped-lines warning" 1
+        (count_occurrences out "malformed"))
+
 let test_serve_naive () =
   require_cli ();
   let code, out = run_cli "serve -o GMM -i 1 --naive --requests 8" in
@@ -202,6 +231,7 @@ let () =
           case "tune --curve" test_tune_curve;
           case "argument validation" test_bad_arguments;
           case "network" test_network_command;
+          case "torn model store warns once" test_torn_store_warns_once;
         ] );
       ( "serving",
         [

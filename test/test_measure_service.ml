@@ -229,9 +229,10 @@ let test_cache_roundtrip () =
     (Cache.find c "aaa");
   let path = Filename.temp_file "ansor_cache" ".tsv" in
   Cache.save ~path c;
-  (match Cache.load ~path with
+  (match Cache.load_salvage ~path with
   | Error e -> Alcotest.failf "load failed: %s" e
-  | Ok c2 ->
+  | Ok (c2, skipped) ->
+    check_int "nothing skipped" 0 skipped;
     Alcotest.(check (list (pair string (float 1e-12))))
       "entries survive the roundtrip" (Cache.entries c) (Cache.entries c2));
   Sys.remove path;
@@ -239,9 +240,11 @@ let test_cache_roundtrip () =
   let oc = open_out bad in
   output_string oc "not a cache file\n";
   close_out oc;
-  (match Cache.load ~path:bad with
-  | Ok _ -> Alcotest.fail "expected a load error on garbage"
-  | Error _ -> ());
+  (match Cache.load_salvage ~path:bad with
+  | Ok (c3, skipped) ->
+    check_bool "garbage line skipped" true (skipped > 0);
+    check_int "no entry from garbage" 0 (Cache.size c3)
+  | Error e -> Alcotest.failf "salvage failed: %s" e);
   Sys.remove bad
 
 let test_cache_shared_across_services () =

@@ -173,9 +173,10 @@ let test_store_roundtrip_bitexact () =
       let samples = awkward_samples () in
       check_int "all added" 3 (Model_store.add_all store samples);
       Model_store.save ~path:p store;
-      match Model_store.load ~path:p with
+      match Model_store.load_salvage ~path:p with
       | Error e -> Alcotest.failf "load failed: %s" e
-      | Ok loaded ->
+      | Ok (loaded, skipped) ->
+        check_int "nothing skipped" 0 skipped;
         check_int "size survives" 3 (Model_store.size loaded);
         List.iter2
           (fun (a : Model_store.sample) (b : Model_store.sample) ->
@@ -210,9 +211,6 @@ let test_store_salvage_torn () =
       append_file p "garbage line without tabs\n";
       append_file p "k\tpk\t0x1p-10\t0x1.8p";
       (* torn mid-float *)
-      (match Model_store.load ~path:p with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "strict load accepted a torn store");
       (match Model_store.load_salvage ~path:p with
       | Error e -> Alcotest.failf "salvage failed: %s" e
       | Ok (loaded, skipped) ->
@@ -230,9 +228,10 @@ let test_store_append_batch () =
         [ sample ~prog_key:"p1" ~latency:1e-3 0.5 ];
       Model_store.append_batch ~path:p
         [ sample ~prog_key:"p2" ~latency:2e-3 0.25 ];
-      match Model_store.load ~path:p with
+      match Model_store.load_salvage ~path:p with
       | Error e -> Alcotest.failf "load failed: %s" e
-      | Ok loaded ->
+      | Ok (loaded, skipped) ->
+        check_int "nothing skipped" 0 skipped;
         check_int "append created then extended the file" 2
           (Model_store.size loaded))
 

@@ -94,10 +94,11 @@ let test_file_roundtrip () =
     (fun () ->
       let e1 = sample_entry 1 and e2 = sample_entry 2 in
       Record.save ~path [ e1 ];
-      Record.append ~path { e2 with latency = 9.0 };
-      match Record.load ~path with
+      Record.append_batch ~path [ { e2 with latency = 9.0 } ];
+      match Record.load_salvage ~path with
       | Error e -> Alcotest.failf "load failed: %s" e
-      | Ok entries ->
+      | Ok (entries, skipped) ->
+        check_int "nothing skipped" 0 skipped;
         check_int "two entries" 2 (List.length entries);
         (* best_for picks the lowest latency for the shared key *)
         (match Record.best_for entries ~task_key:e1.task_key with
@@ -118,9 +119,10 @@ let test_append_batch () =
       let e1 = sample_entry 1 and e2 = sample_entry 2 in
       Record.append_batch ~path [ e1; { e2 with task_key = "k2" } ];
       Record.append_batch ~path [ { e1 with latency = 0.5 } ];
-      match Record.load ~path with
+      match Record.load_salvage ~path with
       | Error e -> Alcotest.failf "load failed: %s" e
-      | Ok entries ->
+      | Ok (entries, skipped) ->
+        check_int "nothing skipped" 0 skipped;
         check_int "all batches landed" 3 (List.length entries);
         check_bool "order preserved" true
           ((List.nth entries 1).task_key = "k2"))
@@ -141,9 +143,10 @@ let test_compact () =
       (match Record.compact ~path with
       | Error m -> Alcotest.failf "compact failed: %s" m
       | Ok removed -> check_int "two stale entries removed" 2 removed);
-      match Record.load ~path with
+      match Record.load_salvage ~path with
       | Error e -> Alcotest.failf "reload failed: %s" e
-      | Ok entries ->
+      | Ok (entries, skipped) ->
+        check_int "nothing skipped" 0 skipped;
         check_int "best per key" 2 (List.length entries);
         (* file order is preserved: "b" was recorded before the best "a" *)
         check_string "first key" "b" (List.hd entries).task_key;
@@ -164,11 +167,17 @@ let test_load_reports_bad_line () =
       output_string oc (Record.to_line (sample_entry 3));
       output_string oc "\ngarbage line\n";
       close_out oc;
-      match Record.load ~path with
+      (match Record.load_salvage ~path with
+      | Ok (entries, skipped) ->
+        check_bool "garbage skipped" true (skipped > 0);
+        check_int "good entry kept" 1 (List.length entries)
+      | Error e -> Alcotest.failf "salvage failed: %s" e);
+      (* the strict reader names the path and the offending line *)
+      match Ansor_util.Line_file.read ~path ~strict:true Record.of_line with
       | Ok _ -> Alcotest.fail "garbage accepted"
       | Error msg ->
         check_bool "mentions line number" true
-          (String.length msg > 0 && String.sub msg 0 4 = "line"))
+          (String.starts_with ~prefix:(path ^ ": line 2:") msg))
 
 let test_replay_recorded_schedule () =
   (* record a tuned program, replay it and check latency and correctness *)
