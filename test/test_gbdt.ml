@@ -117,6 +117,157 @@ let test_extrapolation_is_finite () =
   let p = Gbdt.predict model [| 1e9; -1e9 |] in
   check_bool "finite outside training range" true (Float.is_finite p)
 
+(* ---- golden bit-identity ------------------------------------------------
+   MD5 digests of [Marshal.to_string model [No_sharing]] for seeded
+   [train] calls, captured before the trainer moved to flat arrays.  Any
+   change to split choice, leaf values, float accumulation order or the
+   order in which [importance] sums gains changes a digest; a change that
+   keeps every digest keeps every model bit for bit. *)
+
+let digest model = Digest.to_hex (Digest.string (Marshal.to_string model [ Marshal.No_sharing ]))
+
+(* [n] rows of [dims] columns; [col f rng] draws column [f]'s value *)
+let golden_data seed n dims col target =
+  let rng = Rng.create seed in
+  let x = Array.init n (fun _ -> Array.init dims (fun f -> col f rng)) in
+  (x, Array.map (target rng) x)
+
+let uniform _ rng = Rng.float rng 1.0
+
+let linear rng (r : float array) =
+  r.(0) -. (2.0 *. r.(1) *. r.(Array.length r - 1)) +. Rng.float rng 0.1
+
+let small = { Gbdt.default_params with n_trees = 12 }
+
+let golden_cases =
+  let plain = golden_data 11 300 6 uniform linear in
+  let init =
+    let x, y = plain in
+    Gbdt.train ~params:small ~x ~y ()
+  in
+  [
+    ( "plain",
+      fun () ->
+        let x, y = plain in
+        Gbdt.train ~x ~y () );
+    ( "weights, some zero",
+      fun () ->
+        let x, y = golden_data 12 250 5 uniform linear in
+        let rng = Rng.create 13 in
+        let w =
+          Array.init 250 (fun i -> if i mod 7 = 0 then 0.0 else Rng.float rng 2.0)
+        in
+        Gbdt.train ~params:small ~x ~y ~w () );
+    ( "warm start",
+      fun () ->
+        let x, y = golden_data 14 200 6 uniform linear in
+        Gbdt.train ~params:small ~init ~x ~y () );
+    ( "warm start, weights, fewer features",
+      fun () ->
+        let x, y = golden_data 15 180 4 uniform linear in
+        let w = Array.init 180 (fun i -> 0.5 +. float_of_int (i mod 3)) in
+        Gbdt.train ~params:small ~init ~x ~y ~w () );
+    ( "discrete columns",
+      fun () ->
+        let x, y =
+          golden_data 16 240 5
+            (fun f rng -> float_of_int (Rng.int rng (2 + f)))
+            linear
+        in
+        Gbdt.train ~params:small ~x ~y () );
+    ( "constant columns",
+      fun () ->
+        let x, y =
+          golden_data 17 200 6
+            (fun f rng -> if f mod 2 = 1 then 3.0 else Rng.float rng 1.0)
+            (fun rng r -> r.(0) +. r.(2) +. Rng.float rng 0.1)
+        in
+        Gbdt.train ~params:small ~x ~y () );
+    ( "ragged bins",
+      fun () ->
+        (* column f takes 1 + 4f distinct values: edge counts 0, 4, 8, ...
+           and one column with more distinct values than bins *)
+        let x, y =
+          golden_data 18 260 5
+            (fun f rng ->
+              if f = 4 then Rng.float rng 1.0
+              else float_of_int (Rng.int rng (1 + (4 * f))))
+            (fun rng r -> r.(1) -. r.(3) +. r.(4) +. Rng.float rng 0.5)
+        in
+        Gbdt.train ~params:small ~x ~y () );
+    ( "ties in rows and targets",
+      fun () ->
+        let x, y =
+          golden_data 19 200 3
+            (fun _ rng -> float_of_int (Rng.int rng 3))
+            (fun _ r -> if r.(0) +. r.(1) > 2.0 then 1.0 else 0.0)
+        in
+        let x = Array.append x x and y = Array.append y y in
+        Gbdt.train ~params:small ~x ~y () );
+    ( "max_depth 1",
+      fun () ->
+        let x, y = plain in
+        Gbdt.train ~params:{ small with max_depth = 1 } ~x ~y () );
+    ( "max_depth 7",
+      fun () ->
+        let x, y = plain in
+        Gbdt.train ~params:{ small with max_depth = 7 } ~x ~y () );
+    ( "min_samples_leaf 1",
+      fun () ->
+        let x, y = golden_data 20 120 4 uniform linear in
+        Gbdt.train ~params:{ small with min_samples_leaf = 1 } ~x ~y () );
+    ( "min_samples_leaf 5, tiny set",
+      fun () ->
+        let x, y = golden_data 21 40 3 uniform linear in
+        Gbdt.train ~params:{ small with min_samples_leaf = 5 } ~x ~y () );
+  ]
+
+let golden_digests =
+  [
+    ("plain", "91f468130a20bf8b1dcd324665ed0134");
+    ("weights, some zero", "3b099fe5b2031951ca9819c6c2432049");
+    ("warm start", "0f64bcc445e147f9a17223caad76c899");
+    ("warm start, weights, fewer features", "01c9ca3ec38c4e1922bbf741bc0abb4b");
+    ("discrete columns", "bb530ba6666fd2716866d23ec831238e");
+    ("constant columns", "b139cda75110a6aa537e2abc92656efd");
+    ("ragged bins", "83a75785e64431fa37c1718a97fd5a3a");
+    ("ties in rows and targets", "45db03c2d794d94227e1b1445cf8696f");
+    ("max_depth 1", "4598d454e16e802151abf0b0a60ba5ca");
+    ("max_depth 7", "76a0f97e319d4e8536e1da17c630384b");
+    ("min_samples_leaf 1", "4afda13bd7fc57406d2d2c01e1ec98be");
+    ("min_samples_leaf 5, tiny set", "9172fac31bf244929bd4d440a287bebe");
+    ("tuning corpus", "71140cb39ccedcd1524c2904bd042327");
+  ]
+
+(* A small tuning corpus built the way the search builds one: sampled
+   schedules of a conv layer, featurized per statement, labelled by the
+   simulator, trained through the cost model (throughput targets and
+   weights). *)
+let corpus_model () =
+  let dag =
+    Ansor.Nn.conv2d ~n:1 ~c:16 ~h:14 ~w:14 ~f:32 ~kh:3 ~kw:3 ~stride:1 ~pad:1
+      ()
+  in
+  let records =
+    List.map
+      (fun st ->
+        let prog = Ansor.Lower.lower st in
+        Ansor.Cost_model.record_of_prog ~task_key:"conv"
+          ~latency:(Ansor.Simulator.estimate Ansor.Machine.intel_cpu prog)
+          prog)
+      (sample_programs ~seed:22 ~n:48 dag)
+  in
+  match Ansor.Cost_model.gbdt (Ansor.Cost_model.train records) with
+  | Some m -> m
+  | None -> Alcotest.fail "corpus model untrained"
+
+let test_golden name () =
+  let model =
+    if name = "tuning corpus" then corpus_model ()
+    else (List.assoc name golden_cases) ()
+  in
+  check_string name (List.assoc name golden_digests) (digest model)
+
 let () =
   Alcotest.run "gbdt"
     [
@@ -136,4 +287,7 @@ let () =
           case "predict_many" test_predict_many;
           case "extrapolation finite" test_extrapolation_is_finite;
         ] );
+      ( "golden",
+        List.map (fun (name, _) -> case name (test_golden name)) golden_digests
+      );
     ]
