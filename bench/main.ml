@@ -1,7 +1,7 @@
 (* Experiment harness: regenerates every table and figure of the paper's
    evaluation (§7) on the simulated machines.
 
-     dune exec bench/main.exe            # everything (E1-E10 of DESIGN.md)
+     dune exec bench/main.exe            # everything (DESIGN.md §4)
      dune exec bench/main.exe -- fig6    # one experiment
      ANSOR_BENCH_SCALE=0.5 dune exec bench/main.exe   # faster, smaller budgets
 
@@ -26,7 +26,6 @@ let experiments =
     ("native", "Native backend: batch compilation throughput", Native.run);
     ("transfer", "Cross-task transfer: warm vs cold tuning", Transfer.run);
     ("descent", "Exploitation descent: evolution vs evolution+descent", Descent.run);
-    ("micro", "Bechamel micro-benchmarks", Micro.run);
   ]
 
 let () =

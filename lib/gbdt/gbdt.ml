@@ -33,7 +33,7 @@ let make_bins x n_features =
   let n = Array.length x in
   Array.init n_features (fun f ->
       let vals = Array.init n (fun i -> x.(i).(f)) in
-      Array.sort compare vals;
+      Array.sort Float.compare vals;
       (* distinct quantiles *)
       let edges = ref [] in
       for b = 1 to max_bins - 1 do
@@ -67,6 +67,17 @@ let rec eval tree row =
 let predict t row =
   List.fold_left (fun acc tree -> acc +. eval tree row) t.base t.trees
 
+(* Features fed to the histogram loop per pass over a node's rows: their
+   histograms (32 features x 32 bins x 3 floats = 24 KB) stay in L1 while
+   each row's bin bytes are read contiguously. *)
+let feature_block = 32
+
+(* Flat training buffers (layout and bit-identity contract: see the .mli):
+   [bins] holds row [i]'s bin of splittable feature [j] at [i * na + j]; a
+   node owns the slice [rows.(lo) .. rows.(hi - 1)], in ascending row
+   order; [hist] holds the weight, weighted residual and row count of
+   feature [j], bin [b] at [3 * (j * max_bins + b)].  Counts are floats:
+   they stay exact integers. *)
 let train ?(params = default_params) ?init ~x ~y ?w () =
   let n = Array.length x in
   if n = 0 then invalid_arg "Gbdt.train: empty training set";
@@ -82,9 +93,22 @@ let train ?(params = default_params) ?init ~x ~y ?w () =
   let wsum = Array.fold_left ( +. ) 0.0 w in
   if wsum <= 0.0 then invalid_arg "Gbdt.train: weights sum to zero";
   let edges = make_bins x n_features in
-  let binned =
-    Array.map (fun row -> Array.mapi (fun f v -> bin_value edges.(f) v) row) x
+  (* a feature without edges has a single bin and never splits *)
+  let splittable =
+    Array.of_list
+      (List.filter
+         (fun f -> Array.length edges.(f) > 0)
+         (List.init n_features Fun.id))
   in
+  let na = Array.length splittable in
+  let bins = Bytes.create (n * na) in
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun j f ->
+          Bytes.set bins ((i * na) + j) (Char.chr (bin_value edges.(f) row.(f))))
+        splittable)
+    x;
   (* Warm start: with [init], boosting continues from the pretrained
      model's predictions — new trees fit the residuals the old model
      leaves behind, and the result carries the old trees in front.  The
@@ -114,46 +138,58 @@ let train ?(params = default_params) ?init ~x ~y ?w () =
       m.importance
   | None -> ());
   (* one boosting round: fit a tree to the (weighted) residuals *)
-  let residual = Array.make n 0.0 in
+  let wr = Array.make n 0.0 in
+  let rows = Array.make n 0 and scratch = Array.make n 0 in
+  let hist = Array.make (3 * na * max_bins) 0.0 in
   let build_tree () =
     for i = 0 to n - 1 do
-      residual.(i) <- y.(i) -. pred.(i)
+      wr.(i) <- w.(i) *. (y.(i) -. pred.(i));
+      rows.(i) <- i
     done;
-    let bin_w = Array.make max_bins 0.0 in
-    let bin_wy = Array.make max_bins 0.0 in
-    let bin_n = Array.make max_bins 0 in
-    let rec grow indices depth =
+    (* every sum below runs over a slice of [rows], in ascending row order *)
+    let rec grow lo hi depth =
       let sw = ref 0.0 and swy = ref 0.0 in
-      List.iter
-        (fun i ->
-          sw := !sw +. w.(i);
-          swy := !swy +. (w.(i) *. residual.(i)))
-        indices;
-      let count = List.length indices in
-      let leaf () = Leaf (if !sw > 0.0 then !swy /. !sw else 0.0) in
+      for k = lo to hi - 1 do
+        let i = rows.(k) in
+        sw := !sw +. w.(i);
+        swy := !swy +. wr.(i)
+      done;
+      let sw = !sw and swy = !swy and count = hi - lo in
+      let leaf () = Leaf (if sw > 0.0 then swy /. sw else 0.0) in
       if depth >= params.max_depth || count < 2 * params.min_samples_leaf then
         leaf ()
       else begin
-        let parent_score = if !sw > 0.0 then !swy *. !swy /. !sw else 0.0 in
+        let parent_score = if sw > 0.0 then swy *. swy /. sw else 0.0 in
+        Array.iteri
+          (fun j f ->
+            Array.fill hist (3 * j * max_bins) (3 * (Array.length edges.(f) + 1)) 0.0)
+          splittable;
+        for block = 0 to ((na + feature_block - 1) / feature_block) - 1 do
+          let j0 = block * feature_block in
+          let j1 = min na (j0 + feature_block) - 1 in
+          for k = lo to hi - 1 do
+            (* in bounds by construction: [i < n], a bin is < [max_bins] *)
+            let i = Array.unsafe_get rows k in
+            let wi = Array.unsafe_get w i and wri = Array.unsafe_get wr i in
+            for j = j0 to j1 do
+              let bin = Char.code (Bytes.unsafe_get bins ((i * na) + j)) in
+              let h = 3 * ((j * max_bins) + bin) in
+              Array.unsafe_set hist h (Array.unsafe_get hist h +. wi);
+              Array.unsafe_set hist (h + 1) (Array.unsafe_get hist (h + 1) +. wri);
+              Array.unsafe_set hist (h + 2) (Array.unsafe_get hist (h + 2) +. 1.0)
+            done
+          done
+        done;
         let best = ref None in
-        for f = 0 to n_features - 1 do
-          if Array.length edges.(f) > 0 then begin
-            Array.fill bin_w 0 max_bins 0.0;
-            Array.fill bin_wy 0 max_bins 0.0;
-            Array.fill bin_n 0 max_bins 0;
-            List.iter
-              (fun i ->
-                let b = binned.(i).(f) in
-                bin_w.(b) <- bin_w.(b) +. w.(i);
-                bin_wy.(b) <- bin_wy.(b) +. (w.(i) *. residual.(i));
-                bin_n.(b) <- bin_n.(b) + 1)
-              indices;
+        Array.iteri
+          (fun j f ->
             let lw = ref 0.0 and lwy = ref 0.0 and ln = ref 0 in
             for b = 0 to Array.length edges.(f) - 1 do
-              lw := !lw +. bin_w.(b);
-              lwy := !lwy +. bin_wy.(b);
-              ln := !ln + bin_n.(b);
-              let rw = !sw -. !lw and rwy = !swy -. !lwy in
+              let h = 3 * ((j * max_bins) + b) in
+              lw := !lw +. hist.(h);
+              lwy := !lwy +. hist.(h + 1);
+              ln := !ln + int_of_float hist.(h + 2);
+              let rw = sw -. !lw and rwy = swy -. !lwy in
               let rn = count - !ln in
               if
                 !ln >= params.min_samples_leaf
@@ -165,43 +201,46 @@ let train ?(params = default_params) ?init ~x ~y ?w () =
                 in
                 match !best with
                 | Some (g, _, _) when g >= gain -> ()
-                | _ -> best := Some (gain, f, b)
+                | _ -> best := Some (gain, j, b)
               end
-            done
-          end
-        done;
+            done)
+          splittable;
         match !best with
-        | Some (gain, f, b) when gain > params.min_gain ->
+        | Some (gain, j, b) when gain > params.min_gain ->
+          let f = splittable.(j) in
           importance.(f) <- importance.(f) +. gain;
-          let threshold = edges.(f).(b) in
-          let left, right =
-            List.partition (fun i -> binned.(i).(f) <= b) indices
-          in
-          Node
-            {
-              feature = f;
-              threshold;
-              left = grow left (depth + 1);
-              right = grow right (depth + 1);
-            }
+          (* stable partition: left rows compact in place, right rows go
+             through [scratch]; both halves keep ascending row order *)
+          let mid = ref lo and nr = ref 0 in
+          for k = lo to hi - 1 do
+            let i = rows.(k) in
+            if Char.code (Bytes.get bins ((i * na) + j)) <= b then begin
+              rows.(!mid) <- i;
+              incr mid
+            end
+            else begin
+              scratch.(!nr) <- i;
+              incr nr
+            end
+          done;
+          let mid = !mid in
+          Array.blit scratch 0 rows mid !nr;
+          (* right subtree first: the order in which [importance] sums
+             gains is part of the bit-identity contract *)
+          let right = grow mid hi (depth + 1) in
+          let left = grow lo mid (depth + 1) in
+          Node { feature = f; threshold = edges.(f).(b); left; right }
         | _ -> leaf ()
       end
     in
-    grow (List.init n Fun.id) 0
-  in
-  let rec eval_tree tree row =
-    match tree with
-    | Leaf v -> v
-    | Node { feature; threshold; left; right } ->
-      if row.(feature) < threshold then eval_tree left row
-      else eval_tree right row
+    grow 0 n 0
   in
   let trees = ref [] in
   for _ = 1 to params.n_trees do
     let tree = build_tree () in
     trees := tree :: !trees;
     for i = 0 to n - 1 do
-      pred.(i) <- pred.(i) +. (params.learning_rate *. eval_tree tree x.(i))
+      pred.(i) <- pred.(i) +. (params.learning_rate *. eval tree x.(i))
     done
   done;
   (* fold the learning rate into the stored trees *)

@@ -6,9 +6,34 @@
     paper's throughput-weighted squared-error loss.
 
     Training uses quantile binning (at most {!val:max_bins} bins per
-    feature, computed once per training set), exact greedy splits over the
-    bins, and shrinkage.  Complexity is
-    O(trees x depth x samples x features). *)
+    feature, computed once per training set), greedy splits over the
+    bins, and shrinkage.
+
+    {b Data layout.}  Every value is binned once per {!train} call into a
+    byte matrix, one byte per (row, splittable feature), row-major; a
+    feature with a single bin (a constant column) is left out, since it
+    can never split.  A node owns a slice of one row-index array; a split
+    partitions that slice in place, stably.  One histogram buffer
+    ([3 x max_bins] floats per splittable feature: weight, weighted
+    residual, row count) is reused by every node, and the weighted
+    residuals are computed once per tree.
+
+    {b Complexity.}  Binning sorts each column once:
+    O(features x samples x log samples).  A tree reads each row's bytes
+    once per level and scans [max_bins] histogram entries per feature
+    per split node: O(trees x (depth x samples x features + nodes x
+    features x max_bins)), with [nodes] the split nodes of one tree.
+
+    {b Bit-identity contract.}  A model is a deterministic function of
+    its inputs, down to the bits of every threshold, leaf and
+    [importance] entry.  Floating-point sums are not associative, so the
+    trainer pins two orders:
+    - each histogram entry, and each node's weight and weighted-residual
+      totals, sum their rows in ascending row index (the stable partition
+      keeps every slice ascending);
+    - subtrees grow right first, then left, so split gains are added to
+      [importance] in that order.
+    [test/test_gbdt.ml] pins both with digests of marshalled models. *)
 
 type t
 

@@ -14,7 +14,11 @@ module Lower = Ansor.Lower
 module Rng = Ansor.Rng
 module Factorize = Ansor.Factorize
 
-(* enumerate a random applicable step for the current state, if any *)
+(* A random step for the current state, if it has a stage.  The step kind
+   is drawn among those whose shape preconditions the drawn stage meets:
+   enough loops (a scalar output has none, a fused reduction one) and, for
+   cache-write and rfactor, a pristine stage.  A draw never goes to a kind
+   that cannot apply, so every walk keeps making progress. *)
 let random_step rng (st : State.t) =
   let stage_names = Array.of_list (State.stage_names st) in
   if Array.length stage_names = 0 then None
@@ -23,8 +27,19 @@ let random_step rng (st : State.t) =
     let s = State.find_stage st name in
     let leaves = Array.of_list s.State.leaves in
     let pick_leaf () = Rng.choice rng leaves in
-    match Rng.int rng 8 with
-    | 0 when Array.length leaves > 0 ->
+    let n_leaves = Array.length leaves and pristine = State.is_pristine s in
+    let kinds =
+      List.filter
+        (function
+          | 1 | 2 -> n_leaves >= 2
+          | 0 | 3 -> n_leaves >= 1
+          | 5 -> pristine
+          | 6 -> n_leaves >= 1 && pristine
+          | _ -> true)
+        (List.init 8 Fun.id)
+    in
+    match Rng.choice rng (Array.of_list kinds) with
+    | 0 ->
       (* split a random leaf into 2-3 random factors *)
       let iv = pick_leaf () in
       let extent = (State.ivar s iv).State.extent in
@@ -37,16 +52,16 @@ let random_step rng (st : State.t) =
              lengths = Factorize.random_factorization rng extent parts;
              tbd = false;
            })
-    | 1 when Array.length leaves >= 2 ->
+    | 1 ->
       (* fuse a random adjacent pair *)
       let pos = Rng.int rng (Array.length leaves - 1) in
       Some (Step.Fuse { stage = name; ivs = [ leaves.(pos); leaves.(pos + 1) ] })
-    | 2 when Array.length leaves >= 2 ->
+    | 2 ->
       (* random permutation *)
       let order = Array.copy leaves in
       Rng.shuffle rng order;
       Some (Step.Reorder { stage = name; order = Array.to_list order })
-    | 3 when Array.length leaves > 0 ->
+    | 3 ->
       let ann =
         match Rng.int rng 3 with
         | 0 -> Step.Parallel
@@ -56,7 +71,7 @@ let random_step rng (st : State.t) =
       Some (Step.Annotate { stage = name; iv = pick_leaf (); ann })
     | 4 -> Some (Step.Compute_inline { stage = name })
     | 5 -> Some (Step.Cache_write { stage = name })
-    | 6 when Array.length leaves > 0 ->
+    | 6 ->
       let iv = pick_leaf () in
       let extent = (State.ivar s iv).State.extent in
       Some
@@ -67,8 +82,7 @@ let random_step rng (st : State.t) =
              lengths = Factorize.random_factorization rng extent 2;
              tbd = false;
            })
-    | 7 -> Some (Step.Pragma_unroll { stage = name; max_step = Rng.choice rng [| 0; 16; 64 |] })
-    | _ -> None
+    | _ -> Some (Step.Pragma_unroll { stage = name; max_step = Rng.choice rng [| 0; 16; 64 |] })
   end
 
 let fuzz_one dag seed steps =

@@ -124,7 +124,8 @@ let test_extrapolation_is_finite () =
    order in which [importance] sums gains changes a digest; a change that
    keeps every digest keeps every model bit for bit. *)
 
-let digest model = Digest.to_hex (Digest.string (Marshal.to_string model [ Marshal.No_sharing ]))
+let digest model =
+  Digest.to_hex (Digest.string (Marshal.to_string model [ Marshal.No_sharing ]))
 
 (* [n] rows of [dims] columns; [col f rng] draws column [f]'s value *)
 let golden_data seed n dims col target =
@@ -138,106 +139,6 @@ let linear rng (r : float array) =
   r.(0) -. (2.0 *. r.(1) *. r.(Array.length r - 1)) +. Rng.float rng 0.1
 
 let small = { Gbdt.default_params with n_trees = 12 }
-
-let golden_cases =
-  let plain = golden_data 11 300 6 uniform linear in
-  let init =
-    let x, y = plain in
-    Gbdt.train ~params:small ~x ~y ()
-  in
-  [
-    ( "plain",
-      fun () ->
-        let x, y = plain in
-        Gbdt.train ~x ~y () );
-    ( "weights, some zero",
-      fun () ->
-        let x, y = golden_data 12 250 5 uniform linear in
-        let rng = Rng.create 13 in
-        let w =
-          Array.init 250 (fun i -> if i mod 7 = 0 then 0.0 else Rng.float rng 2.0)
-        in
-        Gbdt.train ~params:small ~x ~y ~w () );
-    ( "warm start",
-      fun () ->
-        let x, y = golden_data 14 200 6 uniform linear in
-        Gbdt.train ~params:small ~init ~x ~y () );
-    ( "warm start, weights, fewer features",
-      fun () ->
-        let x, y = golden_data 15 180 4 uniform linear in
-        let w = Array.init 180 (fun i -> 0.5 +. float_of_int (i mod 3)) in
-        Gbdt.train ~params:small ~init ~x ~y ~w () );
-    ( "discrete columns",
-      fun () ->
-        let x, y =
-          golden_data 16 240 5
-            (fun f rng -> float_of_int (Rng.int rng (2 + f)))
-            linear
-        in
-        Gbdt.train ~params:small ~x ~y () );
-    ( "constant columns",
-      fun () ->
-        let x, y =
-          golden_data 17 200 6
-            (fun f rng -> if f mod 2 = 1 then 3.0 else Rng.float rng 1.0)
-            (fun rng r -> r.(0) +. r.(2) +. Rng.float rng 0.1)
-        in
-        Gbdt.train ~params:small ~x ~y () );
-    ( "ragged bins",
-      fun () ->
-        (* column f takes 1 + 4f distinct values: edge counts 0, 4, 8, ...
-           and one column with more distinct values than bins *)
-        let x, y =
-          golden_data 18 260 5
-            (fun f rng ->
-              if f = 4 then Rng.float rng 1.0
-              else float_of_int (Rng.int rng (1 + (4 * f))))
-            (fun rng r -> r.(1) -. r.(3) +. r.(4) +. Rng.float rng 0.5)
-        in
-        Gbdt.train ~params:small ~x ~y () );
-    ( "ties in rows and targets",
-      fun () ->
-        let x, y =
-          golden_data 19 200 3
-            (fun _ rng -> float_of_int (Rng.int rng 3))
-            (fun _ r -> if r.(0) +. r.(1) > 2.0 then 1.0 else 0.0)
-        in
-        let x = Array.append x x and y = Array.append y y in
-        Gbdt.train ~params:small ~x ~y () );
-    ( "max_depth 1",
-      fun () ->
-        let x, y = plain in
-        Gbdt.train ~params:{ small with max_depth = 1 } ~x ~y () );
-    ( "max_depth 7",
-      fun () ->
-        let x, y = plain in
-        Gbdt.train ~params:{ small with max_depth = 7 } ~x ~y () );
-    ( "min_samples_leaf 1",
-      fun () ->
-        let x, y = golden_data 20 120 4 uniform linear in
-        Gbdt.train ~params:{ small with min_samples_leaf = 1 } ~x ~y () );
-    ( "min_samples_leaf 5, tiny set",
-      fun () ->
-        let x, y = golden_data 21 40 3 uniform linear in
-        Gbdt.train ~params:{ small with min_samples_leaf = 5 } ~x ~y () );
-  ]
-
-let golden_digests =
-  [
-    ("plain", "91f468130a20bf8b1dcd324665ed0134");
-    ("weights, some zero", "3b099fe5b2031951ca9819c6c2432049");
-    ("warm start", "0f64bcc445e147f9a17223caad76c899");
-    ("warm start, weights, fewer features", "01c9ca3ec38c4e1922bbf741bc0abb4b");
-    ("discrete columns", "bb530ba6666fd2716866d23ec831238e");
-    ("constant columns", "b139cda75110a6aa537e2abc92656efd");
-    ("ragged bins", "83a75785e64431fa37c1718a97fd5a3a");
-    ("ties in rows and targets", "45db03c2d794d94227e1b1445cf8696f");
-    ("max_depth 1", "4598d454e16e802151abf0b0a60ba5ca");
-    ("max_depth 7", "76a0f97e319d4e8536e1da17c630384b");
-    ("min_samples_leaf 1", "4afda13bd7fc57406d2d2c01e1ec98be");
-    ("min_samples_leaf 5, tiny set", "9172fac31bf244929bd4d440a287bebe");
-    ("tuning corpus", "71140cb39ccedcd1524c2904bd042327");
-  ]
 
 (* A small tuning corpus built the way the search builds one: sampled
    schedules of a conv layer, featurized per statement, labelled by the
@@ -261,12 +162,102 @@ let corpus_model () =
   | Some m -> m
   | None -> Alcotest.fail "corpus model untrained"
 
-let test_golden name () =
-  let model =
-    if name = "tuning corpus" then corpus_model ()
-    else (List.assoc name golden_cases) ()
+(* (name, digest, model) *)
+let golden_cases =
+  let plain = golden_data 11 300 6 uniform linear in
+  let init () =
+    let x, y = plain in
+    Gbdt.train ~params:small ~x ~y ()
   in
-  check_string name (List.assoc name golden_digests) (digest model)
+  [
+    ( "plain",
+      "91f468130a20bf8b1dcd324665ed0134",
+      fun () ->
+        let x, y = plain in
+        Gbdt.train ~x ~y () );
+    ( "weights, some zero",
+      "3b099fe5b2031951ca9819c6c2432049",
+      fun () ->
+        let x, y = golden_data 12 250 5 uniform linear in
+        let rng = Rng.create 13 in
+        let w =
+          Array.init 250 (fun i -> if i mod 7 = 0 then 0.0 else Rng.float rng 2.0)
+        in
+        Gbdt.train ~params:small ~x ~y ~w () );
+    ( "warm start",
+      "0f64bcc445e147f9a17223caad76c899",
+      fun () ->
+        let x, y = golden_data 14 200 6 uniform linear in
+        Gbdt.train ~params:small ~init:(init ()) ~x ~y () );
+    ( "warm start, weights, fewer features",
+      "01c9ca3ec38c4e1922bbf741bc0abb4b",
+      fun () ->
+        let x, y = golden_data 15 180 4 uniform linear in
+        let w = Array.init 180 (fun i -> 0.5 +. float_of_int (i mod 3)) in
+        Gbdt.train ~params:small ~init:(init ()) ~x ~y ~w () );
+    ( "discrete columns",
+      "bb530ba6666fd2716866d23ec831238e",
+      fun () ->
+        let x, y =
+          golden_data 16 240 5
+            (fun f rng -> float_of_int (Rng.int rng (2 + f)))
+            linear
+        in
+        Gbdt.train ~params:small ~x ~y () );
+    ( "constant columns",
+      "b139cda75110a6aa537e2abc92656efd",
+      fun () ->
+        let x, y =
+          golden_data 17 200 6
+            (fun f rng -> if f mod 2 = 1 then 3.0 else Rng.float rng 1.0)
+            (fun rng r -> r.(0) +. r.(2) +. Rng.float rng 0.1)
+        in
+        Gbdt.train ~params:small ~x ~y () );
+    ( "ragged bins",
+      "83a75785e64431fa37c1718a97fd5a3a",
+      fun () ->
+        (* column f takes 1 + 4f distinct values: edge counts 0, 4, 8, ...
+           and one column with more distinct values than bins *)
+        let x, y =
+          golden_data 18 260 5
+            (fun f rng ->
+              if f = 4 then Rng.float rng 1.0
+              else float_of_int (Rng.int rng (1 + (4 * f))))
+            (fun rng r -> r.(1) -. r.(3) +. r.(4) +. Rng.float rng 0.5)
+        in
+        Gbdt.train ~params:small ~x ~y () );
+    ( "ties in rows and targets",
+      "45db03c2d794d94227e1b1445cf8696f",
+      fun () ->
+        let x, y =
+          golden_data 19 200 3
+            (fun _ rng -> float_of_int (Rng.int rng 3))
+            (fun _ r -> if r.(0) +. r.(1) > 2.0 then 1.0 else 0.0)
+        in
+        let x = Array.append x x and y = Array.append y y in
+        Gbdt.train ~params:small ~x ~y () );
+    ( "max_depth 1",
+      "4598d454e16e802151abf0b0a60ba5ca",
+      fun () ->
+        let x, y = plain in
+        Gbdt.train ~params:{ small with max_depth = 1 } ~x ~y () );
+    ( "max_depth 7",
+      "76a0f97e319d4e8536e1da17c630384b",
+      fun () ->
+        let x, y = plain in
+        Gbdt.train ~params:{ small with max_depth = 7 } ~x ~y () );
+    ( "min_samples_leaf 1",
+      "4afda13bd7fc57406d2d2c01e1ec98be",
+      fun () ->
+        let x, y = golden_data 20 120 4 uniform linear in
+        Gbdt.train ~params:{ small with min_samples_leaf = 1 } ~x ~y () );
+    ( "min_samples_leaf 5, tiny set",
+      "9172fac31bf244929bd4d440a287bebe",
+      fun () ->
+        let x, y = golden_data 21 40 3 uniform linear in
+        Gbdt.train ~params:{ small with min_samples_leaf = 5 } ~x ~y () );
+    ("tuning corpus", "71140cb39ccedcd1524c2904bd042327", corpus_model);
+  ]
 
 let () =
   Alcotest.run "gbdt"
@@ -288,6 +279,8 @@ let () =
           case "extrapolation finite" test_extrapolation_is_finite;
         ] );
       ( "golden",
-        List.map (fun (name, _) -> case name (test_golden name)) golden_digests
-      );
+        List.map
+          (fun (name, expected, model) ->
+            case name (fun () -> check_string name expected (digest (model ()))))
+          golden_cases );
     ]
