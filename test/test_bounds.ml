@@ -202,7 +202,11 @@ let test_oob_corpus () =
         check_bool (name ^ ": error diagnostic") true
           (D.has_errors diags && has_code "out-of-bounds-witness" diags);
         check_bool (name ^ ": interpreter oracle traps") true
-          (interp_traps p inputs)
+          (interp_traps p inputs);
+        (* evolution's offspring gate rejects it, so no later stage (the
+           descent neighbor filter included) needs its own Unsafe check *)
+        check_bool (name ^ ": static_errors rejects it") true
+          (Ansor.Analysis.static_errors p <> [])
       | v, _ ->
         Alcotest.failf "%s: expected unsafe, got %s" name
           (Bounds.verdict_name v))

@@ -285,6 +285,70 @@ let test_evolve_scorer_equivalence () =
   check 1;
   check 4
 
+(* ---- golden digests -------------------------------------------------------- *)
+
+(* Captured before the candidate-record refactor and never re-derived:
+   search must stay bit-identical at equal seeds (same RNG draws, same
+   fitness bits, same batches), so these only change with a deliberate
+   change of search behaviour. *)
+
+let md5 lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
+
+let history_hex (st : Ansor.State.t) =
+  Digest.to_hex (Ansor.Step.history_key st.Ansor.State.history)
+
+let test_evolve_golden () =
+  let dag = conv_dag () in
+  let states, model = states_and_model dag in
+  let policy = Ansor.Policy.cpu ~workers:20 in
+  let config =
+    { Ansor.Evolution.default_config with population = 24; generations = 2 }
+  in
+  let digest workers =
+    let rng = Rng.create 11 in
+    Ansor.Evolution.evolve ~scorer:(service ~workers model) rng config policy
+      dag ~model ~init:states ~out:8
+    |> List.map (fun (s : Ansor.Evolution.scored) ->
+           Printf.sprintf "%s %Lx" (history_hex s.state) (bits s.fitness))
+    |> md5
+  in
+  let golden = "d78cc09c256c2da6a5bcc66de145211c" in
+  check_string "1 worker" golden (digest 1);
+  check_string "4 workers" golden (digest 4)
+
+(* Curve, best history and every integer counter except the score
+   cache's, which are not part of the search trajectory. *)
+let tune_digest (r : Ansor.tune_result) =
+  let s = r.Ansor.stats in
+  let counters =
+    [
+      s.Telemetry.trials; s.measured; s.cache_hits; s.build_errors;
+      s.compile_errors; s.run_errors; s.timeouts; s.retries; s.batches;
+      s.statically_rejected; s.bounds_rejected; s.certified;
+      s.cert_cache_hits; s.warm_starts; s.store_samples; s.finetune_rounds;
+      s.native_compiles; s.native_kernels; s.descent_trials;
+      s.descent_sweeps; s.descent_improvements; s.descent_plateau_stops;
+    ]
+  in
+  md5
+    (List.map (fun (n, l) -> Printf.sprintf "%d %Lx" n (bits l)) r.Ansor.curve
+    @ [ Option.fold ~none:"none" ~some:history_hex r.Ansor.best_state;
+        String.concat "," (List.map string_of_int counters) ])
+
+let test_tune_golden () =
+  let dag = Ansor.Nn.matmul ~m:32 ~n:32 ~k:32 () in
+  let tune options trials = Ansor.tune ~seed:4 ~options ~trials machine dag in
+  let descent =
+    tune
+      { Ansor.Tuner.ansor_options with descent = Some Ansor.Descent.default_config }
+      64
+  in
+  check_bool "descent ran" true (descent.Ansor.stats.Telemetry.descent_sweeps > 0);
+  check_string "evolution + descent" "02359ffe55deb1404217a6381a4604fd"
+    (tune_digest descent);
+  check_string "beam search" "823fe454f1b65ca0346ae8e68f1d0a53"
+    (tune_digest (tune Ansor.Tuner.beam_options 32))
+
 (* ---- resume equivalence with the score cache active ----------------------- *)
 
 let temp_path suffix =
@@ -351,6 +415,11 @@ let () =
           case "retrain keeps cached features" test_retrain_keeps_features;
           case "sync idempotence" test_sync_is_idempotent;
           case "telemetry counters" test_telemetry_counters;
+        ] );
+      ( "golden",
+        [
+          case "evolve output, 1 and 4 workers" test_evolve_golden;
+          case "tune run" test_tune_golden;
         ] );
       ( "integration",
         [
