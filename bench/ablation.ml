@@ -120,10 +120,17 @@ let evolution_operator_ablation () =
   in
   let best_of cfg label =
     let rng = Ansor.Rng.create (seed + 5) in
-    let out = Ansor.Evolution.evolve rng cfg policy dag ~model ~init ~out:16 in
+    let scorer = Ansor.Score_service.create ~num_workers:1 machine in
+    Ansor.Score_service.set_model scorer model;
+    let out =
+      Ansor.Evolution.evolve ~scorer rng cfg policy dag
+        ~init:(List.filter_map Ansor.Candidate.of_state init)
+        ~out:16
+    in
     let best =
       List.fold_left
-        (fun acc (s : Ansor.Evolution.scored) -> Float.min acc (latency s.state))
+        (fun acc (s : Ansor.Evolution.scored) ->
+          Float.min acc (latency s.cand.state))
         infinity out
     in
     Printf.printf "  %-34s %8.4f ms\n%!" label (best *. 1e3)

@@ -11,6 +11,7 @@ module Step = Ansor_sched.Step
 module State = Ansor_sched.State
 module Prog = Ansor_sched.Prog
 module Lower = Ansor_sched.Lower
+module Candidate = Ansor_sched.Candidate
 module Access = Ansor_sched.Access
 module Validate = Ansor_sched.Validate
 module Diagnostic = Ansor_sched.Diagnostic

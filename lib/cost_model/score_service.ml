@@ -1,6 +1,5 @@
 open Ansor_sched
 module Pool = Ansor_measure_service.Pool
-module Mcache = Ansor_measure_service.Cache
 module Telemetry = Ansor_measure_service.Telemetry
 module Lru = Ansor_util.Lru
 module Features = Ansor_features.Features
@@ -18,7 +17,6 @@ type entry = {
 }
 
 type t = {
-  machine : Ansor_machine.Machine.t;
   num_workers : int;
   chunk : int;
   cache : entry Lru.t;
@@ -35,9 +33,9 @@ let default_capacity = 4096
    result) is identical for any [num_workers]. *)
 let default_chunk = 8
 
-let create ?(capacity = default_capacity) ?telemetry ~num_workers machine =
+let create ?(capacity = default_capacity) ?telemetry ~num_workers
+    (_ : Ansor_machine.Machine.t) =
   {
-    machine;
     num_workers = max 1 num_workers;
     chunk = default_chunk;
     cache = Lru.create ~capacity:(max 1 capacity);
@@ -47,11 +45,7 @@ let create ?(capacity = default_capacity) ?telemetry ~num_workers machine =
     upstream = None;
   }
 
-let machine t = t.machine
-let num_workers t = t.num_workers
-let model t = t.model
 let generation t = t.generation
-let capacity t = Lru.capacity t.cache
 let cache_size t = Lru.size t.cache
 
 type stats = { hits : int; misses : int; evictions : int }
@@ -71,8 +65,6 @@ let sync t ~generation model =
     t.upstream <- Some generation;
     set_model t model
   end
-
-let key_of_prog t prog = Mcache.key_of_prog t.machine prog
 
 (* ---- deterministic parallel fan-out ------------------------------------- *)
 
@@ -102,175 +94,109 @@ let fan t f items =
     (results, wall, work)
   end
 
-(* ---- scoring core ------------------------------------------------------- *)
+(* ---- the batch core ----------------------------------------------------- *)
 
-(* Per-statement scores of one entry under the current model, preserving
-   the accumulation order of the sequential path
-   ([Cost_model.score_stmts] + [Cost_model.score]'s fold). *)
-let compute_scores t entries =
-  match Cost_model.gbdt t.model with
-  | None ->
-    List.iter
-      (fun e ->
-        let ss = List.map (fun _ -> 0.0) e.features in
-        let total = List.fold_left ( +. ) 0.0 ss in
-        e.scored <- Some (t.generation, ss, total))
-      entries
-  | Some gbdt ->
-    let stale = List.filter (fun e -> e.n_rows > 0) entries in
-    (match stale with
-    | [] -> ()
-    | _ ->
-      let width =
-        match (List.hd stale).features with
-        | row :: _ -> Array.length row
-        | [] -> assert false
-      in
-      let matrix =
-        Array.concat (List.concat_map (fun e -> e.features) stale)
-      in
-      let preds = Gbdt.predict_batch gbdt ~width matrix in
-      let off = ref 0 in
-      List.iter
-        (fun e ->
-          let ss = List.init e.n_rows (fun i -> preds.(!off + i)) in
-          off := !off + e.n_rows;
-          let total = List.fold_left ( +. ) 0.0 ss in
-          e.scored <- Some (t.generation, ss, total))
-        stale);
-    List.iter
-      (fun e ->
-        if e.n_rows = 0 then e.scored <- Some (t.generation, [], 0.0))
-      entries
-
-let fresh_scored t e =
-  match e.scored with
-  | Some (g, ss, total) when g = t.generation -> Some (ss, total)
-  | _ -> None
-
-(* Scores a batch of already-lowered candidates ([None] = the state did
-   not lower).  All cache traffic happens on the calling domain; the pool
-   only ever featurizes cache misses. *)
-let score_lowered t ?(wall0 = 0.0) ?(work0 = 0.0)
-    (items : (string * Prog.t) option array) =
+(* Resolves every candidate to its cache entry, returning the entries in
+   input order and the distinct ones in first-occurrence order.  All cache
+   traffic happens on the calling domain; the pool only featurizes the
+   unique misses (later duplicates in the batch are hits on the first
+   one's entry).  Accounts one scoring batch in telemetry, including the
+   caller's own fan-out time ([wall0], [work0]). *)
+let resolve ?(wall0 = 0.0) ?(work0 = 0.0) t (cands : Candidate.t list) =
   let hits = ref 0 and misses = ref 0 in
   let ev0 = Lru.evictions t.cache in
-  (* probe: resolve every candidate to an entry, or mark it a unique miss
-     (first occurrence wins; later duplicates are hits on its entry) *)
-  let local : (string, entry) Hashtbl.t = Hashtbl.create 64 in
-  let miss_rev = ref [] in
-  Array.iter
-    (function
-      | None -> ()
-      | Some (key, prog) -> (
-        if Hashtbl.mem local key then incr hits
-        else
-          match Lru.find t.cache key with
-          | Some e ->
-            incr hits;
-            Hashtbl.replace local key e
-          | None ->
-            incr misses;
-            (* placeholder claims the key so in-batch duplicates count as
-               hits and are featurized once *)
-            Hashtbl.replace local key { features = []; n_rows = 0; scored = None };
-            miss_rev := (key, prog) :: !miss_rev))
-    items;
-  (* featurize the unique misses on the pool, input order preserved *)
+  let local : (string, entry option) Hashtbl.t = Hashtbl.create 64 in
+  let order_rev = ref [] and miss_rev = ref [] in
+  List.iter
+    (fun (c : Candidate.t) ->
+      if Hashtbl.mem local c.key then incr hits
+      else begin
+        order_rev := c.key :: !order_rev;
+        let found = Lru.find t.cache c.key in
+        (* a miss claims the key too, so in-batch duplicates count as
+           hits and are featurized once *)
+        Hashtbl.replace local c.key found;
+        match found with
+        | Some _ -> incr hits
+        | None ->
+          incr misses;
+          miss_rev := c :: !miss_rev
+      end)
+    cands;
   let miss_arr = Array.of_list (List.rev !miss_rev) in
   let feats, wall, work =
-    fan t (fun (key, prog) -> (key, Features.of_prog prog)) miss_arr
+    fan t (fun (c : Candidate.t) -> Features.of_prog c.prog) miss_arr
   in
-  Array.iter
-    (fun (key, features) ->
+  Array.iter2
+    (fun (c : Candidate.t) features ->
       let e = { features; n_rows = List.length features; scored = None } in
-      Hashtbl.replace local key e;
-      Lru.add t.cache key e)
-    feats;
-  (* score every entry whose cached score is stale, one batched GBDT pass *)
-  let stale_rev = ref [] and seen = Hashtbl.create 64 in
-  Array.iter
-    (function
-      | None -> ()
-      | Some (key, _) ->
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.replace seen key ();
-          let e = Hashtbl.find local key in
-          if fresh_scored t e = None then stale_rev := e :: !stale_rev
-        end)
-    items;
-  compute_scores t (List.rev !stale_rev);
+      Hashtbl.replace local c.key (Some e);
+      Lru.add t.cache c.key e)
+    miss_arr feats;
   (match t.telemetry with
   | Some tm ->
     Telemetry.add_score_batch tm ~hits:!hits ~misses:!misses
       ~evictions:(Lru.evictions t.cache - ev0)
       ~wall:(wall0 +. wall) ~work:(work0 +. work)
   | None -> ());
-  Array.map
-    (function
-      | None -> Float.neg_infinity
-      | Some (key, _) -> (
-        let e = Hashtbl.find local key in
-        match fresh_scored t e with
-        | Some (_, total) -> total
-        | None -> assert false))
-    items
+  let entry key = Option.get (Hashtbl.find local key) in
+  ( List.map (fun (c : Candidate.t) -> entry c.key) cands,
+    List.rev_map entry !order_rev )
 
-let score_progs t progs =
-  let arr = Array.of_list progs in
-  (* keys are digests of the lowered program: pure, so they fan out too *)
-  let keyed, wall, work =
-    fan t (fun prog -> Some (key_of_prog t prog, prog)) arr
+let fresh_scored t e =
+  match e.scored with
+  | Some (g, ss, total) when g = t.generation -> Some (ss, total)
+  | _ -> None
+
+(* Scores the stale ones among [distinct] under the current model in one
+   batched GBDT pass, preserving the accumulation order of the sequential
+   path ([Cost_model.score_stmts] + [Cost_model.score]'s fold). *)
+let compute_scores t distinct =
+  let stale = List.filter (fun e -> fresh_scored t e = None) distinct in
+  let store e ss =
+    e.scored <- Some (t.generation, ss, List.fold_left ( +. ) 0.0 ss)
   in
-  Array.to_list (score_lowered t ~wall0:wall ~work0:work keyed)
+  match Cost_model.gbdt t.model with
+  | None -> List.iter (fun e -> store e (List.map (fun _ -> 0.0) e.features)) stale
+  | Some gbdt ->
+    let rows = List.filter (fun e -> e.n_rows > 0) stale in
+    (match rows with
+    | [] -> ()
+    | first :: _ ->
+      let width = Array.length (List.hd first.features) in
+      let matrix = Array.concat (List.concat_map (fun e -> e.features) rows) in
+      let preds = Gbdt.predict_batch gbdt ~width matrix in
+      ignore
+        (List.fold_left
+           (fun off e ->
+             store e (List.init e.n_rows (fun i -> preds.(off + i)));
+             off + e.n_rows)
+           0 rows));
+    List.iter (fun e -> if e.n_rows = 0 then store e []) stale
+
+let scored ?wall0 ?work0 t cands =
+  let entries, distinct = resolve ?wall0 ?work0 t cands in
+  compute_scores t distinct;
+  List.map
+    (fun e -> match fresh_scored t e with Some r -> r | None -> assert false)
+    entries
+
+let score t cands = List.map snd (scored t cands)
+let stmt_scores t cands = List.map fst (scored t cands)
+
+let features t cands =
+  List.map (fun e -> e.features) (fst (resolve t cands))
 
 let score_states t states =
-  let arr = Array.of_list states in
-  let keyed, wall, work =
-    fan t
-      (fun st ->
-        match Lower.lower st with
-        | prog -> Some (key_of_prog t prog, prog)
-        | exception State.Illegal _ -> None)
-      arr
+  (* lowering and keying are pure, so they fan out too *)
+  let cands, wall, work = fan t Candidate.of_state (Array.of_list states) in
+  let cands = Array.to_list cands in
+  let scores =
+    scored ~wall0:wall ~work0:work t (List.filter_map Fun.id cands)
   in
-  Array.to_list (score_lowered t ~wall0:wall ~work0:work keyed)
-
-(* ---- single-candidate path (beam search, crossover) --------------------- *)
-
-let entry_of_prog t prog =
-  let key = key_of_prog t prog in
-  match Lru.find t.cache key with
-  | Some e ->
-    (match t.telemetry with
-    | Some tm -> Telemetry.add_score_probe tm ~hit:true
-    | None -> ());
-    e
-  | None ->
-    (match t.telemetry with
-    | Some tm -> Telemetry.add_score_probe tm ~hit:false
-    | None -> ());
-    let features = Features.of_prog prog in
-    let e = { features; n_rows = List.length features; scored = None } in
-    Lru.add t.cache key e;
-    e
-
-let ensure_scored t e =
-  match fresh_scored t e with
-  | Some r -> r
-  | None ->
-    compute_scores t [ e ];
-    (match fresh_scored t e with Some r -> r | None -> assert false)
-
-let score_prog t prog =
-  let e = entry_of_prog t prog in
-  snd (ensure_scored t e)
-
-let stmt_scores_prog t prog =
-  let e = entry_of_prog t prog in
-  fst (ensure_scored t e)
-
-let score_state t st =
-  match Lower.lower st with
-  | exception State.Illegal _ -> Float.neg_infinity
-  | prog -> score_prog t prog
+  snd
+    (List.fold_left_map
+       (fun scores -> function
+         | None -> (scores, Float.neg_infinity)
+         | Some _ -> (List.tl scores, snd (List.hd scores)))
+       scores cands)

@@ -1,17 +1,25 @@
 (** Batched, cached cost-model scoring.
 
     The evolutionary search scores thousands of candidate programs per
-    round, and most of the cost is not the GBDT at all — it is lowering
-    each state and extracting its per-statement feature vectors.  This
-    service turns that into a batch pipeline:
+    round, and most of the cost is not the GBDT at all — it is extracting
+    each program's per-statement feature vectors.  This service turns
+    that into one batch pipeline, which every scoring caller goes
+    through (evolution's fitness, crossover's per-node parent scores, the
+    tuner's model ranking, descent's line search and beam search):
 
-    - lowering + featurization fan out over the measure service's domain
-      pool in {e fixed-size chunks}, so the work partition — and therefore
-      every float produced — is independent of [num_workers];
-    - feature vectors are memoized in an LRU keyed by the canonical
-      lowered-program digest ({!Ansor_measure_service.Cache.key_of_prog}),
-      so candidates that survive across generations (elites, re-sampled
-      mutants) are featurized once per session, not once per round;
+    - its input is {!Ansor_sched.Candidate.t}: programs the caller has
+      already lowered and keyed, so the service neither lowers nor hashes
+      them again;
+    - feature vectors are memoized in an LRU keyed by the candidate's
+      canonical program hash ({!Ansor_sched.Candidate.key}), so
+      candidates that survive across generations (elites, re-sampled
+      mutants) are featurized once per session, not once per round, and
+      the tuner builds its training records from the same vectors
+      ({!features});
+    - featurization of the batch's unique cache misses fans out over the
+      measure service's domain pool in {e fixed-size chunks}, so the work
+      partition — and therefore every float produced — is independent of
+      [num_workers] ({!score_states} fans its lowering out the same way);
     - GBDT prediction runs through {!Ansor_gbdt.Gbdt.predict_batch}: one
       pass per tree over a flat row matrix instead of one tree walk per
       statement.
@@ -20,11 +28,12 @@
     by {!set_model} (retrains); cached {e features} are a pure function of
     the program and survive retrains.
 
-    Bit-identity contract: for any batch and any worker count, the scores
-    returned are bitwise equal to the sequential
-    [Cost_model.score_prog] on each candidate — accumulation order inside
-    {!Ansor_gbdt.Gbdt.predict_batch} and the final per-statement sum
-    mirror the sequential folds exactly. *)
+    Bit-identity contract: for any batch and any worker count, the score
+    of each candidate is bitwise equal to the sequential
+    [Cost_model.score_prog model c.prog], and its per-statement scores to
+    [Cost_model.score_stmts] over [Features.of_prog c.prog] — accumulation
+    order inside {!Ansor_gbdt.Gbdt.predict_batch} and the final
+    per-statement sum mirror the sequential folds exactly. *)
 
 open Ansor_sched
 
@@ -36,8 +45,10 @@ val create :
   num_workers:int ->
   Ansor_machine.Machine.t ->
   t
-(** [capacity] bounds the LRU entry count (default 4096 programs);
-    [telemetry] receives score-cache hit/miss and fan-out timing counters;
+(** One service per tuner, for the tuner's target machine (features and
+    keys do not depend on it).  [capacity] bounds the LRU entry count
+    (default 4096 programs); [telemetry] receives one [score_batches]
+    tick per call plus cache hit/miss and fan-out timing counters;
     [num_workers] is the domain-pool width (clamped to >= 1), normally
     {!Ansor_measure_service.Service.num_workers} so [--workers] governs
     both fan-outs. *)
@@ -52,33 +63,29 @@ val sync : t -> generation:int -> Cost_model.t -> unit
     differs from the last synced one.  Lets per-round callers pass the
     tuner's retrain counter without spuriously invalidating the cache. *)
 
+val score : t -> Candidate.t list -> float list
+(** Scores each candidate, in order.  Duplicates in the batch (same
+    [key]) are featurized once. *)
+
+val stmt_scores : t -> Candidate.t list -> float list list
+(** Per-statement scores of each candidate, in [Access.analyze] order
+    (node-based crossover picks the better parent per DAG node). *)
+
+val features : t -> Candidate.t list -> float array list list
+(** Per-statement feature vectors of each candidate — cache hits for
+    anything scored this session — for building training records.  The
+    vectors are the cache's own: copy before mutating. *)
+
 val score_states : t -> State.t list -> float list
-(** Scores each state, in order.  States that fail to lower score
-    [Float.neg_infinity] (matching the sequential fitness path).
-    Duplicate states in the batch are lowered/featurized once. *)
+(** {!score} for bare states: lowers and keys them on the pool first.
+    States that fail to lower score [Float.neg_infinity]. *)
 
-val score_progs : t -> Prog.t list -> float list
-(** Same, for already-lowered programs. *)
-
-val score_state : t -> State.t -> float
-(** Single-candidate path (cache-backed, no pool fan-out). *)
-
-val score_prog : t -> Prog.t -> float
-
-val stmt_scores_prog : t -> Prog.t -> float list
-(** Per-statement scores of one program (node-based crossover picks the
-    better parent per DAG node) — cache-backed like {!score_prog}. *)
-
-val machine : t -> Ansor_machine.Machine.t
-val num_workers : t -> int
-val model : t -> Cost_model.t
 val generation : t -> int
 (** Bumped by every {!set_model}; 0 for a fresh (untrained) service. *)
 
-val capacity : t -> int
 val cache_size : t -> int
 
 type stats = { hits : int; misses : int; evictions : int }
 
 val stats : t -> stats
-(** Lifetime cache counters (also mirrored into [telemetry] if given). *)
+(** Lifetime LRU counters (also mirrored into [telemetry] if given). *)

@@ -3,7 +3,6 @@ open Ansor_sched
 module Rng = Ansor_util.Rng
 module Factorize = Ansor_util.Factorize
 module Annotate = Ansor_sketch.Annotate
-module Cost_model = Ansor_cost_model.Cost_model
 module Score_service = Ansor_cost_model.Score_service
 
 type config = {
@@ -23,7 +22,7 @@ let default_config =
     mutate_annotations = true;
   }
 
-type scored = { state : State.t; fitness : float }
+type scored = { cand : Candidate.t; fitness : float }
 
 let node_of_stage name =
   let strip suffix s =
@@ -33,23 +32,22 @@ let node_of_stage name =
   in
   strip ".local" (strip ".rf" name)
 
-(* Replays an edited history, checks it lowers, and statically rejects
-   mutants the race detector proves wrong — the verification step of
-   §5.1 plus the pre-measurement filter.  [on_reject] fires only for the
-   static-analysis rejections (telemetry's [statically_rejected]);
-   replay/lowering failures are ordinary dead offspring. *)
+(* Replays an edited history, lowers it into a candidate, and statically
+   rejects mutants the race detector or the bounds certifier proves
+   wrong — the verification step of §5.1 plus the pre-measurement
+   filter.  [on_reject] fires only for the static-analysis rejections
+   (telemetry's [statically_rejected]); replay/lowering failures are
+   ordinary dead offspring. *)
 let verify ?on_reject dag steps =
   match Annotate.replay_constrained dag steps ~fill:Annotate.Keep with
   | Error _ -> None
-  | Ok st -> (
-    match Lower.lower st with
-    | exception State.Illegal _ -> None
-    | prog ->
-      if Ansor_analysis.Analysis.static_errors prog = [] then Some st
-      else begin
-        Option.iter (fun f -> f ()) on_reject;
-        None
-      end)
+  | Ok st ->
+    Option.bind (Candidate.of_state st) (fun (c : Candidate.t) ->
+        if Ansor_analysis.Analysis.static_errors c.prog = [] then Some c
+        else begin
+          Option.iter (fun f -> f ()) on_reject;
+          None
+        end)
 
 let steps_of (st : State.t) = st.history
 
@@ -232,36 +230,25 @@ let classify steps =
       end)
     steps
 
-(* [stmt_scores prog] must return one score per innermost statement in
-   [Access.analyze] order — either the plain model or the caching
-   scoring service (bit-identical by its contract). *)
-let node_scores stmt_scores (st : State.t) =
-  match Lower.lower st with
-  | exception State.Illegal _ -> fun _ -> 0.0
-  | prog ->
-    let infos = Access.analyze prog in
-    let scores = stmt_scores prog in
-    let tbl = Hashtbl.create 8 in
-    List.iter2
-      (fun (info : Access.stmt_info) s ->
-        let node = node_of_stage info.stmt.stage in
-        let cur = Option.value ~default:0.0 (Hashtbl.find_opt tbl node) in
-        Hashtbl.replace tbl node (cur +. s))
-      infos scores;
-    fun node -> Option.value ~default:0.0 (Hashtbl.find_opt tbl node)
+(* Per-DAG-node score totals of one candidate: [scores] holds one score
+   per innermost statement, in [Access.analyze] order. *)
+let node_scores (c : Candidate.t) scores =
+  let tbl = Hashtbl.create 8 in
+  List.iter2
+    (fun (info : Access.stmt_info) s ->
+      let node = node_of_stage info.stmt.stage in
+      let cur = Option.value ~default:0.0 (Hashtbl.find_opt tbl node) in
+      Hashtbl.replace tbl node (cur +. s))
+    (Access.analyze c.prog) scores;
+  fun node -> Option.value ~default:0.0 (Hashtbl.find_opt tbl node)
 
-let stmt_scores_fn ?scorer model =
-  match scorer with
-  | Some sc -> Score_service.stmt_scores_prog sc
-  | None ->
-    fun prog ->
-      Cost_model.score_stmts model
-        (List.map Ansor_features.Features.of_stmt_info (Access.analyze prog))
-
-let crossover ?on_reject ?scorer rng ~greedy_node_prob dag ~model a b =
-  let stmt_scores = stmt_scores_fn ?scorer model in
-  let score_a = node_scores stmt_scores a
-  and score_b = node_scores stmt_scores b in
+let crossover ?on_reject ~scorer rng ~greedy_node_prob dag (a : Candidate.t)
+    (b : Candidate.t) =
+  let score_a, score_b =
+    match Score_service.stmt_scores scorer [ a; b ] with
+    | [ sa; sb ] -> (node_scores a sa, node_scores b sb)
+    | _ -> assert false
+  in
   let nodes =
     Array.to_list (Dag.ops dag)
     |> List.filter_map (fun op ->
@@ -281,8 +268,8 @@ let crossover ?on_reject ?scorer rng ~greedy_node_prob dag ~model a b =
   let from_a stage =
     Option.value ~default:true (Hashtbl.find_opt choice (node_of_stage stage))
   in
-  let a_structural, a_ann = classify (steps_of a) in
-  let b_structural, b_ann = classify (steps_of b) in
+  let a_structural, a_ann = classify (steps_of a.state) in
+  let b_structural, b_ann = classify (steps_of b.state) in
   let find_b_lengths ~stage ~iv ~k ~rf =
     List.find_map
       (fun (s : Step.t) ->
@@ -322,37 +309,27 @@ let crossover ?on_reject ?scorer rng ~greedy_node_prob dag ~model a b =
 
 (* ---- main loop ---------------------------------------------------------- *)
 
-let evolve ?on_reject ?scorer rng config policy dag ~model ~init ~out =
-  (* Batch fitness: one call per generation instead of one lowering +
-     featurization per child.  The scoring service's bit-identity
-     contract keeps results equal to the sequential per-state fold, and
-     fitness consumes no RNG, so deferring it after child generation
-     leaves the random stream untouched. *)
-  let fitness_all states =
-    match scorer with
-    | Some sc -> Score_service.score_states sc states
-    | None ->
-      List.map
-        (fun st ->
-          match Lower.lower st with
-          | exception State.Illegal _ -> Float.neg_infinity
-          | prog ->
-            Cost_model.score model (Ansor_features.Features.of_prog prog))
-        states
+let evolve ?on_reject ~scorer rng config policy dag ~init ~out =
+  (* Batch fitness: one call per generation instead of one featurization
+     per child.  The scoring service's bit-identity contract keeps
+     results equal to the sequential per-program fold, and fitness
+     consumes no RNG, so deferring it after child generation leaves the
+     random stream untouched. *)
+  let with_fitness cands =
+    List.map2
+      (fun cand fitness -> { cand; fitness })
+      cands
+      (Score_service.score scorer cands)
   in
   let best = Hashtbl.create 64 in
-  let remember st f =
-    let key = Step.history_key st.State.history in
+  let remember s =
+    let key = Step.history_key s.cand.state.history in
     match Hashtbl.find_opt best key with
-    | Some (_, f0) when f0 >= f -> ()
-    | _ -> Hashtbl.replace best key (st, f)
+    | Some f0 when f0.fitness >= s.fitness -> ()
+    | _ -> Hashtbl.replace best key s
   in
-  let population =
-    let fits = fitness_all init in
-    Array.of_list
-      (List.map2 (fun st f -> { state = st; fitness = f }) init fits)
-  in
-  Array.iter (fun s -> remember s.state s.fitness) population;
+  let population = Array.of_list (with_fitness init) in
+  Array.iter remember population;
   let pop = ref population in
   for _gen = 1 to config.generations do
     let cur = !pop in
@@ -364,7 +341,7 @@ let evolve ?on_reject ?scorer rng config policy dag ~model ~init ~out =
       let weights =
         Array.map (fun s -> s.fitness -. min_fit +. 1e-3) cur
       in
-      let select () = cur.(Rng.weighted_index rng weights).state in
+      let select () = cur.(Rng.weighted_index rng weights).cand in
       let target_size = max config.population n in
       (* elitism: the best tenth survives unchanged *)
       let sorted = Array.copy cur in
@@ -379,13 +356,14 @@ let evolve ?on_reject ?scorer rng config policy dag ~model ~init ~out =
         let parent = select () in
         let child =
           if Rng.float rng 1.0 < config.crossover_prob then
-            crossover ?on_reject ?scorer rng
-              ~greedy_node_prob:config.greedy_node_prob dag ~model parent
+            crossover ?on_reject ~scorer rng
+              ~greedy_node_prob:config.greedy_node_prob dag parent
               (select ())
           else begin
             (* chain 1-3 mutations (geometric): multi-step moves escape
                plateaus that single-factor steps cannot *)
-            let mutate_once st =
+            let mutate_once (c : Candidate.t) =
+              let st = c.state in
               if config.mutate_annotations then
                 match Rng.int rng 4 with
                 | 0 -> mutate_tile_sizes ?on_reject rng dag st
@@ -394,30 +372,25 @@ let evolve ?on_reject ?scorer rng config policy dag ~model ~init ~out =
                 | _ -> mutate_location ?on_reject rng dag st
               else mutate_tile_sizes ?on_reject rng dag st
             in
-            let rec chain st changed =
-              match mutate_once st with
-              | None -> if changed then Some st else None
-              | Some st' ->
-                if Rng.float rng 1.0 < 0.2 then chain st' true else Some st'
+            let rec chain c changed =
+              match mutate_once c with
+              | None -> if changed then Some c else None
+              | Some c' ->
+                if Rng.float rng 1.0 < 0.2 then chain c' true else Some c'
             in
             chain parent false
           end
         in
-        let st = match child with Some st -> st | None -> parent in
-        children_rev := st :: !children_rev
+        children_rev := Option.value child ~default:parent :: !children_rev
       done;
-      let children = List.rev !children_rev in
-      let fits = fitness_all children in
-      let scored_children =
-        List.map2 (fun st f -> { state = st; fitness = f }) children fits
-      in
-      List.iter (fun s -> remember s.state s.fitness) scored_children;
+      let scored_children = with_fitness (List.rev !children_rev) in
+      List.iter remember scored_children;
       (* same array layout the incremental loop produced:
          [c_m .. c_1, elite_{e-1} .. elite_0] *)
       pop := Array.of_list (List.rev_append scored_children (List.rev elites))
     end
   done;
-  Hashtbl.fold (fun _ (st, f) acc -> { state = st; fitness = f } :: acc) best []
+  Hashtbl.fold (fun _ s acc -> s :: acc) best []
   |> List.sort (fun a b -> compare b.fitness a.fitness)
   |> List.filteri (fun i _ -> i < out)
 

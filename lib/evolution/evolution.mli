@@ -4,15 +4,18 @@
     crossover, using the learned cost model as the fitness function.
     Programs are step histories; every operator edits the history and
     re-validates it with the constrained replay of
-    {!Ansor_sketch.Annotate.replay_constrained} followed by a lowering
-    check, mirroring the paper's "Ansor further verifies the merged
-    programs" — offspring that do not verify are discarded.  Offspring
-    that replay and lower but carry a provable data race (an
-    [Error]-severity diagnostic from {!Ansor_analysis.Analysis}, e.g. a
-    [Parallel] annotation on a reduction iterator) are discarded before
-    they can reach the measurer; every such rejection fires the
-    [on_reject] callback, which telemetry counts as
-    [statically_rejected].
+    {!Ansor_sketch.Annotate.replay_constrained} followed by lowering,
+    mirroring the paper's "Ansor further verifies the merged programs" —
+    offspring that do not verify are discarded.  A verified offspring is
+    a {!Ansor_sched.Candidate.t}: lowered and keyed once, here, and
+    carried as-is through the population, scoring and the tuner's
+    measured batch.  Offspring that replay and lower but carry a
+    provable error (an [Error]-severity diagnostic from
+    {!Ansor_analysis.Analysis.static_errors}: a data race such as a
+    [Parallel] annotation on a reduction iterator, or an out-of-bounds
+    witness from the memory-safety certifier) are discarded before they
+    can reach the measurer; every such rejection fires the [on_reject]
+    callback, which telemetry counts as [statically_rejected].
 
     Operators:
     - {e tile-size mutation}: moves a factor between two levels of one
@@ -48,32 +51,29 @@ type config = {
 val default_config : config
 (** population 128, 4 generations, 15% crossover. *)
 
-type scored = { state : State.t; fitness : float }
+type scored = { cand : Candidate.t; fitness : float }
 
 val evolve :
   ?on_reject:(unit -> unit) ->
-  ?scorer:Ansor_cost_model.Score_service.t ->
+  scorer:Ansor_cost_model.Score_service.t ->
   Ansor_util.Rng.t ->
   config ->
   Ansor_sketch.Policy.t ->
   Dag.t ->
-  model:Ansor_cost_model.Cost_model.t ->
-  init:State.t list ->
+  init:Candidate.t list ->
   out:int ->
   scored list
 (** Runs the configured number of generations starting from [init]
     (sampled programs plus previously-measured good ones) and returns the
-    [out] best {e distinct} programs seen, best first.  With an untrained
-    model all fitnesses are 0 and selection degenerates to uniform, as in
-    the paper's first iteration.
-
-    When [scorer] is given, each generation is fitness-scored in one
-    batched {!Ansor_cost_model.Score_service.score_states} call (parallel
-    lowering/featurization, cross-generation feature cache) instead of
-    per-child sequential scoring; the caller must have installed [model]
-    into the scorer ({!Ansor_cost_model.Score_service.sync}).  Results —
-    including the RNG stream — are bit-identical to the sequential path
-    at any worker count. *)
+    [out] best {e distinct} programs seen (by step history), best first.
+    Fitness is the [scorer]'s current model (the caller installs it with
+    {!Ansor_cost_model.Score_service.sync}); each generation is scored in
+    one batched {!Ansor_cost_model.Score_service.score} call.  With an
+    untrained model all fitnesses are 0 and selection degenerates to
+    uniform, as in the paper's first iteration.  Scoring consumes no RNG,
+    and the scorer's results do not depend on its worker count, so the
+    output — RNG stream included — is bit-identical at any worker
+    count. *)
 
 (** The individual operators, exposed for testing and for the ablation
     benchmarks. Each returns [None] when the edited history fails
@@ -81,44 +81,47 @@ val evolve :
 
 val mutate_tile_sizes :
   ?on_reject:(unit -> unit) ->
-  Ansor_util.Rng.t -> Dag.t -> State.t -> State.t option
+  Ansor_util.Rng.t -> Dag.t -> State.t -> Candidate.t option
 
 val mutate_annotation :
   ?on_reject:(unit -> unit) ->
-  Ansor_util.Rng.t -> Dag.t -> State.t -> State.t option
+  Ansor_util.Rng.t -> Dag.t -> State.t -> Candidate.t option
 
 val mutate_pragma :
   ?on_reject:(unit -> unit) ->
-  Ansor_util.Rng.t -> Ansor_sketch.Policy.t -> Dag.t -> State.t -> State.t option
+  Ansor_util.Rng.t -> Ansor_sketch.Policy.t -> Dag.t -> State.t -> Candidate.t option
 
 val mutate_location :
   ?on_reject:(unit -> unit) ->
-  Ansor_util.Rng.t -> Dag.t -> State.t -> State.t option
+  Ansor_util.Rng.t -> Dag.t -> State.t -> Candidate.t option
 
 val crossover :
   ?on_reject:(unit -> unit) ->
-  ?scorer:Ansor_cost_model.Score_service.t ->
+  scorer:Ansor_cost_model.Score_service.t ->
   Ansor_util.Rng.t ->
   greedy_node_prob:float ->
   Dag.t ->
-  model:Ansor_cost_model.Cost_model.t ->
-  State.t ->
-  State.t ->
-  State.t option
-(** [scorer], when given, serves the per-node parent scores from its
-    feature/score cache instead of featurizing both parents afresh. *)
+  Candidate.t ->
+  Candidate.t ->
+  Candidate.t option
+(** Per DAG node, inherits from the parent whose statements the
+    [scorer] scores higher (both parents in one batched
+    {!Ansor_cost_model.Score_service.stmt_scores} call, served from its
+    cache for population members). *)
 
 val node_of_stage : string -> string
 (** Maps derived stage names (["C.local"], ["C.rf"]) back to their DAG
     node (["C"]): the granularity of crossover. *)
 
 val verify :
-  ?on_reject:(unit -> unit) -> Dag.t -> Step.t list -> State.t option
-(** Replays an edited history ([fill:Keep]), checks it lowers, and
-    statically rejects programs the race detector proves wrong —
-    evolution's own offspring gate, exposed so the coordinate-descent
-    stage sends its neighbors through the identical filter.  [on_reject]
-    fires only for static-analysis rejections. *)
+  ?on_reject:(unit -> unit) -> Dag.t -> Step.t list -> Candidate.t option
+(** Replays an edited history ([fill:Keep]), lowers it into a candidate,
+    and statically rejects programs with an [Error] from
+    {!Ansor_analysis.Analysis.static_errors} — races, and the bounds
+    certifier's [Unsafe] witnesses — evolution's own offspring gate,
+    exposed so the coordinate-descent stage sends its neighbors through
+    the identical filter.  [on_reject] fires only for static-analysis
+    rejections. *)
 
 val consumer_stages : Step.t list -> string list
 (** Stages whose splits are re-derived from a producer ([Compute_at]

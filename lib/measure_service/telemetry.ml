@@ -279,11 +279,6 @@ let add_descent_sweep t ~trials ~improved =
 let incr_descent_plateau_stops t =
   update t (fun s -> { s with descent_plateau_stops = s.descent_plateau_stops + 1 })
 
-let add_score_probe t ~hit =
-  update t (fun s ->
-      if hit then { s with score_hits = s.score_hits + 1 }
-      else { s with score_misses = s.score_misses + 1 })
-
 let add_score_batch t ~hits ~misses ~evictions ~wall ~work =
   update t (fun s ->
       {

@@ -75,9 +75,9 @@ type stats = {
   score_hits : int;
       (** batch-scoring candidates served from the feature/score cache
           (featurization skipped) *)
-  score_misses : int;  (** candidates lowered + featurized from scratch *)
+  score_misses : int;  (** candidates featurized from scratch *)
   score_evictions : int;  (** score-cache LRU evictions *)
-  score_batches : int;  (** batch-scoring calls *)
+  score_batches : int;  (** scoring-service calls *)
   score_wall_seconds : float;
       (** wall-clock time spent in the scoring service's parallel
           fan-out *)
@@ -168,13 +168,9 @@ val score_speedup : stats -> float
 (** Realized parallel speedup of the scoring fan-out
     ([score_work_seconds / score_wall_seconds]; 1.0 when no batch ran). *)
 
-val add_score_probe : t -> hit:bool -> unit
-(** Accounts one single-candidate score-cache probe (the non-batched
-    scoring path: beam search, crossover node scores). *)
-
 val add_score_batch :
   t -> hits:int -> misses:int -> evictions:int -> wall:float -> work:float ->
   unit
-(** Accounts one batch-scoring call from the cost model's scoring
-    service: cache hit/miss/eviction deltas plus wall-clock and summed
+(** Accounts one call into the cost model's scoring service (every
+    scoring caller goes through its batch core): cache hit/miss/eviction deltas plus wall-clock and summed
     per-chunk work seconds of its parallel fan-out. *)

@@ -2,7 +2,6 @@ open Ansor_sched
 module Factorize = Ansor_util.Factorize
 module Evolution = Ansor_evolution.Evolution
 module Score_service = Ansor_cost_model.Score_service
-module Bounds = Ansor_analysis.Bounds
 module Policy = Ansor_sketch.Policy
 
 type config = {
@@ -126,28 +125,15 @@ let proposals ~(policy : Policy.t) (st : State.t) coord : Step.t list list =
     else []
   | _ -> []
 
-(* Every neighbor goes through exactly the gates evolution offspring do:
-   constrained replay, a lowering check, the static race detector
-   ({!Evolution.verify}) and the memory-safety certifier — an [Unsafe]
-   verdict is dropped before scoring, like the tuner's fresh-sample
-   filter.  [on_reject] fires for the statically-rejected ones. *)
-let validate ?on_reject dag steps =
-  match Evolution.verify ?on_reject dag steps with
-  | None -> None
-  | Some st -> (
-    match Lower.lower st with
-    | exception State.Illegal _ -> None
-    | prog -> (
-      match Bounds.certify prog with
-      | Bounds.Unsafe _ ->
-        Option.iter (fun f -> f ()) on_reject;
-        None
-      | Bounds.Certified | Bounds.Unknown -> Some st))
-
+(* Every neighbor goes through exactly the gate evolution offspring do
+   ({!Evolution.verify}): constrained replay, lowering, and the static
+   errors of the race detector and the memory-safety certifier, so an
+   [Unsafe] program never reaches scoring.  [on_reject] fires for the
+   statically-rejected ones. *)
 let neighbors ?on_reject ~policy dag st coord =
-  List.filter_map (validate ?on_reject dag) (proposals ~policy st coord)
+  List.filter_map (Evolution.verify ?on_reject dag) (proposals ~policy st coord)
 
-let history_key (st : State.t) = Step.history_key st.State.history
+let history_key (c : Candidate.t) = Step.history_key c.state.history
 
 let argmax scores =
   List.fold_left
@@ -163,25 +149,25 @@ let argmax scores =
    pick the most promising *unmeasured* point on it.  Scoring is one
    batched call per step, so it stays pooled and feature-cached in the
    scoring service. *)
-let line_search cfg ~scorer ?on_reject ~policy dag w coord =
+let line_search cfg ~scorer ?on_reject ~policy dag (w : State.t) coord =
   let visited = Hashtbl.create 8 in
-  Hashtbl.replace visited (history_key w) ();
+  Hashtbl.replace visited (Step.history_key w.history) ();
   let acc = ref [] in
-  let rec go w prev_score steps_left =
+  let rec go (w : State.t) prev_score steps_left =
     if steps_left > 0 then
       let vars =
         neighbors ?on_reject ~policy dag w coord
-        |> List.filter (fun st -> not (Hashtbl.mem visited (history_key st)))
+        |> List.filter (fun c -> not (Hashtbl.mem visited (history_key c)))
       in
       match vars with
       | [] -> ()
       | _ ->
-        List.iter (fun st -> Hashtbl.replace visited (history_key st) ()) vars;
-        let scores = Score_service.score_states scorer vars in
+        List.iter (fun c -> Hashtbl.replace visited (history_key c) ()) vars;
+        let scores = Score_service.score scorer vars in
         acc := !acc @ List.combine vars scores;
         let best_i, best_s = argmax scores in
         if best_i >= 0 && best_s > prev_score then
-          go (List.nth vars best_i) best_s (steps_left - 1)
+          go (List.nth vars best_i).state best_s (steps_left - 1)
   in
   go w neg_infinity cfg.max_walk;
   !acc
@@ -199,21 +185,21 @@ let sweep cfg ~dag ~policy ~scorer ?on_reject ~measured cursor =
   | Ok start_st ->
     let coords = coordinates start_st in
     let seen = Hashtbl.create 16 in
-    Hashtbl.replace seen (history_key start_st) ();
-    let fresh st =
-      let k = history_key st in
+    Hashtbl.replace seen (Step.history_key start_st.history) ();
+    let fresh c =
+      let k = history_key c in
       not (Hashtbl.mem seen k) && not (measured k)
     in
     let winners = ref [] in
     List.iteri
-      (fun rank c ->
-        let line = line_search cfg ~scorer ?on_reject ~policy dag start_st c in
-        let cands = List.filter (fun (st, _) -> fresh st) line in
+      (fun rank coord ->
+        let line = line_search cfg ~scorer ?on_reject ~policy dag start_st coord in
+        let cands = List.filter (fun (c, _) -> fresh c) line in
         let best_i, best_s = argmax (List.map snd cands) in
         if best_i >= 0 then begin
-          let st, _ = List.nth cands best_i in
-          Hashtbl.replace seen (history_key st) ();
-          winners := (rank, best_s, st) :: !winners
+          let c, _ = List.nth cands best_i in
+          Hashtbl.replace seen (history_key c) ();
+          winners := (rank, best_s, c) :: !winners
         end)
       coords;
     (* measure only the [max_probes] most promising winners this sweep;
@@ -227,7 +213,7 @@ let sweep cfg ~dag ~policy ~scorer ?on_reject ~measured cursor =
     in
     (* hand them over in coordinate order to keep batch order stable *)
     let top = List.sort (fun (r1, _, _) (r2, _, _) -> compare r1 r2) top in
-    Ok (List.map (fun (_, _, st) -> st) top)
+    Ok (List.map (fun (_, _, c) -> c) top)
 
 (* Advance the cursor with the sweep's measured outcome: an improving
    sweep re-anchors the walk on the new incumbent, a non-improving one

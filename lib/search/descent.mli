@@ -15,11 +15,13 @@
 
     The stage consumes no RNG and breaks score ties by first index, so
     it is bit-identical at any [--workers] count, like every other
-    phase.  Every proposed neighbor flows through the existing gates
-    unchanged: constrained replay + lowering, the static race detector
-    ({!Ansor_evolution.Evolution.verify}), the memory-safety certifier
-    ({!Ansor_analysis.Bounds.certify}, [Unsafe] dropped pre-scoring) and
-    the tuner's dedup against already-measured programs. *)
+    phase.  Every proposed neighbor flows through evolution's offspring
+    gate unchanged ({!Ansor_evolution.Evolution.verify}: constrained
+    replay, lowering, and the static errors of the race detector and the
+    memory-safety certifier, so [Unsafe] programs are dropped before
+    scoring) and the tuner's dedup against already-measured programs.
+    Neighbors are {!Ansor_sched.Candidate.t}s from that gate on: scored
+    and, for the winners, measured without being lowered again. *)
 
 open Ansor_te
 open Ansor_sched
@@ -82,11 +84,9 @@ val proposals : policy:Ansor_sketch.Policy.t -> State.t -> coord -> Step.t list 
 val neighbors :
   ?on_reject:(unit -> unit) ->
   policy:Ansor_sketch.Policy.t ->
-  Dag.t -> State.t -> coord -> State.t list
-(** {!proposals} filtered through the shared gates: constrained replay +
-    lowering, static race detector, and bounds certifier ([Unsafe]
-    dropped).  [on_reject] fires once per statically-rejected
-    proposal. *)
+  Dag.t -> State.t -> coord -> Candidate.t list
+(** {!proposals} filtered through {!Ansor_evolution.Evolution.verify}.
+    [on_reject] fires once per statically-rejected proposal. *)
 
 val sweep :
   config ->
@@ -96,12 +96,12 @@ val sweep :
   ?on_reject:(unit -> unit) ->
   measured:(string -> bool) ->
   cursor ->
-  (State.t list, string) result
+  (Candidate.t list, string) result
 (** One coordinate sweep from the cursor's incumbent: line-search every
     coordinate in order under the scorer and nominate, per coordinate,
     the best-scoring point on its explored line whose [Step.history_key]
     is not yet [measured], keeping the top [max_probes] of them — the
-    only states that should reach the measurement service.  The model
+    only candidates that should reach the measurement service.  The model
     guides the walk; whether a winner actually improves the incumbent is
     decided by measurement, which is what makes the plateau stop a
     measured plateau.  [Error] if the cursor's history no longer

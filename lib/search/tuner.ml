@@ -278,8 +278,8 @@ type t = {
       (* created on the first round from the measure service's
          configuration; lives as long as the tuner so the feature cache
          spans rounds *)
-  mutable best : (State.t * float) option;
-  mutable good : (State.t * float) list;  (* ascending latency *)
+  mutable best : (Candidate.t * float) option;
+  mutable good : (Candidate.t * float) list;  (* ascending latency *)
   mutable curve_rev : (int * float) list;
   mutable rounds : int;
   mutable plateau : Evolution.Plateau.t;
@@ -295,23 +295,18 @@ let plateau_patience (options : options) =
   | Some (c : Descent.config) -> c.Descent.stall_rounds
   | None -> Descent.default_config.Descent.stall_rounds
 
+let candidate_of_history dag steps =
+  match State.replay_checked dag steps with
+  | Ok st -> Candidate.of_state st
+  | Error _ -> None
+
 let create ?(seed = 0) ?(warm_start = []) options task =
   let rules =
     match options.strategy with
     | Sketch_search { rules; _ } -> rules
     | Beam_search _ -> Rules.default
   in
-  let seeds =
-    List.filter_map
-      (fun steps ->
-        match State.replay_checked task.Task.dag steps with
-        | Ok st -> (
-          match Lower.lower st with
-          | _ -> Some st
-          | exception State.Illegal _ -> None)
-        | Error _ -> None)
-      warm_start
-  in
+  let seeds = List.filter_map (candidate_of_history task.Task.dag) warm_start in
   {
     task;
     options;
@@ -352,8 +347,8 @@ let snapshot t =
     Snapshot.task_key = Task.key t.task;
     rng_state = Rng.state t.rng;
     rounds = t.rounds;
-    best = Option.map (fun (st, l) -> (st.State.history, l)) t.best;
-    good = List.map (fun (st, l) -> (st.State.history, l)) t.good;
+    best = Option.map (fun ((c : Candidate.t), l) -> (c.state.history, l)) t.best;
+    good = List.map (fun ((c : Candidate.t), l) -> (c.state.history, l)) t.good;
     measured_keys =
       Hashtbl.fold (fun k () acc -> k :: acc) t.measured []
       |> List.sort String.compare;
@@ -369,9 +364,9 @@ let restore t (s : Snapshot.t) =
          (Task.key t.task))
   else begin
     let replay (steps, l) =
-      match State.replay_checked t.task.Task.dag steps with
-      | Ok st -> Some (st, l)
-      | Error _ -> None
+      Option.map
+        (fun c -> (c, l))
+        (candidate_of_history t.task.Task.dag steps)
     in
     Rng.set_state t.rng s.Snapshot.rng_state;
     t.rounds <- s.Snapshot.rounds;
@@ -391,7 +386,7 @@ let restore t (s : Snapshot.t) =
 
 let task t = t.task
 let best_latency t = match t.best with Some (_, l) -> l | None -> infinity
-let best_state t = Option.map fst t.best
+let best_state t = Option.map (fun ((c : Candidate.t), _) -> c.state) t.best
 let rounds_done t = t.rounds
 let curve t = List.rev t.curve_rev
 
@@ -401,12 +396,11 @@ let curve t = List.rev t.curve_rev
    Halide-auto-scheduler design point whose weakness Figure 3 explains. *)
 let beam_construct rng ~score dag policy ~beam_width ~rollouts =
   let dedup = Hashtbl.create 64 in
-  let score (st : State.t) : float = score st in
-  let expand (st, i) =
-    if i < 0 then [ ((st, i), score st) ]
+  let expand ((st : State.t), i) =
+    if i < 0 then [ (st, i) ]
     else
       match Ansor_te.Dag.op st.State.dag i with
-      | Ansor_te.Op.Placeholder _ -> [ ((st, i - 1), score st) ]
+      | Ansor_te.Op.Placeholder _ -> [ (st, i - 1) ]
       | Ansor_te.Op.Compute _ ->
         let applicable =
           List.filter (fun (r : Rules.t) -> r.condition st i) Rules.default
@@ -435,7 +429,7 @@ let beam_construct rng ~score dag policy ~beam_width ~rollouts =
                       if Hashtbl.mem dedup key then None
                       else begin
                         Hashtbl.replace dedup key ();
-                        Some ((concrete, i'), score concrete)
+                        Some (concrete, i')
                       end)
                   (List.init rollouts Fun.id))
               (r.apply st i))
@@ -444,9 +438,12 @@ let beam_construct rng ~score dag policy ~beam_width ~rollouts =
   let rec advance states =
     if List.for_all (fun (_, i) -> i < 0) states then states
     else
+      (* expansion draws all the RNG; scoring (one batch per level)
+         draws none *)
       let expanded = List.concat_map expand states in
       let sorted =
-        List.sort (fun (_, a) (_, b) -> compare b a) expanded
+        List.combine expanded (score (List.map fst expanded))
+        |> List.sort (fun (_, a) (_, b) -> compare b a)
       in
       let kept =
         List.filteri (fun k _ -> k < beam_width) sorted |> List.map fst
@@ -462,27 +459,23 @@ let beam_construct rng ~score dag policy ~beam_width ~rollouts =
       List.filter_map
         (fun _ ->
           match Annotate.annotate rng policy st with
-          | Ok st -> (
-            match Lower.lower st with
-            | _ -> Some st
-            | exception State.Illegal _ -> None)
+          | Ok st -> Candidate.of_state st
           | Error _ -> None)
         (List.init 2 Fun.id))
     terminals
 
 let candidates t shared scorer tm =
   let dag = t.task.Task.dag in
-  let model = Shared.model shared in
   match t.options.strategy with
   | Beam_search { beam_width; rollouts } ->
     Telemetry.time tm Telemetry.Sample (fun () ->
         beam_construct t.rng
-          ~score:(Score_service.score_state scorer)
+          ~score:(Score_service.score_states scorer)
           dag t.policy ~beam_width ~rollouts)
   | Sketch_search { use_evolution; _ } ->
     let fresh =
       Telemetry.time tm Telemetry.Sample (fun () ->
-          Sampler.sample t.rng t.policy dag ~sketches:t.sketches
+          Sampler.sample_candidates t.rng t.policy dag ~sketches:t.sketches
             ~n:t.options.sample_size)
     in
     (* Memory-safety pre-filter: a sample whose lowering carries a
@@ -490,24 +483,21 @@ let candidates t shared scorer tm =
        measurement.  Sketch sampling is safe-by-construction, so on a
        healthy rule set this filter is a no-op (bit-identical search);
        it exists to contain a buggy sketch/annotation rule the moment
-       one is introduced.  Verdicts are memoized by canonical program
-       hash, so the later scoring/measurement of survivors re-uses
-       them.  [Unknown] is kept: the certifier's witness search is
-       bounded, and the native gate re-decides with its own policy. *)
+       one is introduced.  [Unknown] is kept: the certifier's witness
+       search is bounded, and the native gate re-decides with its own
+       policy.  Scoring and measurement take the surviving candidates
+       as they are: nothing downstream lowers or keys them again. *)
     let fresh =
       List.filter
-        (fun s ->
-          match Lower.lower s with
-          | exception State.Illegal _ -> true (* measure path classifies *)
-          | prog -> (
-            match Bounds.certify prog with
-            | Bounds.Unsafe _ ->
-              Telemetry.incr_statically_rejected tm;
-              false
-            | Bounds.Certified | Bounds.Unknown -> true))
+        (fun (c : Candidate.t) ->
+          match Bounds.certify c.prog with
+          | Bounds.Unsafe _ ->
+            Telemetry.incr_statically_rejected tm;
+            false
+          | Bounds.Certified | Bounds.Unknown -> true)
         fresh
     in
-    if use_evolution && Cost_model.is_trained model then begin
+    if use_evolution && Cost_model.is_trained (Shared.model shared) then begin
       let seeds =
         List.filteri (fun i _ -> i < t.options.keep_previous) t.good
         |> List.map fst
@@ -515,10 +505,10 @@ let candidates t shared scorer tm =
       Telemetry.time tm Telemetry.Evolve (fun () ->
           Evolution.evolve
             ~on_reject:(fun () -> Telemetry.incr_statically_rejected tm)
-            ~scorer t.rng t.options.evolution t.policy dag ~model
+            ~scorer t.rng t.options.evolution t.policy dag
             ~init:(fresh @ seeds)
             ~out:(t.options.batch_size * 4)
-          |> List.map (fun (s : Evolution.scored) -> s.state))
+          |> List.map (fun (s : Evolution.scored) -> s.cand))
     end
     else
       (* before the model is trained, put warm-start seeds first so they
@@ -532,7 +522,7 @@ let candidates t shared scorer tm =
 let neighbors_of_best ?on_reject t =
   match t.best with
   | None -> []
-  | Some (best, _) ->
+  | Some ({ Candidate.state = best; _ }, _) ->
     let dag = t.task.Task.dag in
     List.filter_map
       (fun _ ->
@@ -556,42 +546,51 @@ let scorer_of t service =
     t.scorer <- Some sc;
     sc
 
-(* Measure a prepared batch of [(state, prog, key)] and absorb the
-   classified results: remember every key in the dedup set, update
-   best/good, persist the measured samples to the cross-task store, add
-   the records to the shared training set and maybe retrain.  The tail
-   of every round — both the evolutionary path and the descent sweeps
-   feed their winners through this single funnel. *)
-let absorb_batch t shared service tm batch =
+let history_key (c : Candidate.t) = Step.history_key c.state.history
+
+(* Measure a batch of candidates and absorb the classified results:
+   remember every history in the dedup set, update best/good, persist the
+   measured samples to the cross-task store, add the records to the
+   shared training set and maybe retrain.  The tail of every round — both
+   the evolutionary path and the descent sweeps feed their winners
+   through this single funnel. *)
+let absorb_batch t shared service scorer tm (batch : Candidate.t list) =
   let results =
     Service.measure_batch service
-      (List.map (fun (st, prog, _) -> Protocol.request ~prog st) batch)
+      (List.map (fun (c : Candidate.t) -> Protocol.request ~prog:c.prog c.state) batch)
   in
   let ok =
     List.filter_map Fun.id
       (List.map2
-         (fun (st, prog, key) (res : Protocol.result) ->
+         (fun (c : Candidate.t) (res : Protocol.result) ->
            (* every candidate got a classified result; failed ones are
               remembered so the tuner never re-proposes them *)
-           Hashtbl.replace t.measured key ();
+           Hashtbl.replace t.measured (history_key c) ();
            match res.Protocol.latency with
            | Error _ -> None
            | Ok latency ->
              (match t.best with
              | Some (_, l) when l <= latency -> ()
-             | _ -> t.best <- Some (st, latency));
+             | _ -> t.best <- Some (c, latency));
              t.good <-
                List.sort (fun (_, a) (_, b) -> compare a b)
-                 ((st, latency) :: t.good)
+                 ((c, latency) :: t.good)
                |> List.filteri (fun i _ -> i < t.options.keep_previous);
-             if latency > 0.0 then Some (prog, latency) else None)
+             if latency > 0.0 then Some (c, latency) else None)
          batch results)
   in
+  (* training features come from the scorer's cache (every candidate the
+     model ranked is in it); copies, so records never alias the cache *)
   let records =
-    List.map
-      (fun (prog, latency) ->
-        Cost_model.record_of_prog ~task_key:(Task.key t.task) ~latency prog)
+    List.map2
+      (fun (_, latency) features ->
+        {
+          Cost_model.features = List.map Array.copy features;
+          task_key = Task.key t.task;
+          latency;
+        })
       ok
+      (Score_service.features scorer (List.map fst ok))
   in
   (* persist the measured batch to the cross-task store (no-op when no
      store is attached); the canonical lowered-program hash dedups
@@ -599,10 +598,10 @@ let absorb_batch t shared service tm batch =
   if Shared.has_store shared then begin
     let samples =
       List.map2
-        (fun (prog, latency) (r : Cost_model.record) ->
+        (fun ((c : Candidate.t), latency) (r : Cost_model.record) ->
           {
             Model_store.task_key = r.Cost_model.task_key;
-            prog_key = Mcache.key_of_prog t.task.Task.machine prog;
+            prog_key = Mcache.key_of_prog t.task.Task.machine c.prog;
             latency;
             features = r.Cost_model.features;
           })
@@ -618,23 +617,21 @@ let absorb_batch t shared service tm batch =
 
 let evolution_round t shared service =
   let tm = Service.telemetry service in
-  let model = Shared.model shared in
   let scorer = scorer_of t service in
-  Score_service.sync scorer ~generation:(Shared.generation shared) model;
+  Score_service.sync scorer ~generation:(Shared.generation shared)
+    (Shared.model shared);
   let seen = Hashtbl.create 64 in
-  let prepare states =
-    (* skip already-measured programs, reject unlowerable ones, dedupe *)
-    List.filter_map
-      (fun st ->
-        let key = Step.history_key st.State.history in
-        if Hashtbl.mem t.measured key || Hashtbl.mem seen key then None
-        else
-          match Lower.lower st with
-          | prog ->
-            Hashtbl.replace seen key ();
-            Some (st, prog, key)
-          | exception State.Illegal _ -> None)
-      states
+  let prepare cands =
+    (* skip already-measured programs and dedupe *)
+    List.filter
+      (fun c ->
+        let key = history_key c in
+        if Hashtbl.mem t.measured key || Hashtbl.mem seen key then false
+        else begin
+          Hashtbl.replace seen key ();
+          true
+        end)
+      cands
   in
   let exploit =
     match t.options.strategy with
@@ -649,23 +646,14 @@ let evolution_round t shared service =
   let sorted =
     Telemetry.time tm Telemetry.Model_rank (fun () ->
         (* one batched scoring call; [List.sort] is stable, so equal
-           scores keep candidate order exactly as the sequential
-           per-candidate path did *)
-        let scores =
-          Score_service.score_progs scorer
-            (List.map (fun (_, prog, _) -> prog) cands)
-        in
-        let scored =
-          List.map2 (fun (st, prog, key) s -> (st, prog, key, s)) cands scores
-        in
-        List.sort (fun (_, _, _, a) (_, _, _, b) -> compare b a) scored)
+           scores keep candidate order *)
+        List.combine cands (Score_service.score scorer cands)
+        |> List.sort (fun (_, a) (_, b) -> compare b a))
   in
   let n_eps =
     int_of_float (t.options.eps_random *. float_of_int t.options.batch_size)
   in
-  let exploit =
-    List.map (fun (st, prog, key) -> (st, prog, key, 0.0)) exploit
-  in
+  let exploit = List.map (fun c -> (c, 0.0)) exploit in
   let n_greedy =
     max 0 (t.options.batch_size - n_eps - List.length exploit)
   in
@@ -680,17 +668,17 @@ let evolution_round t shared service =
   let batch =
     (* a random pick may duplicate; filter again *)
     let seen = Hashtbl.create 32 in
-    List.filter
-      (fun (_, _, key, _) ->
-        if Hashtbl.mem seen key then false
+    List.filter_map
+      (fun (c, _) ->
+        let key = history_key c in
+        if Hashtbl.mem seen key then None
         else begin
           Hashtbl.replace seen key ();
-          true
+          Some c
         end)
       (greedy @ eps_pick)
   in
-  absorb_batch t shared service tm
-    (List.map (fun (st, prog, key, _) -> (st, prog, key)) batch);
+  absorb_batch t shared service scorer tm batch;
   t.rounds <- t.rounds + 1;
   t.curve_rev <- (Service.trials service, best_latency t) :: t.curve_rev
 
@@ -730,23 +718,15 @@ let descent_round t shared service (cfg : Descent.config)
     (* the cursor's history no longer replays: abandon the stage *)
     finish_stage { cursor with Descent.finished = true }
   | Ok winners ->
-    let batch =
-      List.filter_map
-        (fun st ->
-          match Lower.lower st with
-          | prog -> Some (st, prog, Step.history_key st.State.history)
-          | exception State.Illegal _ -> None)
-        winners
-    in
     let trials_before = Service.trials service in
-    absorb_batch t shared service tm batch;
+    absorb_batch t shared service scorer tm winners;
     let improved = best_latency t < before_best in
     Telemetry.add_descent_sweep tm
       ~trials:(Service.trials service - trials_before)
       ~improved;
     let best_hist =
       match t.best with
-      | Some (st, _) -> st.State.history
+      | Some ((c : Candidate.t), _) -> c.state.history
       | None -> cursor.Descent.current
     in
     let cursor' = Descent.advance cfg cursor ~improved ~best:best_hist in
@@ -764,7 +744,7 @@ let descent_round t shared service (cfg : Descent.config)
 let maybe_start_descent ?budget t service (cfg : Descent.config) =
   let start () =
     match t.best with
-    | Some (st, _) -> t.descent <- Some (Descent.start st)
+    | Some ((c : Candidate.t), _) -> t.descent <- Some (Descent.start c.state)
     | None -> ()
   in
   let stalled = Evolution.Plateau.stalled t.plateau in
@@ -781,9 +761,7 @@ let maybe_start_descent ?budget t service (cfg : Descent.config) =
   | Some cur when cur.Descent.finished ->
     let new_incumbent =
       match t.best with
-      | Some (st, _) ->
-        Step.history_key st.State.history
-        <> Step.history_key cur.Descent.current
+      | Some (c, _) -> history_key c <> Step.history_key cur.Descent.current
       | None -> false
     in
     if stalled && new_incumbent then start ()

@@ -181,14 +181,18 @@ val snapshot : t -> Snapshot.t
 val restore : t -> Snapshot.t -> (unit, string) result
 (** Restores a freshly {!create}d tuner (same seed, options, task) to the
     snapshot's state: RNG cursor, round count, population, best-so-far,
-    measured set and curve.  Step histories that no longer replay are
-    dropped silently.  [Error] if the snapshot belongs to a different
+    measured set and curve.  Step histories that no longer replay or lower
+    are dropped silently.  [Error] if the snapshot belongs to a different
     task. *)
 
 val round :
   ?budget:int -> t -> Shared.t -> Ansor_measure_service.Service.t -> unit
 (** Generate, measure [batch_size] programs through the measurement
-    service, record, maybe retrain.  Phase timings (sample / evolve /
+    service, record, maybe retrain.  Each program is lowered and keyed
+    once, when it is proposed, and carried as a
+    {!Ansor_sched.Candidate.t} through scoring, measurement and the
+    training records (built from the scorer's cached features).  Phase
+    timings (sample / evolve /
     model-rank / measure / retrain / descent) land in the service's
     telemetry.
 

@@ -27,3 +27,13 @@ val sample :
   State.t list
 (** [n] independent samples (deduplicated retries are not attempted:
     duplicates are possible, as in the paper's sampler). *)
+
+val sample_candidates :
+  Ansor_util.Rng.t ->
+  Policy.t ->
+  Dag.t ->
+  sketches:State.t list ->
+  n:int ->
+  Candidate.t list
+(** {!sample} with each sample's lowering kept: the same draws, the same
+    states, as candidates for the tuner. *)

@@ -25,6 +25,14 @@ let assert_state_correct ?(seed = 2024) (st : Ansor.State.t) =
 (* A small matmul + relu DAG used across suites. *)
 let small_matmul_relu () = Ansor.Nn.matmul_relu ~m:16 ~n:16 ~k:16 ()
 
+(* A batch scorer holding [model] (default: untrained). *)
+let scorer ?(workers = 1) ?(model = Ansor.Cost_model.empty) () =
+  let sc = Ansor.Score_service.create ~num_workers:workers Ansor.Machine.intel_cpu in
+  Ansor.Score_service.set_model sc model;
+  sc
+
+let candidates states = List.filter_map Ansor.Candidate.of_state states
+
 let sample_programs ?(seed = 1) ?(n = 10) dag =
   let rng = Ansor.Rng.create seed in
   let policy = Ansor.Policy.cpu ~workers:20 in

@@ -345,9 +345,9 @@ let test_evolution_static_filter () =
     let st = seeds.(Rng.int rng (Array.length seeds)) in
     match Evolution.mutate_annotation ~on_reject rng dag st with
     | None -> ()
-    | Some st' ->
+    | Some c ->
       incr survivors;
-      let prog = Lower.lower st' in
+      let prog = c.Ansor.Candidate.prog in
       check_bool "survivor is race-free" true (Analysis.static_errors prog = []);
       (* spot-check survivors against the differential oracle *)
       if round mod 20 = 0 then
@@ -370,15 +370,15 @@ let test_evolve_rejects_and_survives () =
   let out =
     Evolution.evolve
       ~on_reject:(fun () -> incr rejected)
-      rng config (Policy.cpu ~workers:20) dag ~model:Cost_model.empty
-      ~init:(sample_programs ~seed:11 ~n:8 dag)
+      ~scorer:(scorer ()) rng config (Policy.cpu ~workers:20) dag
+      ~init:(candidates (sample_programs ~seed:11 ~n:8 dag))
       ~out:8
   in
   check_bool "evolve returns programs" true (out <> []);
   List.iter
     (fun (s : Evolution.scored) ->
       check_bool "returned program race-free" true
-        (Analysis.static_errors (Lower.lower s.state) = []))
+        (Analysis.static_errors s.cand.prog = []))
     out;
   check_bool "static rejections counted" true (!rejected > 0)
 

@@ -38,7 +38,7 @@ let test_enumeration_totality () =
           check_bool "coordinate addresses a history step" true
             (Descent.coord_index c < List.length st.State.history);
           List.iter
-            (fun (nb : State.t) ->
+            (fun ({ Ansor.Candidate.state = nb; prog; _ } : Ansor.Candidate.t) ->
               incr total;
               check_int "same-index replacement keeps history length"
                 (List.length st.State.history)
@@ -46,7 +46,6 @@ let test_enumeration_totality () =
               (match State.replay_checked dag nb.State.history with
               | Ok _ -> ()
               | Error e -> Alcotest.failf "neighbor does not replay: %s" e);
-              let prog = Ansor.Lower.lower nb in
               check_bool "neighbor has no static errors" true
                 (Ansor.Analysis.static_errors prog = []))
             (Descent.neighbors ~policy dag st c))

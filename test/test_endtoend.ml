@@ -57,12 +57,12 @@ let prop_mutated_programs_correct =
           (fun mutate ->
             match mutate st with
             | None -> true
-            | Some st' -> (
+            | Some c -> (
               let inputs =
                 Ansor.Interp.random_inputs (Ansor.Rng.create (seed + 2)) dag
               in
               match
-                Ansor.Interp.check_equivalent dag (Ansor.Lower.lower st')
+                Ansor.Interp.check_equivalent dag c.Ansor.Candidate.prog
                   ~inputs
               with
               | Ok () -> true

@@ -32,9 +32,9 @@ let operator_preserves_correctness name op dag =
     (fun st ->
       match op rng dag st with
       | None -> ()
-      | Some st' ->
+      | Some (c : Ansor.Candidate.t) ->
         incr changed;
-        assert_state_correct st')
+        assert_state_correct c.state)
     (sampled dag 21 12);
   check_bool (name ^ " produced at least one offspring") true (!changed > 0)
 
@@ -49,7 +49,7 @@ let test_tile_mutation_preserves_extents () =
     (fun st ->
       match Evolution.mutate_tile_sizes rng dag st with
       | None -> ()
-      | Some st' ->
+      | Some { Ansor.Candidate.state = st'; _ } ->
         (* split products still match loop lengths: for every stage, the
            product of leaf extents equals the stage's iteration space *)
         List.iter
@@ -92,18 +92,18 @@ let test_location_mutation_none_without_attachment () =
 let test_crossover_correct () =
   let dag = Ansor.Nn.matmul_relu ~m:16 ~n:16 ~k:16 () in
   let rng = Rng.create 31 in
-  let pop = Array.of_list (sampled dag 23 12) in
+  let pop = Array.of_list (candidates (sampled dag 23 12)) in
+  let scorer = scorer () in
   let produced = ref 0 in
   for i = 0 to Array.length pop - 2 do
     match
-      Evolution.crossover rng ~greedy_node_prob:0.5 dag
-        ~model:Cost_model.empty pop.(i)
+      Evolution.crossover ~scorer rng ~greedy_node_prob:0.5 dag pop.(i)
         pop.(i + 1)
     with
     | None -> ()
     | Some child ->
       incr produced;
-      assert_state_correct child
+      assert_state_correct child.state
   done;
   check_bool "some crossovers verified" true (!produced > 0)
 
@@ -112,18 +112,16 @@ let test_crossover_mixes_genes () =
      a child differing from both parents should appear *)
   let dag = Ansor.Nn.matmul_relu ~m:16 ~n:16 ~k:16 () in
   let rng = Rng.create 32 in
-  match sampled dag 24 2 with
+  match candidates (sampled dag 24 2) with
   | [ a; b ] ->
-    let ka = Step.history_key a.State.history
-    and kb = Step.history_key b.State.history in
+    let ka = Step.history_key a.state.history
+    and kb = Step.history_key b.state.history in
+    let scorer = scorer () in
     let mixed = ref false in
     for _ = 1 to 30 do
-      match
-        Evolution.crossover rng ~greedy_node_prob:0.0 dag
-          ~model:Cost_model.empty a b
-      with
+      match Evolution.crossover ~scorer rng ~greedy_node_prob:0.0 dag a b with
       | Some c ->
-        let kc = Step.history_key c.State.history in
+        let kc = Step.history_key c.state.history in
         if kc <> ka && kc <> kb then mixed := true
       | None -> ()
     done;
@@ -133,20 +131,19 @@ let test_crossover_mixes_genes () =
 let test_evolve_returns_sorted_distinct () =
   let dag = Ansor.Nn.matmul ~m:32 ~n:32 ~k:32 () in
   let rng = Rng.create 41 in
-  let init = sampled dag 25 16 in
+  let init = candidates (sampled dag 25 16) in
   let config =
     { Evolution.default_config with population = 24; generations = 2 }
   in
   let out =
-    Evolution.evolve rng config cpu_policy dag ~model:Cost_model.empty ~init
-      ~out:8
+    Evolution.evolve ~scorer:(scorer ()) rng config cpu_policy dag ~init ~out:8
   in
   check_bool "returns up to 8" true (List.length out <= 8 && out <> []);
   let fitnesses = List.map (fun (s : Evolution.scored) -> s.fitness) out in
   check_bool "sorted descending" true
     (List.sort (fun a b -> compare b a) fitnesses = fitnesses);
   let keys =
-    List.map (fun (s : Evolution.scored) -> Step.history_key s.state.history) out
+    List.map (fun (s : Evolution.scored) -> Step.history_key s.cand.state.history) out
   in
   check_int "distinct" (List.length keys)
     (List.length (List.sort_uniq compare keys))
@@ -170,13 +167,16 @@ let test_evolve_improves_with_model () =
   let config =
     { Evolution.default_config with population = 48; generations = 4 }
   in
-  let out = Evolution.evolve rng config cpu_policy dag ~model ~init ~out:16 in
+  let out =
+    Evolution.evolve ~scorer:(scorer ~model ()) rng config cpu_policy dag
+      ~init:(candidates init) ~out:16
+  in
   let best_random =
     List.fold_left (fun acc st -> Float.min acc (latency st)) infinity init
   in
   let best_evolved =
     List.fold_left
-      (fun acc (s : Evolution.scored) -> Float.min acc (latency s.state))
+      (fun acc (s : Evolution.scored) -> Float.min acc (latency s.cand.state))
       infinity out
   in
   check_bool

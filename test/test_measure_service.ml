@@ -342,10 +342,8 @@ let test_telemetry_accounting_and_json () =
   repeat 23 (fun () -> Telemetry.incr_descent_plateau_stops t);
   Telemetry.add_backoff t 0.125;
   Telemetry.add_backoff t 0.125;
-  Telemetry.add_score_batch t ~hits:24 ~misses:25 ~evictions:28 ~wall:0.5
+  Telemetry.add_score_batch t ~hits:26 ~misses:27 ~evictions:28 ~wall:0.5
     ~work:1.5;
-  repeat 2 (fun () -> Telemetry.add_score_probe t ~hit:true);
-  repeat 2 (fun () -> Telemetry.add_score_probe t ~hit:false);
   List.iteri
     (fun i p -> Telemetry.add_phase t p (2.0 +. float_of_int i))
     Telemetry.

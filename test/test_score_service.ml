@@ -117,11 +117,20 @@ let test_batch_matches_sequential () =
   check_bits_list "cold batch" expected (Score_service.score_states sc states);
   check_bits_list "warm batch (all cache hits)" expected
     (Score_service.score_states sc states);
-  (* single-candidate path agrees too *)
+  (* the candidate entry points agree too, per program and per statement *)
+  let cands = candidates states in
+  check_bits_list "score"
+    (List.map
+       (fun (c : Ansor.Candidate.t) -> Ansor.Cost_model.score_prog model c.prog)
+       cands)
+    (Score_service.score (service ~workers:1 model) cands);
   List.iter2
-    (fun st e ->
-      check_bits "score_state" e (Score_service.score_state sc st))
-    states expected
+    (fun (c : Ansor.Candidate.t) ss ->
+      check_bits_list "stmt_scores"
+        (Ansor.Cost_model.score_stmts model (Ansor.Features.of_prog c.prog))
+        ss)
+    cands
+    (Score_service.stmt_scores sc cands)
 
 let test_worker_count_invariance () =
   let states, model = states_and_model ~n:23 (conv_dag ()) in
@@ -156,7 +165,15 @@ let test_hit_accounting () =
   check_int "warm run hits exactly the cold run's misses"
     s1.Score_service.misses
     s2.Score_service.hits;
-  check_int "no new misses" s1.Score_service.misses s2.Score_service.misses
+  check_int "no new misses" s1.Score_service.misses s2.Score_service.misses;
+  let cands = candidates states in
+  let fresh = service ~workers:1 model in
+  ignore (Score_service.score fresh (cands @ cands));
+  check_int "in-batch duplicates are featurized once"
+    (List.length
+       (List.sort_uniq compare
+          (List.map (fun (c : Ansor.Candidate.t) -> c.key) cands)))
+    (Score_service.stats fresh).Score_service.misses
 
 let test_lru_eviction () =
   let states, model = states_and_model ~n:12 (conv_dag ()) in
@@ -250,41 +267,6 @@ let test_telemetry_counters () =
       "score_parallel_speedup";
     ]
 
-(* ---- evolution equivalence ------------------------------------------------ *)
-
-let test_evolve_scorer_equivalence () =
-  (* the whole point of ?scorer: same RNG stream, same output, any
-     worker count *)
-  let dag = conv_dag () in
-  let states, model = states_and_model dag in
-  let policy = Ansor.Policy.cpu ~workers:20 in
-  let config =
-    { Ansor.Evolution.default_config with population = 24; generations = 2 }
-  in
-  let run scorer =
-    let rng = Rng.create 11 in
-    Ansor.Evolution.evolve ?scorer rng config policy dag ~model ~init:states
-      ~out:8
-  in
-  let plain = run None in
-  let check workers =
-    let sc = service ~workers model in
-    let batched = run (Some sc) in
-    check_int
-      (Printf.sprintf "%dw: same output size" workers)
-      (List.length plain) (List.length batched);
-    List.iter2
-      (fun (a : Ansor.Evolution.scored) (b : Ansor.Evolution.scored) ->
-        check_bits
-          (Printf.sprintf "%dw: same fitness" workers)
-          a.fitness b.fitness;
-        check_bool "same program" true
-          (a.state.Ansor.State.history = b.state.Ansor.State.history))
-      plain batched
-  in
-  check 1;
-  check 4
-
 (* ---- golden digests -------------------------------------------------------- *)
 
 (* Captured before the candidate-record refactor and never re-derived:
@@ -307,9 +289,9 @@ let test_evolve_golden () =
   let digest workers =
     let rng = Rng.create 11 in
     Ansor.Evolution.evolve ~scorer:(service ~workers model) rng config policy
-      dag ~model ~init:states ~out:8
+      dag ~init:(candidates states) ~out:8
     |> List.map (fun (s : Ansor.Evolution.scored) ->
-           Printf.sprintf "%s %Lx" (history_hex s.state) (bits s.fitness))
+           Printf.sprintf "%s %Lx" (history_hex s.cand.state) (bits s.fitness))
     |> md5
   in
   let golden = "d78cc09c256c2da6a5bcc66de145211c" in
@@ -418,13 +400,11 @@ let () =
         ] );
       ( "golden",
         [
-          case "evolve output, 1 and 4 workers" test_evolve_golden;
+          case "evolve output, any worker count" test_evolve_golden;
           case "tune run" test_tune_golden;
         ] );
       ( "integration",
         [
-          case "evolution with scorer is equivalent"
-            test_evolve_scorer_equivalence;
           case "resume equivalence with score cache"
             test_resume_equivalence_with_cache;
         ] );
