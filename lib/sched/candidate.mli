@@ -4,8 +4,8 @@
 
     Every stage of the search — sampling, mutation, crossover, descent
     neighbors, the model ranking and the measured batch — handles
-    candidates, so no stage lowers or hashes a program another stage
-    already did. *)
+    candidates, so no stage lowers a program another stage already
+    lowered, and the scoring cache looks programs up by [key]. *)
 
 type t = private {
   state : State.t;

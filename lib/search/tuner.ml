@@ -579,8 +579,9 @@ let absorb_batch t shared service scorer tm (batch : Candidate.t list) =
              if latency > 0.0 then Some (c, latency) else None)
          batch results)
   in
-  (* training features come from the scorer's cache (every candidate the
-     model ranked is in it); copies, so records never alias the cache *)
+  (* training features come from the scorer: cache hits for every
+     candidate the model ranked.  Copies, so records never alias the
+     cache (and a checkpoint marshals them as it always did). *)
   let records =
     List.map2
       (fun (_, latency) features ->

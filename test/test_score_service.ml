@@ -317,19 +317,40 @@ let tune_digest (r : Ansor.tune_result) =
     @ [ Option.fold ~none:"none" ~some:history_hex r.Ansor.best_state;
         String.concat "," (List.map string_of_int counters) ])
 
+(* The session checkpoint without its telemetry, whose score counters
+   and timers may move: everything else must marshal to the same bytes. *)
+let checkpoint_digest path =
+  match Ansor.Checkpoint.load ~path with
+  | Error e -> Alcotest.fail e
+  | Ok img ->
+    let s = img.Ansor.Checkpoint.session in
+    md5 [ Marshal.to_string { img with session = { s with stats = [||] } } [] ]
+
 let test_tune_golden () =
   let dag = Ansor.Nn.matmul ~m:32 ~n:32 ~k:32 () in
-  let tune options trials = Ansor.tune ~seed:4 ~options ~trials machine dag in
-  let descent =
-    tune
-      { Ansor.Tuner.ansor_options with descent = Some Ansor.Descent.default_config }
-      64
-  in
-  check_bool "descent ran" true (descent.Ansor.stats.Telemetry.descent_sweeps > 0);
-  check_string "evolution + descent" "02359ffe55deb1404217a6381a4604fd"
-    (tune_digest descent);
-  check_string "beam search" "823fe454f1b65ca0346ae8e68f1d0a53"
-    (tune_digest (tune Ansor.Tuner.beam_options 32))
+  let snap = Filename.temp_file "ansor_golden" ".snap" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> if Sys.file_exists p then Sys.remove p)
+        [ snap; snap ^ ".prev" ])
+    (fun () ->
+      let tune ?snapshot_path options trials =
+        Ansor.tune ~seed:4 ~options ~trials ?snapshot_path machine dag
+      in
+      let descent =
+        tune ~snapshot_path:snap
+          { Ansor.Tuner.ansor_options with descent = Some Ansor.Descent.default_config }
+          64
+      in
+      check_bool "descent ran" true
+        (descent.Ansor.stats.Telemetry.descent_sweeps > 0);
+      check_string "evolution + descent" "02359ffe55deb1404217a6381a4604fd"
+        (tune_digest descent);
+      check_string "evolution + descent checkpoint" "525d009b1de27b3a8306bd95979f8979"
+        (checkpoint_digest snap);
+      check_string "beam search" "823fe454f1b65ca0346ae8e68f1d0a53"
+        (tune_digest (tune Ansor.Tuner.beam_options 32)))
 
 (* ---- resume equivalence with the score cache active ----------------------- *)
 
