@@ -11,11 +11,10 @@
       already lowered and keyed, so the service neither lowers nor hashes
       them again;
     - feature vectors are memoized in an LRU keyed by the candidate's
-      canonical program hash ({!Ansor_sched.Candidate.key}), so
-      candidates that survive across generations (elites, re-sampled
-      mutants) are featurized once per session, not once per round, and
-      the tuner builds its training records from the same vectors
-      ({!features});
+      canonical program hash (its [key] field), so candidates that
+      survive across generations (elites, re-sampled mutants) are
+      featurized once per session, not once per round, and the tuner
+      builds its training records from the same vectors ({!features});
     - featurization of the batch's unique cache misses fans out over the
       measure service's domain pool in {e fixed-size chunks}, so the work
       partition — and therefore every float produced — is independent of
@@ -74,7 +73,8 @@ val stmt_scores : t -> Candidate.t list -> float list list
 val features : t -> Candidate.t list -> float array list list
 (** Per-statement feature vectors of each candidate — cache hits for
     anything scored this session — for building training records.  The
-    vectors are the cache's own: copy before mutating. *)
+    vectors are the cache's own: copy them before keeping or mutating
+    them. *)
 
 val score_states : t -> State.t list -> float list
 (** {!score} for bare states: lowers and keys them on the pool first.

@@ -172,5 +172,6 @@ val add_score_batch :
   t -> hits:int -> misses:int -> evictions:int -> wall:float -> work:float ->
   unit
 (** Accounts one call into the cost model's scoring service (every
-    scoring caller goes through its batch core): cache hit/miss/eviction deltas plus wall-clock and summed
-    per-chunk work seconds of its parallel fan-out. *)
+    scoring caller goes through its batch core): cache hit/miss/eviction
+    deltas plus wall-clock and summed per-chunk work seconds of its
+    parallel fan-out. *)

@@ -192,9 +192,8 @@ val round :
     once, when it is proposed, and carried as a
     {!Ansor_sched.Candidate.t} through scoring, measurement and the
     training records (built from the scorer's cached features).  Phase
-    timings (sample / evolve /
-    model-rank / measure / retrain / descent) land in the service's
-    telemetry.
+    timings (sample / evolve / model-rank / measure / retrain / descent)
+    land in the service's telemetry.
 
     With {!options.descent} set, a round instead performs one
     coordinate-descent sweep while the exploitation stage is active; the
