@@ -335,14 +335,16 @@ let test_tune_golden () =
         (fun p -> if Sys.file_exists p then Sys.remove p)
         [ snap; snap ^ ".prev" ])
     (fun () ->
-      let tune ?snapshot_path options trials =
-        Ansor.tune ~seed:4 ~options ~trials ?snapshot_path machine dag
+      let tune ?(seed = 4) ?(dag = dag) ?snapshot_path options trials =
+        Ansor.tune ~seed ~options ~trials ?snapshot_path machine dag
       in
-      let descent =
-        tune ~snapshot_path:snap
-          { Ansor.Tuner.ansor_options with descent = Some Ansor.Descent.default_config }
-          64
+      let descent_options =
+        { Ansor.Tuner.ansor_options with descent = Some Ansor.Descent.default_config }
       in
+      (* 64 trials: three quarters of the budget is spent after three
+         rounds of 16, long before the 6-round plateau rule could start
+         descent *)
+      let descent = tune ~snapshot_path:snap descent_options 64 in
       check_bool "descent ran" true
         (descent.Ansor.stats.Telemetry.descent_sweeps > 0);
       check_string "evolution + descent" "02359ffe55deb1404217a6381a4604fd"
@@ -350,7 +352,18 @@ let test_tune_golden () =
       check_string "evolution + descent checkpoint" "525d009b1de27b3a8306bd95979f8979"
         (checkpoint_digest snap);
       check_string "beam search" "823fe454f1b65ca0346ae8e68f1d0a53"
-        (tune_digest (tune Ansor.Tuner.beam_options 32)))
+        (tune_digest (tune Ansor.Tuner.beam_options 32));
+      check_string "evolution" "0607b76a80ecf1fac859d9e37df42eee"
+        (tune_digest (tune Ansor.Tuner.ansor_options 48));
+      (* a tiny space exhausts long before 400 trials: some rounds deliver
+         no result at all, and the session stops once a task is dead (3
+         result-free rounds in a row) *)
+      let tiny =
+        tune ~seed:0 ~dag:(Ansor.Nn.matrix_norm ~m:4 ~n:4 ()) descent_options 400
+      in
+      check_bool "stopped before the budget" true
+        (tiny.Ansor.stats.Telemetry.trials < 400);
+      check_string "tiny space" "fa359a67323b5443c4c2817f5ca4f223" (tune_digest tiny))
 
 (* ---- resume equivalence with the score cache active ----------------------- *)
 
