@@ -50,15 +50,13 @@ let cost_model_ablation () =
   let dag =
     Ansor.Nn.conv2d ~n:1 ~c:128 ~h:28 ~w:28 ~f:128 ~kh:3 ~kw:3 ~stride:1 ~pad:1 ()
   in
-  let task = Ansor.Task.create ~name:"c2d" ~machine dag in
   let trials = scaled 256 in
   List.iter
     (fun (label, options) ->
-      let tuner, service = Ansor.Tuner.tune ~seed options ~trials task in
-      let stats = Ansor.Measure_service.stats service in
+      let r = Ansor.tune ~seed ~options ~trials machine dag in
       Printf.printf "  %-38s %8.4f ms\n    %s\n%!" label
-        (Ansor.Tuner.best_latency tuner *. 1e3)
-        (Ansor.Telemetry.summary stats))
+        (r.best_latency *. 1e3)
+        (Ansor.Telemetry.summary r.stats))
     [
       ("model-guided fine-tuning (Ansor)", Ansor.Tuner.ansor_options);
       ( "model-guided + descent finisher",

@@ -68,9 +68,7 @@ let geomean_normalized (cases : float list list) =
 
 let tune_case ?(options = Ansor.Tuner.ansor_options) ~machine ~trials
     (case : Ansor.Workloads.case) =
-  let task = Ansor.Task.create ~name:case.case_name ~machine case.dag in
-  let tuner, _ = Ansor.Tuner.tune ~seed options ~trials task in
-  match Ansor.Tuner.best_state tuner with
+  match (Ansor.tune ~seed ~options ~trials machine case.dag).best_state with
   | None -> infinity
   | Some st ->
     (* final reporting uses the noise-free simulator estimate *)

@@ -55,66 +55,43 @@ let trials_to_reach curve target =
       match acc with Some _ -> acc | None -> if l <= target then Some t else None)
     None curve
 
-let run_leg name options ~trials task =
-  let debug = Sys.getenv_opt "ANSOR_DESCENT_DEBUG" <> None in
-  let on_round tuner =
-    if debug then begin
-      let snap = Ansor.Tuner.snapshot tuner in
-      let d =
-        match snap.Ansor.Tuner.Snapshot.descent with
-        | None -> "-"
-        | Some c ->
-          Printf.sprintf "sweeps=%d ni=%d fin=%b" c.Ansor.Descent.sweeps
-            c.Ansor.Descent.non_improving c.Ansor.Descent.finished
-      in
-      Printf.printf "    round %3d best %.4f stall %d descent %s\n%!"
-        (Ansor.Tuner.rounds_done tuner)
-        (Ansor.Tuner.best_latency tuner *. 1e3)
-        snap.Ansor.Tuner.Snapshot.plateau_stall d
-    end
+let run_leg name options ~trials dag =
+  let (r : Ansor.tune_result), elapsed =
+    time_of (fun () -> Ansor.tune ~seed ~options ~trials machine dag)
   in
-  let (tuner, service), elapsed =
-    time_of (fun () -> Ansor.Tuner.tune ~on_round ~seed options ~trials task)
-  in
-  let stats = Ansor.Measure_service.stats service in
+  let stats = r.stats in
   Printf.printf
     "  %-18s best %8.4f ms in %d trials (%.1fs; descent: %d sweeps, %d \
      trials, %d improving, %d plateau stops)\n%!"
-    name
-    (Ansor.Tuner.best_latency tuner *. 1e3)
-    (Ansor.Measure_service.trials service)
-    elapsed stats.Ansor.Telemetry.descent_sweeps
-    stats.Ansor.Telemetry.descent_trials
+    name (r.best_latency *. 1e3) r.trials_used elapsed
+    stats.Ansor.Telemetry.descent_sweeps stats.Ansor.Telemetry.descent_trials
     stats.Ansor.Telemetry.descent_improvements
     stats.Ansor.Telemetry.descent_plateau_stops;
-  (Ansor.Tuner.curve tuner, Ansor.Tuner.best_latency tuner, stats)
+  (r.curve, r.best_latency, stats)
 
 let run () =
   header "Exploitation descent: evolution-only vs evolution+descent";
-  let name, dag =
+  let dag =
     match Sys.getenv_opt "ANSOR_DESCENT_TASK" with
-    | Some "matmul" -> ("gemm-512", Ansor.Nn.matmul ~m:512 ~n:512 ~k:512 ())
+    | Some "matmul" -> Ansor.Nn.matmul ~m:512 ~n:512 ~k:512 ()
     | Some "conv-14" ->
-      ( "conv-14",
-        Ansor.Nn.conv_layer ~n:1 ~c:128 ~h:14 ~w:14 ~f:256 ~kh:3 ~kw:3
-          ~stride:1 ~pad:1 () )
+      Ansor.Nn.conv_layer ~n:1 ~c:128 ~h:14 ~w:14 ~f:256 ~kh:3 ~kw:3 ~stride:1
+        ~pad:1 ()
     | Some "conv-56" ->
-      ( "conv-56",
-        Ansor.Nn.conv_layer ~n:1 ~c:32 ~h:56 ~w:56 ~f:64 ~kh:3 ~kw:3 ~stride:1
-          ~pad:1 () )
+      Ansor.Nn.conv_layer ~n:1 ~c:32 ~h:56 ~w:56 ~f:64 ~kh:3 ~kw:3 ~stride:1
+        ~pad:1 ()
     | _ ->
-      ( "conv-28",
-        Ansor.Nn.conv_layer ~n:1 ~c:64 ~h:28 ~w:28 ~f:64 ~kh:3 ~kw:3 ~stride:1
-          ~pad:1 () )
+      (* conv-28 *)
+      Ansor.Nn.conv_layer ~n:1 ~c:64 ~h:28 ~w:28 ~f:64 ~kh:3 ~kw:3 ~stride:1
+        ~pad:1 ()
   in
-  let task = Ansor.Task.create ~name ~machine dag in
   let trials = scaled 240 in
   Printf.printf "budget: %d trials, seed %d\n" trials seed;
   let evo_curve, evo_best, _ =
-    run_leg "evolution-only" Ansor.Tuner.ansor_options ~trials task
+    run_leg "evolution-only" Ansor.Tuner.ansor_options ~trials dag
   in
   let desc_curve, desc_best, desc_stats =
-    run_leg "evolution+descent" descent_options ~trials task
+    run_leg "evolution+descent" descent_options ~trials dag
   in
   (* the incumbent to match: the evolution-only leg's final best *)
   let evo_ttb =

@@ -23,19 +23,16 @@ let run () =
   let dag =
     Ansor.Nn.conv2d ~n:16 ~c:512 ~h:7 ~w:7 ~f:512 ~kh:3 ~kw:3 ~stride:1 ~pad:1 ()
   in
-  let task = Ansor.Task.create ~name:"resnet-last-conv" ~machine dag in
   let trials = scaled 500 in
   let curves =
     List.map
       (fun (name, options) ->
-        let (tuner, service), elapsed =
-          time_of (fun () -> Ansor.Tuner.tune ~seed options ~trials task)
+        let (r : Ansor.tune_result), elapsed =
+          time_of (fun () -> Ansor.tune ~seed ~options ~trials machine dag)
         in
-        let stats = Ansor.Measure_service.stats service in
         Printf.printf "  %-16s best %8.4f ms (%.1fs)\n    %s\n%!" name
-          (Ansor.Tuner.best_latency tuner *. 1e3)
-          elapsed (Ansor.Telemetry.summary stats);
-        (name, Ansor.Tuner.curve tuner, Ansor.Tuner.best_latency tuner))
+          (r.best_latency *. 1e3) elapsed (Ansor.Telemetry.summary r.stats);
+        (name, r.curve, r.best_latency))
       variants
   in
   let best_overall =

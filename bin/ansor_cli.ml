@@ -499,7 +499,7 @@ let network_cmd =
     compact_record_log ~resume save;
     let should_stop, on_round, summarize = session_control stop_after_rounds in
     let results, stats =
-      Ansor.tune_networks_with_stats ~seed ~trial_budget:budget
+      Ansor.tune_networks ~seed ~trial_budget:budget
         ~service_config:
           (service_config ~backend workers measure_timeout batch_deadline)
         ?model_store ?snapshot_path:snapshot ~resume ?record_log:save

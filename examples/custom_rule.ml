@@ -55,7 +55,6 @@ let () =
 
   (* tune with the custom space *)
   let machine = Machine.intel_cpu in
-  let task = Task.create ~name:"dep-custom" ~machine dag in
   let options =
     {
       Tuner.ansor_options with
@@ -63,13 +62,13 @@ let () =
         Tuner.Sketch_search { rules = custom_rules; use_evolution = true };
     }
   in
-  let tuner, _ = Tuner.tune ~seed:5 options ~trials:120 task in
+  let custom = Ansor.tune ~seed:5 ~options ~trials:120 machine dag in
   Printf.printf "custom-rule space best: %.4f ms\n"
-    (Tuner.best_latency tuner *. 1e3);
-  let tuner_def, _ = Tuner.tune ~seed:5 Tuner.ansor_options ~trials:120 task in
+    (custom.best_latency *. 1e3);
+  let default = Ansor.tune ~seed:5 ~trials:120 machine dag in
   Printf.printf "default     space best: %.4f ms\n"
-    (Tuner.best_latency tuner_def *. 1e3);
-  match Tuner.best_state tuner with
+    (default.best_latency *. 1e3);
+  match custom.best_state with
   | Some st -> (
     match Ansor.verify_state st with
     | Ok () -> print_endline "verification: OK"

@@ -11,7 +11,7 @@ let () =
   Printf.printf "%s: %d unique subgraphs\n\n" net.net_name
     (List.length net.layers);
 
-  let results =
+  let results, _stats =
     Ansor.tune_networks ~seed:11 ~trial_budget:600 machine [ net ]
   in
   List.iter

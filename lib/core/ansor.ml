@@ -123,33 +123,7 @@ let try_resume ~resume ~snapshot_path ~seed ~machine_name ~task_keys sched =
 let adopt_model_store ~shared ~telemetry ~task_keys (ms : Model_store.session) =
   Tuner.Shared.attach_store ?path:ms.Model_store.path shared
     ms.Model_store.store;
-  let classes =
-    List.sort_uniq String.compare (List.map Task_key.class_key task_keys)
-  in
-  let warm =
-    (* single task: the full exact -> class -> global ladder.  Several
-       tasks: one shared model must serve all of them, so use their
-       common class model when they share a class, else the global
-       fallback. *)
-    let resolved =
-      match (task_keys, classes) with
-      | [ key ], _ ->
-        Model_store.Pretrained.resolve ms.Model_store.pretrained ~task_key:key
-      | _, [ cls ] ->
-        Model_store.Pretrained.resolve_class ms.Model_store.pretrained
-          ~class_key:cls
-      | _ -> Model_store.Pretrained.global ms.Model_store.pretrained
-    in
-    Option.map
-      (fun (g, o) -> (Model_store.Pretrained.origin_name o, g))
-      resolved
-  in
-  let aux =
-    List.filter
-      (fun (s : Model_store.sample) ->
-        List.mem (Task_key.class_key s.Model_store.task_key) classes)
-      (Model_store.samples ms.Model_store.store)
-  in
+  let warm, aux = Model_store.warm_start ms ~task_keys in
   if Tuner.Shared.adopt_store shared ~warm ~aux then begin
     Telemetry.incr_warm_starts telemetry;
     Printf.eprintf "model store: warm start (%s model, %d sibling samples)\n%!"
@@ -157,10 +131,9 @@ let adopt_model_store ~shared ~telemetry ~task_keys (ms : Model_store.session) =
       (Tuner.Shared.num_aux shared)
   end
 
-(* The one tuning-session runner behind {!tune} and
-   {!tune_networks_with_stats}: resume, model-store adoption, per-round
-   batched improvement logging and checkpointing around
-   {!Scheduler.run}. *)
+(* The one tuning-session runner behind {!tune} and {!tune_networks}:
+   resume, model-store adoption, per-round batched improvement logging
+   and checkpointing around {!Scheduler.run}. *)
 let run_session ?cache ?model_store ?snapshot_path ~resume ?record_log
     ~should_stop ?on_round (options : Scheduler.options) machine ~tasks
     ~networks ~trial_budget =
@@ -266,7 +239,7 @@ type network_result = {
   per_task : (string * float) list;
 }
 
-let tune_networks_with_stats ?(seed = 0) ?trial_budget
+let tune_networks ?(seed = 0) ?trial_budget
     ?(objective = Scheduler.F1_sum) ?(tuner_options = Tuner.ansor_options)
     ?(service_config = Measure_service.default_config) ?model_store
     ?snapshot_path ?(resume = false) ?record_log
@@ -326,12 +299,6 @@ let tune_networks_with_stats ?(seed = 0) ?trial_budget
       nets networks
   in
   (results, Scheduler.stats sched)
-
-let tune_networks ?seed ?trial_budget ?objective ?tuner_options
-    ?service_config machine nets =
-  fst
-    (tune_networks_with_stats ?seed ?trial_budget ?objective ?tuner_options
-       ?service_config machine nets)
 
 let verify_state (st : State.t) =
   let dag = st.State.dag in

@@ -4,7 +4,7 @@
     This module is the public facade: it re-exports every subsystem under
     one namespace and provides two convenience entry points,
     {!tune} for a single computation and {!tune_networks} for a set of
-    DNNs under the task scheduler.
+    DNNs.  Both run one task-scheduler session ({!Scheduler.run}).
 
     {b Quickstart}:
     {[
@@ -139,8 +139,10 @@ val tune :
   tune_result
 (** Tunes one computation on one machine (default 200 trials, full Ansor
     strategy) as a one-task {!Scheduler} session: the runner behind
-    {!tune_networks_with_stats}, with one network of weight 1, drawing
-    exactly the seeds and rounds of {!Tuner.tune}.  [service_config]
+    {!tune_networks}, with one network of weight 1.  Each round is one
+    {!Tuner.round}.  The session stops once [trials] measurement trials
+    are spent (cache hits are free, and the last batch may overshoot) or
+    after three rounds in a row that spent no trial.  [service_config]
     controls the measurement service (worker domains, timeout,
     retries); [cache] shares or preloads a dedup cache — pass one
     {!Measure_cache.load_salvage} read from a previous session to skip
@@ -185,19 +187,6 @@ val tune_networks :
   ?objective:Scheduler.objective ->
   ?tuner_options:Tuner.options ->
   ?service_config:Measure_service.config ->
-  Machine.t ->
-  Workloads.net list ->
-  network_result list
-(** Tunes a set of networks with the gradient-descent task scheduler
-    (default budget: 64 trials per unique task, objective F1). Tasks
-    shared between networks are deduplicated by workload key, as in §6. *)
-
-val tune_networks_with_stats :
-  ?seed:int ->
-  ?trial_budget:int ->
-  ?objective:Scheduler.objective ->
-  ?tuner_options:Tuner.options ->
-  ?service_config:Measure_service.config ->
   ?model_store:Model_store.session ->
   ?snapshot_path:string ->
   ?resume:bool ->
@@ -207,16 +196,19 @@ val tune_networks_with_stats :
   Machine.t ->
   Workloads.net list ->
   network_result list * Telemetry.stats
-(** Same, also returning the aggregated measurement telemetry of the whole
-    session (trials, failures, cache hits, phase timings).
-    [snapshot_path] / [resume] / [record_log] / [should_stop] / [on_round]
-    work as in {!tune}, checkpointing the whole scheduler session (every
-    task's tuner, budget allocation, caches, telemetry) after each
-    allocation and batch-logging every task whose best improved.
-    [model_store] warm-starts the session's single shared cost model:
-    tasks of one structure class get their class model, mixed sessions
-    the global fallback (the warm-start counter lands on task 0's
-    telemetry). *)
+(** Tunes a set of networks with the gradient-descent task scheduler
+    (default budget: 64 trials per unique task, objective F1), returning
+    one result per network and the aggregated measurement telemetry of
+    the whole session (trials, failures, cache hits, phase timings).
+    Tasks shared between networks are deduplicated by workload key, as
+    in §6.  [snapshot_path] / [resume] / [record_log] / [should_stop] /
+    [on_round] work as in {!tune}, checkpointing the whole scheduler
+    session (every task's tuner, budget allocation, caches, telemetry)
+    after each allocation and batch-logging every task whose best
+    improved.  [model_store] warm-starts the session's single shared
+    cost model: tasks of one structure class get their class model,
+    mixed sessions the global fallback (the warm-start counter lands on
+    task 0's telemetry). *)
 
 val verify_state : State.t -> (unit, string) result
 (** Checks a scheduled program two ways: statically

@@ -273,3 +273,22 @@ let open_session ?params ~path () =
       else (pretrain (), None)
     in
     Ok { store; path = Some path; pretrained; salvaged; models_error }
+
+(* One task: the full exact -> class -> global ladder.  Several tasks:
+   one shared model must serve all of them, so their common class model
+   when they share a class, else the global fallback.  The sibling
+   samples are every stored sample of the tasks' classes. *)
+let warm_start session ~task_keys =
+  let classes =
+    List.sort_uniq String.compare (List.map Task_key.class_key task_keys)
+  in
+  let resolved =
+    match (task_keys, classes) with
+    | [ key ], _ -> Pretrained.resolve session.pretrained ~task_key:key
+    | _, [ cls ] -> Pretrained.resolve_class session.pretrained ~class_key:cls
+    | _ -> Pretrained.global session.pretrained
+  in
+  ( Option.map (fun (g, o) -> (Pretrained.origin_name o, g)) resolved,
+    List.filter
+      (fun s -> List.mem (Task_key.class_key s.task_key) classes)
+      (samples session.store) )

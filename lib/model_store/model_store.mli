@@ -100,11 +100,6 @@ module Pretrained : sig
   val resolve : t -> task_key:string -> (Ansor_gbdt.Gbdt.t * origin) option
   (** The warm-start ladder: exact -> class -> global -> [None] (cold). *)
 
-  val resolve_class :
-    t -> class_key:string -> (Ansor_gbdt.Gbdt.t * origin) option
-  (** The ladder entered one rung down (class -> global) — for sessions
-      whose tasks all share one structure class. *)
-
   val global : t -> (Ansor_gbdt.Gbdt.t * origin) option
   (** The global fallback model alone. *)
 
@@ -140,3 +135,14 @@ val open_session :
     [models_path path] if a valid one exists, else pretrain in-memory
     from the store.  [Error] only when the store file itself exists but
     is unreadable or has a bad header. *)
+
+val warm_start :
+  session -> task_keys:string list -> (string * Ansor_gbdt.Gbdt.t) option * sample list
+(** What a tuning session over [task_keys] adopts from the store: the
+    warm model with its ladder rung's {!Pretrained.origin_name}, and the
+    sibling samples to train on.  One task resolves the full
+    exact -> class -> global ladder; several tasks of one structure
+    class take their class model (class -> global); tasks of different
+    classes take the global model.  The samples are every stored sample
+    whose task shares a structure class with one of [task_keys], oldest
+    first (for one task, {!samples_for_class}). *)

@@ -266,11 +266,11 @@ let dg_dt t g i =
     (t.options.alpha *. backward) +. ((1.0 -. t.options.alpha) *. forward)
   end
 
-(* A task is dead — its tuner cannot propose anything new — once
-   [stall_limit] allocations in a row delivered no classified result
-   (not even cache hits or failures); {!run} stops after [stall_limit]
-   trial-free allocations per task in a row.  3 is {!Tuner.tune}'s
-   bound, so a one-task session stops where the plain tuner loop does. *)
+(* The stop rule besides the trial budget.  A task is dead — its tuner
+   cannot propose anything new — once [stall_limit] allocations in a row
+   delivered no classified result (not even cache hits or failures), and
+   {!run} stops after [stall_limit] trial-free allocations per task in a
+   row.  A one-task session therefore stops after 3 trial-free rounds. *)
 let stall_limit = 3
 
 let dead s = s.empty_rounds >= stall_limit

@@ -70,8 +70,7 @@ val create :
     preloaded from a past session's [.cache] file); by default each
     service starts with its own empty cache.  Task [i]'s service is
     seeded with [options.seed + 17 + 31 * i] and its tuner with
-    [options.seed + i], so a one-task session draws exactly the streams
-    of {!Ansor_search.Tuner.tune} at the same seed.
+    [options.seed + i].
 
     @raise Invalid_argument on empty tasks, empty networks or references
     to out-of-range task indices. *)

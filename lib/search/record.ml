@@ -219,15 +219,4 @@ let best_for entries ~task_key =
         | _ -> Some e)
     None entries
 
-let entry_of_tuner tuner =
-  match Tuner.best_state tuner with
-  | None -> None
-  | Some st ->
-    Some
-      {
-        task_key = Task.key (Tuner.task tuner);
-        latency = Tuner.best_latency tuner;
-        steps = st.State.history;
-      }
-
 let best_state entry dag = State.replay_checked dag entry.steps

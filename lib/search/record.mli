@@ -56,8 +56,5 @@ val compact : path:string -> (int, string) result
 val best_for : entry list -> task_key:string -> entry option
 (** Lowest-latency entry for a task. *)
 
-val entry_of_tuner : Tuner.t -> entry option
-(** The tuner's best measured program as a record entry. *)
-
 val best_state : entry -> Ansor_te.Dag.t -> (State.t, string) result
 (** Replays the entry's steps on the DAG it was tuned for. *)

@@ -95,8 +95,6 @@ module Shared = struct
     mutable records : Cost_model.record list;  (* newest first *)
     mutable rounds_since_train : int;
     mutable generation : int;  (* bumped whenever [model] is replaced *)
-    train_every : int;
-    max_records : int;
     (* cross-task warm start (model store) *)
     mutable warm : Gbdt.t option;
         (* pretrained base: every retrain fine-tunes from it *)
@@ -113,14 +111,17 @@ module Shared = struct
     mutable store_added : int;
   }
 
-  let create ?(train_every = 1) ?(max_records = 3000) () =
+  (* retrain on every measured batch, as in the paper, on at most the
+     [max_records] newest records *)
+  let train_every = 1
+  let max_records = 3000
+
+  let create () =
     {
       model = Cost_model.empty;
       records = [];
       rounds_since_train = 0;
       generation = 0;
-      train_every;
-      max_records;
       warm = None;
       provenance = "cold";
       aux = [];
@@ -146,7 +147,7 @@ module Shared = struct
   (* The full training corpus: the session's own records (capped, newest
      first) followed by the store-derived sibling records. *)
   let corpus t =
-    List.filteri (fun i _ -> i < t.max_records) t.records @ t.aux
+    List.filteri (fun i _ -> i < max_records) t.records @ t.aux
 
   let retrain t =
     t.model <- Cost_model.train ?init:t.warm (corpus t);
@@ -155,7 +156,7 @@ module Shared = struct
   let add_records t recs =
     t.records <- recs @ t.records;
     t.rounds_since_train <- t.rounds_since_train + 1;
-    if t.rounds_since_train >= t.train_every && t.records <> [] then begin
+    if t.rounds_since_train >= train_every && t.records <> [] then begin
       retrain t;
       t.rounds_since_train <- 0
     end
@@ -387,8 +388,6 @@ let restore t (s : Snapshot.t) =
 let task t = t.task
 let best_latency t = match t.best with Some (_, l) -> l | None -> infinity
 let best_state t = Option.map (fun ((c : Candidate.t), _) -> c.state) t.best
-let rounds_done t = t.rounds
-let curve t = List.rev t.curve_rev
 
 (* Sequential construction with beam pruning: expands the DAG node by
    node, immediately sampling concrete tile sizes for new structure, and
@@ -779,23 +778,3 @@ let round ?budget t shared service =
     | Some cfg ->
       ignore (Evolution.Plateau.observe t.plateau (best_latency t));
       maybe_start_descent ?budget t service cfg)
-
-let tune ?(seed = 0) ?shared ?service ?(should_stop = fun () -> false)
-    ?on_round options ~trials task =
-  let shared = match shared with Some s -> s | None -> Shared.create () in
-  let service =
-    match service with
-    | Some s -> s
-    | None -> Service.create ~seed:(seed + 17) task.Task.machine
-  in
-  let t = create ~seed options task in
-  let stuck = ref 0 in
-  while
-    (not (should_stop ())) && Service.trials service < trials && !stuck < 3
-  do
-    let before = Service.trials service in
-    round ~budget:trials t shared service;
-    (match on_round with Some f -> f t | None -> ());
-    if Service.trials service = before then incr stuck else stuck := 0
-  done;
-  (t, service)

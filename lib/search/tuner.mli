@@ -1,9 +1,12 @@
-(** The per-task tuning loop: program sampling + performance fine-tuning.
+(** The per-task tuner: program sampling + performance fine-tuning, one
+    round at a time.
 
     One {e round} is the task scheduler's unit of time resource (§6): the
     tuner proposes a batch of promising programs (by strategy), measures
     them, records the results in the shared training set and periodically
-    retrains the shared cost model.
+    retrains the shared cost model.  The loop around the rounds (trial
+    budget, stop rule, which task goes next) is the task scheduler's
+    [run]; tuning one operator is its one-task case ([Ansor.tune]).
 
     Strategies cover the paper's system and its ablation / baseline
     variants:
@@ -66,10 +69,10 @@ val flextensor_options : options
 module Shared : sig
   type t
 
-  val create : ?train_every:int -> ?max_records:int -> unit -> t
-  (** [train_every] rounds between retrains (default 1: retrain on every
-      measured batch, as in the paper). [max_records] caps the training
-      set to the most recent records (default 3000). *)
+  val create : unit -> t
+  (** An empty training set and an untrained model.  The model is
+      retrained on every measured batch, as in the paper, from the 3000
+      most recent records. *)
 
   val model : t -> Ansor_cost_model.Cost_model.t
   val records : t -> Ansor_cost_model.Cost_model.record list
@@ -138,10 +141,9 @@ module Shared : sig
 
   val restore : t -> snapshot -> unit
   (** Replaces the training set and retrains the model from it when the
-      snapshot had one (training is deterministic in the record list, so
-      with the default [train_every = 1] the restored model is exactly the
-      interrupted session's; with a larger [train_every] it may see up to
-      [train_every - 1] newer rounds of records than the original did). *)
+      snapshot had one.  Training is deterministic in the record list and
+      every measured batch retrains, so the restored model is exactly the
+      interrupted session's. *)
 end
 
 type t
@@ -197,37 +199,12 @@ val round :
 
     With {!options.descent} set, a round instead performs one
     coordinate-descent sweep while the exploitation stage is active; the
-    stage starts once evolution plateaus or — when the total trial
-    [budget] is known (passed by {!tune}) — once the configured fraction
-    of it is spent. *)
+    stage starts once evolution plateaus or — when the session's total
+    trial [budget] is known (the task scheduler passes it) — once the
+    configured fraction of it is spent. *)
 
 val best_latency : t -> float
 (** Best {e observed} latency so far ([infinity] before any
     measurement). *)
 
 val best_state : t -> State.t option
-
-val rounds_done : t -> int
-
-val curve : t -> (int * float) list
-(** [(cumulative measurement trials, best latency so far)] after each
-    round, oldest first. *)
-
-val tune :
-  ?seed:int ->
-  ?shared:Shared.t ->
-  ?service:Ansor_measure_service.Service.t ->
-  ?should_stop:(unit -> bool) ->
-  ?on_round:(t -> unit) ->
-  options ->
-  trials:int ->
-  Task.t ->
-  t * Ansor_measure_service.Service.t
-(** Convenience: rounds until the service's trial count reaches the budget
-    (or three consecutive rounds consume no trials); returns the tuner and
-    the service (freshly created with default config unless supplied) for
-    inspection.
-
-    [should_stop] is polled before each round — graceful shutdown: the
-    loop exits between rounds, never mid-batch.  [on_round] runs after
-    every completed round (checkpoint hook). *)

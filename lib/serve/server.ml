@@ -9,7 +9,6 @@ module Machine = Ansor_machine.Machine
 module Interp = Ansor_interp.Interp
 module Service = Ansor_measure_service.Service
 module Model_store = Ansor_model_store.Model_store
-module Task_key = Ansor_util.Task_key
 module Lru = Ansor_util.Lru
 module Rng = Ansor_util.Rng
 module Workloads = Ansor_workloads.Workloads
@@ -444,16 +443,7 @@ let tuner_tick t =
          later ticks (and later hot keys) fine-tune from here. *)
       (match t.model_store with
       | Some ms when String.equal (Tuner.Shared.provenance t.shared) "cold" ->
-        let warm =
-          Option.map
-            (fun (g, o) -> (Model_store.Pretrained.origin_name o, g))
-            (Model_store.Pretrained.resolve ms.Model_store.pretrained
-               ~task_key:live.key)
-        in
-        let aux =
-          Model_store.samples_for_class ms.Model_store.store
-            ~class_key:(Task_key.class_key live.key)
-        in
+        let warm, aux = Model_store.warm_start ms ~task_keys:[ live.key ] in
         ignore (Tuner.Shared.adopt_store t.shared ~warm ~aux)
       | _ -> ());
       Tuner.round tuner t.shared service;

@@ -38,3 +38,16 @@ let sample_programs ?(seed = 1) ?(n = 10) dag =
   let policy = Ansor.Policy.cpu ~workers:20 in
   let sketches = Ansor.Sketch_gen.generate dag in
   Ansor.Sampler.sample rng policy dag ~sketches ~n
+
+(* The best program of a short [Ansor.tune] session as a record entry. *)
+let tuned_entry ~seed ~trials machine dag =
+  let r = Ansor.tune ~seed ~trials machine dag in
+  Option.map
+    (fun (st : Ansor.State.t) ->
+      {
+        Ansor.Record.task_key =
+          Ansor.Task.key (Ansor.Task.create ~name:"tuned" ~machine dag);
+        latency = r.Ansor.best_latency;
+        steps = st.Ansor.State.history;
+      })
+    r.Ansor.best_state

@@ -52,8 +52,10 @@ let test_exotic_ops_get_less_effort () =
   in
   let ratio t =
     let vendor = B.vendor_latency B.Pytorch t in
-    let tuner, _ = Ansor.Tuner.tune ~seed:3 B.ansor ~trials:150 t in
-    vendor /. Ansor.Tuner.best_latency tuner
+    let r =
+      Ansor.tune ~seed:3 ~options:B.ansor ~trials:150 t.Task.machine t.Task.dag
+    in
+    vendor /. r.Ansor.best_latency
   in
   let r_std = ratio std and r_exotic = ratio exotic in
   check_bool

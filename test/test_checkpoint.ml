@@ -270,7 +270,7 @@ let test_resume_mismatch_starts_fresh () =
 let test_network_resume_equivalence () =
   with_temp ".snap" (fun p ->
       let tune ?snapshot_path ?(resume = false) ?should_stop ?on_round () =
-        Ansor.tune_networks_with_stats ~seed:3 ~trial_budget:96 ?snapshot_path
+        Ansor.tune_networks ~seed:3 ~trial_budget:96 ?snapshot_path
           ~resume ?should_stop ?on_round Ansor.Machine.intel_cpu
           [ Ansor.Workloads.dcgan ~batch:1 ]
       in

@@ -175,14 +175,9 @@ let test_deploy_plan_and_emit () =
     ]
   in
   (* tune the first subgraph and record it; leave the second untuned *)
-  let task =
-    Ansor.Task.create ~name:"layer.a" ~machine (List.assoc "layer.a" subgraphs)
-  in
-  let tuner, _ = Ansor.Tuner.tune ~seed:31 Ansor.Tuner.ansor_options ~trials:48 task in
   let records =
-    match Ansor.Record.entry_of_tuner tuner with
-    | Some e -> [ e ]
-    | None -> []
+    Option.to_list
+      (tuned_entry ~seed:31 ~trials:48 machine (List.assoc "layer.a" subgraphs))
   in
   let plan = Ansor.Deploy.plan ~machine ~records subgraphs in
   check_int "two kernels" 2 (List.length plan);

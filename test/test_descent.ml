@@ -53,14 +53,17 @@ let test_enumeration_totality () =
     samples;
   check_bool "neighbors were proposed" true (!total > 0)
 
+let tune ?service_config trials =
+  Ansor.tune ~seed:5 ~options:descent_options ?service_config ~trials
+    Machine.intel_cpu (small_dag ())
+
 let tune_with_workers n =
-  let task = small_task () in
-  let config = { Service.default_config with Service.num_workers = n } in
-  let service = Service.create ~config ~seed:9 Machine.intel_cpu in
-  let tuner, service =
-    Tuner.tune ~seed:5 ~service descent_options ~trials:96 task
+  let r =
+    tune
+      ~service_config:{ Service.default_config with Service.num_workers = n }
+      96
   in
-  (Tuner.curve tuner, Tuner.best_latency tuner, Service.stats service)
+  (r.Ansor.curve, r.Ansor.best_latency, r.Ansor.stats)
 
 (* The stage consumes no RNG and ties break by index, so the whole
    session — curve, best, and every descent counter — is bit-identical
@@ -98,14 +101,14 @@ let test_plateau_stop () =
   let c3 = Descent.advance cfg c2 ~improved:false ~best:st.State.history in
   let c4 = Descent.advance cfg c3 ~improved:false ~best:st.State.history in
   check_bool "k misses finish the stage" true c4.Descent.finished;
-  let _, service = Tuner.tune ~seed:5 descent_options ~trials:140 (small_task ()) in
-  let stats = Service.stats service in
+  let r = tune 140 in
+  let stats = r.Ansor.stats in
   check_bool "plateau stop fired" true
     (stats.Telemetry.descent_plateau_stops >= 1);
   check_bool "descent measured winners" true
     (stats.Telemetry.descent_trials > 0);
   check_bool "evolution resumed and spent the budget" true
-    (Service.trials service >= 140)
+    (r.Ansor.trials_used >= 140)
 
 (* A snapshot taken mid-descent carries the cursor; it marshals (as the
    checkpoint file does) and restores into a fresh tuner exactly.  The
@@ -127,13 +130,10 @@ let test_cursor_snapshot_roundtrip () =
   in
   let shared = Tuner.Shared.create () in
   let service = Service.create ~seed:22 Machine.intel_cpu in
-  let rounds = ref 0 in
-  let tuner, _ =
-    Tuner.tune ~seed:5 ~shared ~service
-      ~should_stop:(fun () -> !rounds >= 5)
-      ~on_round:(fun _ -> incr rounds)
-      eager ~trials:96 task
-  in
+  let tuner = Tuner.create ~seed:5 eager task in
+  for _ = 1 to 5 do
+    Tuner.round ~budget:96 tuner shared service
+  done;
   let snap = Tuner.snapshot tuner in
   (match snap.Tuner.Snapshot.descent with
   | None -> Alcotest.fail "expected an active descent cursor after 5 rounds"
@@ -151,22 +151,20 @@ let test_cursor_snapshot_roundtrip () =
     (Tuner.snapshot fresh = snap)
 
 (* Descent trials are ordinary service trials, counted exactly once: the
-   telemetry subset relation holds and the curve's x axis, the service
-   counter and the stats agree. *)
+   telemetry subset relation holds and the curve's x axis, the session's
+   trial count and the stats agree. *)
 let test_trial_accounting () =
-  let tuner, service =
-    Tuner.tune ~seed:5 descent_options ~trials:96 (small_task ())
-  in
-  let stats = Service.stats service in
+  let r = tune 96 in
+  let stats = r.Ansor.stats in
   check_bool "descent ran" true (stats.Telemetry.descent_trials > 0);
   check_bool "descent trials inside the budget" true
     (stats.Telemetry.descent_trials <= stats.Telemetry.trials);
   check_int "sim backend: every trial is one measured run"
     stats.Telemetry.measured stats.Telemetry.trials;
-  check_int "service and telemetry agree" (Service.trials service)
+  check_int "session and telemetry agree" r.Ansor.trials_used
     stats.Telemetry.trials;
-  (match List.rev (Tuner.curve tuner) with
-  | (t, _) :: _ -> check_int "curve counts the same unit" (Service.trials service) t
+  (match List.rev r.Ansor.curve with
+  | (t, _) :: _ -> check_int "curve counts the same unit" r.Ansor.trials_used t
   | [] -> Alcotest.fail "no curve recorded");
   check_bool "improvements bounded by sweeps" true
     (stats.Telemetry.descent_improvements <= stats.Telemetry.descent_sweeps)

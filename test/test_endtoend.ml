@@ -96,7 +96,7 @@ let test_tune_networks_facade () =
         ];
     }
   in
-  let results =
+  let results, _ =
     Ansor.tune_networks ~seed:2 ~trial_budget:60 Ansor.Machine.intel_cpu [ net ]
   in
   match results with
@@ -118,7 +118,7 @@ let test_shared_tasks_deduplicated () =
   let shared_case = case "mm" (Ansor.Nn.matmul ~m:32 ~n:32 ~k:32 ()) in
   let net1 = { Ansor.Workloads.net_name = "n1"; layers = [ (shared_case, 1) ] } in
   let net2 = { Ansor.Workloads.net_name = "n2"; layers = [ (shared_case, 3) ] } in
-  let results =
+  let results, _ =
     Ansor.tune_networks ~seed:3 ~trial_budget:40 Ansor.Machine.intel_cpu
       [ net1; net2 ]
   in

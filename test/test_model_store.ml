@@ -326,7 +326,51 @@ let test_pretrained_ladder () =
     Alcotest.failf "expected global, got %s" (Pretrained.origin_name o)
   | None -> Alcotest.fail "global rung missing");
   check_bool "cold on empty bundle" true
-    (Pretrained.resolve Pretrained.empty ~task_key:"t/mm[16x16]" = None)
+    (Pretrained.resolve Pretrained.empty ~task_key:"t/mm[16x16]" = None);
+  (* a session's warm start over a list of task keys: one key walks the
+     full ladder, several keys of one class enter it at the class rung,
+     mixed classes take the global model; the sibling samples are those
+     of the keys' classes.  Two samples of another class join the store
+     after pretraining. *)
+  List.iter
+    (fun i ->
+      ignore
+        (Model_store.add store
+           (sample ~task_key:"t/conv[8]"
+              ~prog_key:(Printf.sprintf "c%d" i)
+              ~latency:1e-3 0.5)))
+    [ 0; 1 ];
+  let session = Model_store.in_memory ~pretrained:bundle store in
+  let mm_samples =
+    Model_store.samples_for_class store
+      ~class_key:(Ansor.Task_key.class_key "t/mm[16x16]")
+  in
+  check_int "ten mm samples" 10 (List.length mm_samples);
+  List.iter
+    (fun (task_keys, rung, samples) ->
+      let label = String.concat "," task_keys in
+      let warm, aux = Model_store.warm_start session ~task_keys in
+      (match warm with
+      | Some (origin, _) -> check_string (label ^ ": rung") rung origin
+      | None -> Alcotest.failf "%s: cold" label);
+      check_bool (label ^ ": sibling samples") true (aux = samples))
+    [
+      ([ "t/mm[16x16]" ], "exact", mm_samples);
+      ([ "t/mm[512x64]" ], "class", mm_samples);
+      ([ "t/mm[16x16]"; "t/mm[512x64]" ], "class", mm_samples);
+      ([ "t/mm[16x16]"; "t/conv[8]" ], "global", Model_store.samples store);
+    ];
+  (match Model_store.warm_start session ~task_keys:[ "t/mm[16x16]" ] with
+  | Some (_, g), _ ->
+    check_bool "one key resolves the ladder's own model" true
+      (match Pretrained.resolve bundle ~task_key:"t/mm[16x16]" with
+      | Some (g', _) -> g == g'
+      | None -> false)
+  | None, _ -> Alcotest.fail "one key: cold");
+  check_bool "cold on empty bundle, samples still offered" true
+    (Model_store.warm_start (Model_store.in_memory store) ~task_keys:[ "t/conv[8]" ]
+    = (None, Model_store.samples_for_class store
+                ~class_key:(Ansor.Task_key.class_key "t/conv[8]")))
 
 let test_open_session_fallbacks () =
   with_temp ".store" (fun p ->

@@ -180,14 +180,30 @@ let test_load_reports_bad_line () =
           (String.starts_with ~prefix:(path ^ ": line 2:") msg))
 
 let test_replay_recorded_schedule () =
-  (* record a tuned program, replay it and check latency and correctness *)
+  (* log a tuning session's improvements, replay the best entry and check
+     latency and correctness *)
   let dag = Ansor.Nn.matmul ~m:32 ~n:32 ~k:32 () in
   let machine = Ansor.Machine.intel_cpu in
-  let task = Ansor.Task.create ~name:"t" ~machine dag in
-  let tuner, _ = Ansor.Tuner.tune ~seed:4 Ansor.Tuner.ansor_options ~trials:48 task in
-  match Record.entry_of_tuner tuner with
-  | None -> Alcotest.fail "no entry"
-  | Some entry -> (
+  let path = Filename.temp_file "ansor_records" ".log" in
+  Sys.remove path;
+  let result, logged =
+    Fun.protect
+      ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+      (fun () ->
+        let result = Ansor.tune ~seed:4 ~trials:48 ~record_log:path machine dag in
+        (result, Record.load_salvage ~path))
+  in
+  let task_key = Ansor.Task.key (Ansor.Task.create ~name:"t" ~machine dag) in
+  match Result.map (fun (es, _) -> Record.best_for es ~task_key) logged with
+  | Error e -> Alcotest.failf "log unreadable: %s" e
+  | Ok None -> Alcotest.fail "no entry"
+  | Ok (Some entry) -> (
+    (* the log prints latencies with 10 significant digits *)
+    check_bool "the log's best is the session's best" true
+      (Float.abs (entry.latency -. result.Ansor.best_latency)
+       <= 1e-9 *. result.Ansor.best_latency
+      && Some entry.steps
+         = Option.map (fun (st : State.t) -> st.State.history) result.Ansor.best_state);
     let line = Record.to_line entry in
     match Record.of_line line with
     | Error e -> Alcotest.failf "round-trip failed: %s" e

@@ -1,4 +1,5 @@
-(* Tasks and the per-task tuning loop, including the baseline strategies. *)
+(* Tasks, the per-task tuner and single-operator tuning sessions,
+   including the baseline strategies. *)
 
 open Helpers
 module Task = Ansor.Task
@@ -7,9 +8,8 @@ module Machine = Ansor.Machine
 module Service = Ansor.Measure_service
 module Nn = Ansor.Nn
 
-let small_task () =
-  Task.create ~name:"gmm" ~machine:Machine.intel_cpu
-    (Nn.matmul ~m:64 ~n:64 ~k:64 ())
+let small_dag () = Nn.matmul ~m:64 ~n:64 ~k:64 ()
+let small_task () = Task.create ~name:"gmm" ~machine:Machine.intel_cpu (small_dag ())
 
 let test_task_basics () =
   let t = small_task () in
@@ -44,12 +44,11 @@ let test_shared_state () =
   check_int "no records" 0 (Tuner.Shared.num_records shared)
 
 let test_tune_measures_and_improves () =
-  let task = small_task () in
-  let tuner, service = Tuner.tune ~seed:1 Tuner.ansor_options ~trials:96 task in
-  check_bool "used the budget" true (Service.trials service >= 96);
-  check_bool "found a program" true (Tuner.best_state tuner <> None);
-  check_bool "finite latency" true (Float.is_finite (Tuner.best_latency tuner));
-  let curve = Tuner.curve tuner in
+  let r = Ansor.tune ~seed:1 ~trials:96 Machine.intel_cpu (small_dag ()) in
+  check_bool "used the budget" true (r.Ansor.trials_used >= 96);
+  check_bool "found a program" true (r.Ansor.best_state <> None);
+  check_bool "finite latency" true (Float.is_finite r.Ansor.best_latency);
+  let curve = r.Ansor.curve in
   check_bool "curve recorded" true (List.length curve >= 2);
   (* best-so-far is non-increasing *)
   let rec monotone = function
@@ -64,26 +63,24 @@ let test_tune_measures_and_improves () =
   in
   check_bool "trials increase" true (increasing curve);
   (* and it actually improved over the first batch *)
-  let first = snd (List.hd curve) and last = Tuner.best_latency tuner in
+  let first = snd (List.hd curve) and last = r.Ansor.best_latency in
   check_bool "improved or equal" true (last <= first)
 
 let test_best_state_is_correct () =
-  let task =
-    Task.create ~name:"small" ~machine:Machine.intel_cpu
-      (Nn.matmul_relu ~m:16 ~n:16 ~k:16 ())
-  in
-  let tuner, _ = Tuner.tune ~seed:2 Tuner.ansor_options ~trials:48 task in
-  match Tuner.best_state tuner with
+  match
+    (Ansor.tune ~seed:2 ~trials:48 Machine.intel_cpu
+       (Nn.matmul_relu ~m:16 ~n:16 ~k:16 ()))
+      .best_state
+  with
   | None -> Alcotest.fail "no best state"
   | Some st -> assert_state_correct st
 
 let test_all_strategies_run () =
-  let task = small_task () in
   List.iter
-    (fun (name, opts) ->
-      let tuner, _ = Tuner.tune ~seed:3 opts ~trials:40 task in
+    (fun (name, options) ->
+      let r = Ansor.tune ~seed:3 ~options ~trials:40 Machine.intel_cpu (small_dag ()) in
       check_bool (name ^ " found a program") true
-        (Float.is_finite (Tuner.best_latency tuner)))
+        (Float.is_finite r.Ansor.best_latency))
     [
       ("ansor", Tuner.ansor_options);
       ("no-finetune", Tuner.no_finetune_options);
@@ -119,12 +116,10 @@ let test_shared_model_trains_after_round () =
     (Ansor.Cost_model.is_trained (Tuner.Shared.model shared))
 
 let test_gpu_task_runs () =
-  let task =
-    Task.create ~name:"gmm-gpu" ~machine:Machine.gpu
-      (Nn.matmul ~m:256 ~n:256 ~k:64 ())
+  let r =
+    Ansor.tune ~seed:6 ~trials:40 Machine.gpu (Nn.matmul ~m:256 ~n:256 ~k:64 ())
   in
-  let tuner, _ = Tuner.tune ~seed:6 Tuner.ansor_options ~trials:40 task in
-  check_bool "gpu tuning works" true (Float.is_finite (Tuner.best_latency tuner))
+  check_bool "gpu tuning works" true (Float.is_finite r.Ansor.best_latency)
 
 let () =
   Alcotest.run "search" ~and_exit:false
@@ -150,15 +145,15 @@ let () =
 
 let test_warm_start_recovers_past_result () =
   let task = small_task () in
-  (* first session: tune and record *)
-  let tuner1, _ = Tuner.tune ~seed:21 Tuner.ansor_options ~trials:96 task in
-  let best1 = Tuner.best_latency tuner1 in
-  let entry = Option.get (Ansor.Record.entry_of_tuner tuner1) in
+  (* first session: tune and keep the best history *)
+  let first = Ansor.tune ~seed:21 ~trials:96 Machine.intel_cpu (small_dag ()) in
+  let best1 = first.Ansor.best_latency in
+  let steps = (Option.get first.Ansor.best_state).Ansor.State.history in
   (* second session: warm-started, tiny budget *)
   let shared = Tuner.Shared.create () in
   let service = Service.create ~seed:77 Machine.intel_cpu in
   let tuner2 =
-    Tuner.create ~seed:22 ~warm_start:[ entry.steps ] Tuner.ansor_options task
+    Tuner.create ~seed:22 ~warm_start:[ steps ] Tuner.ansor_options task
   in
   Tuner.round tuner2 shared service;
   let warm = Tuner.best_latency tuner2 in

@@ -216,12 +216,8 @@ let test_registry_beats_naive () =
      record so the claim is about the system, not sampling luck. *)
   let case = small_case "mm" (Ansor.Nn.matmul ~m:32 ~n:32 ~k:32 ()) in
   let net = { Ansor.Workloads.net_name = "one"; layers = [ (case, 1) ] } in
-  let task = Task.create ~name:case.case_name ~machine case.dag in
-  let tuner, _ =
-    Ansor.Tuner.tune ~seed:4 Ansor.Tuner.ansor_options ~trials:48 task
-  in
   let r = Registry.create () in
-  (match Record.entry_of_tuner tuner with
+  (match tuned_entry ~seed:4 ~trials:48 machine case.dag with
   | Some e -> ignore (Registry.add r e)
   | None -> Alcotest.fail "tuning found nothing");
   let noise_free = { closed_config with noise = 0.0 } in
