@@ -51,3 +51,127 @@ let tuned_entry ~seed ~trials machine dag =
         steps = st.Ansor.State.history;
       })
     r.Ansor.best_state
+
+(* ---- the deliberately-broken OOB corpus ---------------------------------- *)
+
+(* Each entry is (name, program, inputs): a lowering with a reachable
+   out-of-bounds access of the kind a buggy split/fuse/unroll or a
+   registry tile refit would produce.  The interpreter must trap every
+   one of them. *)
+let oob_corpus () =
+  let open Ansor in
+  let loop lvar extent body =
+    Prog.Loop { lvar; extent; kind = State.Space; ann = Step.No_ann; body }
+  in
+  let stmt stage tensor indices rhs =
+    Prog.Stmt { stage; tensor; indices; rhs; update = None; max_unroll = None }
+  in
+  let prog items buffers inits = { Prog.items; buffers; inits } in
+  let a8 = [ ("A", Array.init 8 (fun i -> float_of_int i)) ] in
+  [
+    ( "split overrun (loop extent 10 over an 8-buffer)",
+      prog
+        [ loop "p" 10 [ stmt "B" "B" [ Expr.Axis "p" ] (Expr.Const 1.0) ] ]
+        [ ("B", [ 8 ]) ] [],
+      [] );
+    ( "unroll off-by-one (p+1 write)",
+      prog
+        [
+          loop "p" 8
+            [
+              stmt "B" "B"
+                [ Expr.Iadd (Expr.Axis "p", Expr.Int 1) ]
+                (Expr.Const 2.0);
+            ];
+        ]
+        [ ("B", [ 8 ]) ] [],
+      [] );
+    ( "strided over-read (A[2p] past the end)",
+      prog
+        [
+          loop "p" 8
+            [
+              stmt "B" "B" [ Expr.Axis "p" ]
+                (Expr.Access ("A", [ Expr.Imul (Expr.Axis "p", Expr.Int 2) ]));
+            ];
+        ]
+        [ ("A", [ 8 ]); ("B", [ 8 ]) ] [],
+      a8 );
+    ( "unguarded padding read (A[p-1] at p=0)",
+      prog
+        [
+          loop "p" 8
+            [
+              stmt "B" "B" [ Expr.Axis "p" ]
+                (Expr.Access ("A", [ Expr.Isub (Expr.Axis "p", Expr.Int 1) ]));
+            ];
+        ]
+        [ ("A", [ 8 ]); ("B", [ 8 ]) ] [],
+      a8 );
+    ( "tile refit shrink (registry adaptation writing past a 6-buffer)",
+      prog
+        [
+          loop "po" 2
+            [
+              loop "pi" 4
+                [
+                  stmt "B" "B"
+                    [
+                      Expr.Iadd
+                        ( Expr.Imul (Expr.Axis "po", Expr.Int 4),
+                          Expr.Axis "pi" );
+                    ]
+                    (Expr.Const 3.0);
+                ];
+            ];
+        ]
+        [ ("B", [ 6 ]) ] [],
+      [] );
+  ]
+
+(* ---- the analysis corpus ------------------------------------------------- *)
+
+(* The programs whose analysis results the golden digests of
+   [test_access_features] and [test_bounds] pin: sampled programs and
+   evolution mutants of every MobileNet-V2 task (padded depthwise convs,
+   fused loops far above 256 iterations), sampled convs (padded, strided,
+   transposed, strided depthwise), and the OOB corpus. *)
+let analysis_corpus =
+  lazy
+    (let open Ansor in
+     let policy = Policy.cpu ~workers:20 in
+     let mutants rng dag states =
+       List.concat_map
+         (fun st ->
+           List.filter_map
+             (fun mutate -> Option.map (fun (c : Candidate.t) -> c.prog) (mutate st))
+             [
+               Evolution.mutate_tile_sizes rng dag;
+               Evolution.mutate_annotation rng dag;
+               Evolution.mutate_pragma rng policy dag;
+               Evolution.mutate_location rng dag;
+             ])
+         states
+     in
+     let of_dag ~seed name dag =
+       let states = sample_programs ~seed ~n:3 dag in
+       List.map (fun p -> (name, p))
+         (List.map Lower.lower (State.init dag :: states)
+         @ mutants (Rng.create seed) dag states)
+     in
+     let mobilenet =
+       List.concat_map
+         (fun ((c : Workloads.case), _) -> of_dag ~seed:7 c.case_name c.dag)
+         (Workloads.mobilenet_v2 ~batch:1).layers
+     in
+     let convs =
+       [
+         ("conv padded", Nn.conv2d ~n:1 ~c:4 ~h:14 ~w:14 ~f:8 ~kh:3 ~kw:3 ~stride:1 ~pad:1 ());
+         ("conv strided", Nn.conv2d ~n:1 ~c:8 ~h:28 ~w:28 ~f:16 ~kh:3 ~kw:3 ~stride:2 ~pad:1 ());
+         ("T2D", Nn.conv2d_transposed ~n:1 ~c:4 ~h:8 ~w:8 ~f:4 ~kh:4 ~kw:4 ~stride:2 ~pad:1 ());
+         ("depthwise strided", Nn.depthwise_conv2d ~n:1 ~c:16 ~h:28 ~w:28 ~kh:3 ~kw:3 ~stride:2 ~pad:1 ());
+       ]
+     in
+     mobilenet
+     @ List.concat_map (fun (name, dag) -> of_dag ~seed:3 name dag) convs
+     @ List.map (fun (name, p, _) -> (name, p)) (oob_corpus ()))

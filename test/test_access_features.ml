@@ -198,6 +198,40 @@ let test_pragma_feature () =
     (Float.log 65.0 /. Float.log 2.0)
     (feature (index_of "outer.auto_unroll") v)
 
+(* ---------- golden ---------- *)
+
+(* Captured before the analysis fast paths and never re-derived: the
+   features and simulated latencies of the whole analysis corpus, bit for
+   bit.  Search ranks candidates by these numbers, so a fast path that
+   moved one bit would silently change every tuning trajectory. *)
+let test_golden_features () =
+  let corpus = Lazy.force analysis_corpus in
+  let bits x = Printf.sprintf "%Lx" (Int64.bits_of_float x) in
+  let lines =
+    List.map
+      (fun (name, p) ->
+        String.concat " "
+          (name
+          :: bits (Ansor.Simulator.estimate Ansor.Machine.intel_cpu p)
+          :: List.concat_map
+               (fun v -> Array.to_list (Array.map bits v))
+               (Features.of_prog p)))
+      corpus
+  in
+  let max_extent =
+    List.fold_left
+      (fun acc (_, p) ->
+        let m = ref acc in
+        Prog.iter_stmts p (fun loops _ ->
+            List.iter (fun (l : Prog.loop) -> m := max !m l.extent) loops);
+        !m)
+      0 corpus
+  in
+  check_bool "corpus sweeps loops past 256" true (max_extent > 256);
+  check_string "features and estimates"
+    "af4149ad1cd4ef3a8c6e7b927d0f574f"
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
 let () =
   Alcotest.run "access_features"
     [
@@ -225,4 +259,5 @@ let () =
           case "intensity curve" test_intensity_curve_monotonicity;
           case "auto-unroll pragma" test_pragma_feature;
         ] );
+      ("golden", [ case "golden features" test_golden_features ]);
     ]

@@ -46,75 +46,6 @@ let stmt ?update stage tensor indices rhs =
 
 let prog items buffers inits = { Prog.items; buffers; inits }
 
-(* ---- the deliberately-broken OOB corpus ---------------------------------- *)
-
-(* Each entry is (name, program, inputs): a lowering with a reachable
-   out-of-bounds access of the kind a buggy split/fuse/unroll or a
-   registry tile refit would produce.  The interpreter must trap every
-   one of them. *)
-let oob_corpus () =
-  let a8 = [ ("A", Array.init 8 (fun i -> float_of_int i)) ] in
-  [
-    ( "split overrun (loop extent 10 over an 8-buffer)",
-      prog
-        [ loop "p" 10 [ stmt "B" "B" [ Expr.Axis "p" ] (Expr.Const 1.0) ] ]
-        [ ("B", [ 8 ]) ] [],
-      [] );
-    ( "unroll off-by-one (p+1 write)",
-      prog
-        [
-          loop "p" 8
-            [
-              stmt "B" "B"
-                [ Expr.Iadd (Expr.Axis "p", Expr.Int 1) ]
-                (Expr.Const 2.0);
-            ];
-        ]
-        [ ("B", [ 8 ]) ] [],
-      [] );
-    ( "strided over-read (A[2p] past the end)",
-      prog
-        [
-          loop "p" 8
-            [
-              stmt "B" "B" [ Expr.Axis "p" ]
-                (Expr.Access ("A", [ Expr.Imul (Expr.Axis "p", Expr.Int 2) ]));
-            ];
-        ]
-        [ ("A", [ 8 ]); ("B", [ 8 ]) ] [],
-      a8 );
-    ( "unguarded padding read (A[p-1] at p=0)",
-      prog
-        [
-          loop "p" 8
-            [
-              stmt "B" "B" [ Expr.Axis "p" ]
-                (Expr.Access ("A", [ Expr.Isub (Expr.Axis "p", Expr.Int 1) ]));
-            ];
-        ]
-        [ ("A", [ 8 ]); ("B", [ 8 ]) ] [],
-      a8 );
-    ( "tile refit shrink (registry adaptation writing past a 6-buffer)",
-      prog
-        [
-          loop "po" 2
-            [
-              loop "pi" 4
-                [
-                  stmt "B" "B"
-                    [
-                      Expr.Iadd
-                        ( Expr.Imul (Expr.Axis "po", Expr.Int 4),
-                          Expr.Axis "pi" );
-                    ]
-                    (Expr.Const 3.0);
-                ];
-            ];
-        ]
-        [ ("B", [ 6 ]) ] [],
-      [] );
-  ]
-
 (* A guarded boundary read — the padding-select idiom every conv lowering
    uses.  Safe: the C ternary and the interpreter's Select only evaluate
    the taken branch. *)
@@ -603,6 +534,28 @@ let test_asan_agrees_on_witnesses () =
               Alcotest.failf "%s: timed out under ASan" name)
           corpus)
 
+(* ---- golden --------------------------------------------------------------- *)
+
+(* Captured before the digit-hull fast path and never re-derived: every
+   verdict, diagnostic and witness of the analysis corpus (plus the
+   guarded and over-budget programs above). *)
+let test_golden_verdicts () =
+  let lines =
+    List.map
+      (fun (name, p) ->
+        let verdict, diags = Bounds.check p in
+        String.concat " | "
+          (name :: Bounds.verdict_name verdict
+          :: (match verdict with
+             | Bounds.Unsafe w -> [ Bounds.witness_to_string w ]
+             | Bounds.Certified | Bounds.Unknown -> [])
+          @ List.map D.to_string diags))
+      (Lazy.force analysis_corpus
+      @ [ ("guarded pad", guarded_pad_prog ()); ("unknown", unknown_prog ()) ])
+  in
+  check_string "verdicts" "ffb90db1859e03c2aa54c14ff468f4a9"
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
 let () =
   Alcotest.run "bounds"
     [
@@ -613,6 +566,7 @@ let () =
           case "over-budget program is unknown/warn" test_unknown_is_warn_not_error;
           prop_sampled_programs_certify;
           case "verdicts are memoized" test_memoization;
+          case "golden verdicts" test_golden_verdicts;
         ] );
       ( "def-use",
         [
