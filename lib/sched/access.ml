@@ -33,36 +33,123 @@ let offset shape indices =
   in
   go shape indices 0
 
-(* Number of distinct values [expr] takes as [v] sweeps [0, extent); other
-   variables are held at zero.  Exact up to [max_sweep] evaluations, then
-   estimated from a uniformly-spaced sample. *)
-let distinct_values expr v extent =
-  let max_sweep = 256 in
-  let eval i =
-    let env u = if String.equal u v then i else 0 in
-    try Expr.eval_iexpr env expr with Division_by_zero -> 0
+let max_sweep = 256
+
+type op = Add | Sub | Mul | Div | Mod | Min | Max
+
+(* The arithmetic of {!Expr.eval_iexpr}. *)
+let apply op x y =
+  match op with
+  | Add -> x + y
+  | Sub -> x - y
+  | Mul -> x * y
+  | Div -> Expr.idiv x y
+  | Mod -> Expr.imod x y
+  | Min -> Int.min x y
+  | Max -> Int.max x y
+
+(* Values of an index expression over the sweep points: one for all of
+   them, or one per point. *)
+type column = Fixed of int | Column of int array
+
+(* [expr] at every point of [points] for [v], every other variable held
+   at 0: evaluated a node at a time over the whole column, in plain loops
+   over [int array]s, instead of a point at a time through name lookups.
+   A point whose evaluation divides by zero yields 0; a constant subterm
+   that divides by zero makes every point 0. *)
+let sweep_values v expr points =
+  let n = Array.length points in
+  let failed = Array.make n false in
+  let column = function Fixed x -> Array.make n x | Column xs -> xs in
+  let rec go (e : Expr.iexpr) =
+    match e with
+    | Int k -> Fixed k
+    | Axis u -> if String.equal u v then Column points else Fixed 0
+    | Iadd (a, b) -> node Add a b
+    | Isub (a, b) -> node Sub a b
+    | Imul (a, b) -> node Mul a b
+    | Idiv (a, b) -> node Div a b
+    | Imod (a, b) -> node Mod a b
+    | Imin (a, b) -> node Min a b
+    | Imax (a, b) -> node Max a b
+  and node op a b =
+    match (op, go a, go b) with
+    | _, Fixed x, Fixed y -> Fixed (apply op x y)
+    (* identities: a column's failed points are already recorded *)
+    | (Add | Sub), c, Fixed 0 | Add, Fixed 0, c | Mul, c, Fixed 1 | Mul, Fixed 1, c
+      ->
+      c
+    | _, a, b ->
+      let xs = column a and ys = column b in
+      let r = Array.make n 0 in
+      for k = 0 to n - 1 do
+        let y = ys.(k) in
+        if y = 0 && (op = Div || op = Mod) then failed.(k) <- true
+        else r.(k) <- apply op xs.(k) y
+      done;
+      Column r
   in
-  if extent <= max_sweep then begin
-    let seen = Hashtbl.create 16 in
-    for i = 0 to extent - 1 do
-      Hashtbl.replace seen (eval i) ()
-    done;
-    Hashtbl.length seen
-  end
+  let values =
+    match go expr with
+    | exception Division_by_zero -> Array.make n 0
+    | Fixed x -> Array.make n x
+    | Column xs -> Array.copy xs
+  in
+  for k = 0 to n - 1 do
+    if failed.(k) then values.(k) <- 0
+  done;
+  values
+
+(* Number of distinct entries of [values]: a byte bitmap over their span
+   when it is small, a sort otherwise. *)
+let count_distinct values =
+  let n = Array.length values in
+  if n = 0 then 0
   else begin
-    let seen = Hashtbl.create 64 in
-    let step = extent / max_sweep in
-    for s = 0 to max_sweep - 1 do
-      Hashtbl.replace seen (eval (s * step)) ()
+    let lo = ref values.(0) and hi = ref values.(0) in
+    for k = 1 to n - 1 do
+      let x = values.(k) in
+      if x < !lo then lo := x;
+      if x > !hi then hi := x
     done;
-    let d = Hashtbl.length seen in
-    if d < max_sweep / 2 then d
-    else
-      int_of_float
-        (float_of_int extent *. float_of_int d /. float_of_int max_sweep)
+    let span = !hi - !lo in
+    let d = ref 0 in
+    if span >= 0 && span < 8 * max_sweep then begin
+      let seen = Bytes.make (span + 1) '\000' in
+      for k = 0 to n - 1 do
+        let i = values.(k) - !lo in
+        if Bytes.get seen i = '\000' then begin
+          Bytes.set seen i '\001';
+          incr d
+        end
+      done
+    end
+    else begin
+      let sorted = Array.copy values in
+      Array.sort Int.compare sorted;
+      for k = 0 to n - 1 do
+        if k = 0 || sorted.(k) <> sorted.(k - 1) then incr d
+      done
+    end;
+    !d
   end
 
-let make_access buffers loop_vars extents ~tensor ~idx ~is_write ~count =
+(* Number of distinct values [expr] takes as [v] sweeps [0, extent); other
+   variables are held at zero and an evaluation that divides by zero
+   counts as 0.  Exact up to [max_sweep] evaluations, then estimated from
+   a uniformly-spaced sample. *)
+let distinct_values expr v extent =
+  let points =
+    if extent <= max_sweep then Array.init (max 0 extent) Fun.id
+    else Array.init max_sweep (fun s -> s * (extent / max_sweep))
+  in
+  let d = count_distinct (sweep_values v expr points) in
+  if extent <= max_sweep || d < max_sweep / 2 then d
+  else
+    int_of_float
+      (float_of_int extent *. float_of_int d /. float_of_int max_sweep)
+
+let make_access ~sweep buffers loop_vars extents ~tensor ~idx ~is_write ~count =
   let shape =
     match List.assoc_opt tensor buffers with Some s -> s | None -> []
   in
@@ -103,7 +190,7 @@ let make_access buffers loop_vars extents ~tensor ~idx ~is_write ~count =
           go dims.(d)
         in
         distinct.(l).(d) <-
-          (if has_divmod then distinct_values dims.(d) v extents.(l)
+          (if has_divmod then sweep dims.(d) v extents.(l)
            else (* affine in v: extent distinct values iff coefficient <> 0 *)
              let env u = if String.equal u v then 1 else 0 in
              let step =
@@ -161,6 +248,18 @@ let make_access buffers loop_vars extents ~tensor ~idx ~is_write ~count =
   { tensor; is_write; count; strides; touched; lines; inner_stride; reuse_loop }
 
 let analyze (prog : Prog.t) =
+  (* statements of one program share most index expressions and loops;
+     a table local to the call keeps [analyze] safe on any domain *)
+  let memo = Hashtbl.create 64 in
+  let sweep expr v extent =
+    let key = (expr, v, extent) in
+    match Hashtbl.find_opt memo key with
+    | Some d -> d
+    | None ->
+      let d = distinct_values expr v extent in
+      Hashtbl.add memo key d;
+      d
+  in
   let infos = ref [] in
   Prog.iter_stmts prog (fun loops stmt ->
       let loop_vars = Array.of_list (List.map (fun l -> l.Prog.lvar) loops) in
@@ -179,13 +278,13 @@ let analyze (prog : Prog.t) =
         |> List.rev
       in
       let out =
-        make_access prog.buffers loop_vars extents ~tensor:stmt.tensor
+        make_access ~sweep prog.buffers loop_vars extents ~tensor:stmt.tensor
           ~idx:stmt.indices ~is_write:true ~count:1
       in
       let read_accesses =
         List.map
           (fun ((t, idx), count) ->
-            make_access prog.buffers loop_vars extents ~tensor:t ~idx
+            make_access ~sweep prog.buffers loop_vars extents ~tensor:t ~idx
               ~is_write:false ~count)
           dedup
       in

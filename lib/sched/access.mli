@@ -45,6 +45,12 @@ type stmt_info = {
 val analyze : Prog.t -> stmt_info list
 (** One entry per statement, in program order. *)
 
+val distinct_values : Expr.iexpr -> string -> int -> int
+(** [distinct_values e v extent]: number of distinct values [e] takes as
+    [v] sweeps [0, extent), every other variable held at 0 and an
+    evaluation that divides by zero counted as 0.  Exact for
+    [extent <= 256]; above, estimated from 256 evenly spaced points. *)
+
 val working_set : stmt_info -> int -> float
 (** [working_set info d]: bytes touched by one execution of the loops at
     depth >= [d], summed over all accesses of the statement. *)

@@ -41,6 +41,17 @@ let ( +! ) a b = Iadd (a, b)
 let ( -! ) a b = Isub (a, b)
 let ( *! ) a b = Imul (a, b)
 
+let idiv a b =
+  if b = 0 then raise Division_by_zero
+  else if (a < 0) <> (b < 0) && a mod b <> 0 then (a / b) - 1
+  else a / b
+
+let imod a b =
+  if b = 0 then raise Division_by_zero
+  else
+    let r = a mod b in
+    if r < 0 then r + abs b else r
+
 let rec eval_iexpr lookup = function
   | Int n -> n
   | Axis v -> lookup v
@@ -48,19 +59,12 @@ let rec eval_iexpr lookup = function
   | Isub (a, b) -> eval_iexpr lookup a - eval_iexpr lookup b
   | Imul (a, b) -> eval_iexpr lookup a * eval_iexpr lookup b
   | Idiv (a, b) ->
+    (* the divisor first: a zero divisor raises before [a] is evaluated *)
     let b = eval_iexpr lookup b in
-    if b = 0 then raise Division_by_zero
-    else
-      let a = eval_iexpr lookup a in
-      (* floor division *)
-      if (a < 0) <> (b < 0) && a mod b <> 0 then (a / b) - 1
-      else a / b
+    if b = 0 then raise Division_by_zero else idiv (eval_iexpr lookup a) b
   | Imod (a, b) ->
     let b = eval_iexpr lookup b in
-    if b = 0 then raise Division_by_zero
-    else
-      let r = eval_iexpr lookup a mod b in
-      if r < 0 then r + abs b else r
+    if b = 0 then raise Division_by_zero else imod (eval_iexpr lookup a) b
   | Imin (a, b) -> min (eval_iexpr lookup a) (eval_iexpr lookup b)
   | Imax (a, b) -> max (eval_iexpr lookup a) (eval_iexpr lookup b)
 

@@ -58,6 +58,14 @@ val ( *! ) : iexpr -> iexpr -> iexpr
 
 (** {1 Evaluation} *)
 
+val idiv : int -> int -> int
+(** Floor division, the arithmetic of [Idiv].
+    @raise Division_by_zero on a zero divisor. *)
+
+val imod : int -> int -> int
+(** [imod a b] is [a mod b] shifted into [\[0, |b|)], the arithmetic of
+    [Imod]. @raise Division_by_zero on a zero divisor. *)
+
 val eval_iexpr : (string -> int) -> iexpr -> int
 (** [eval_iexpr lookup e] evaluates [e] with [lookup] resolving axis
     variables. @raise Division_by_zero on zero divisors. *)

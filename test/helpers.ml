@@ -8,9 +8,18 @@ let check_string = Alcotest.(check string)
 
 let case name f = Alcotest.test_case name `Quick f
 
-let qcheck ?(count = 100) name gen prop =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count ~name gen prop)
+(* With [seed] the generator is pinned, and the seed is part of the test
+   name, so a failure report names it. *)
+let qcheck ?(count = 100) ?seed ?print name gen prop =
+  match seed with
+  | None ->
+    QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)
+  | Some seed ->
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| seed |])
+      (QCheck2.Test.make ~count ?print
+         ~name:(Printf.sprintf "%s (qcheck seed %d)" name seed)
+         gen prop)
 
 (* Equivalence of a schedule state against the naive evaluation of its
    (possibly surgery-extended) DAG. *)

@@ -115,6 +115,66 @@ let test_select_fraction_absent () =
   check_bool "no guard on matmul" true
     (Access.select_zero_fraction info = None)
 
+(* Random index expressions over the swept variable [v] and a second
+   variable [u]; a leaf may be a constant division by zero. *)
+let gen_iexpr =
+  let open QCheck2.Gen in
+  let leaf =
+    frequency
+      [
+        (4, map (fun n -> Ansor.Expr.Int n) (int_range (-3) 24));
+        (4, return (Ansor.Expr.Axis "v"));
+        (2, return (Ansor.Expr.Axis "u"));
+        (1, map (fun n -> Ansor.Expr.Idiv (Ansor.Expr.Int n, Ansor.Expr.Int 0)) small_nat);
+      ]
+  in
+  sized_size (int_range 0 5)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           let sub = self (n / 2) in
+           frequency
+             [
+               (1, leaf);
+               ( 4,
+                 map3
+                   (fun op a b -> op a b)
+                   (oneofl
+                      Ansor.Expr.
+                        [
+                          (fun a b -> Iadd (a, b));
+                          (fun a b -> Isub (a, b));
+                          (fun a b -> Imul (a, b));
+                          (fun a b -> Idiv (a, b));
+                          (fun a b -> Imod (a, b));
+                          (fun a b -> Imin (a, b));
+                          (fun a b -> Imax (a, b));
+                        ])
+                   sub sub );
+             ])
+
+(* The specification of [Access.distinct_values], as a plain sweep. *)
+let plain_distinct e extent =
+  let eval i =
+    try Ansor.Expr.eval_iexpr (fun x -> if x = "v" then i else 0) e
+    with Division_by_zero -> 0
+  in
+  let points =
+    if extent <= 256 then List.init extent Fun.id
+    else List.init 256 (fun s -> s * (extent / 256))
+  in
+  let d = List.length (List.sort_uniq compare (List.map eval points)) in
+  if extent <= 256 || d < 128 then d
+  else int_of_float (float_of_int extent *. float_of_int d /. 256.0)
+
+let prop_distinct_values =
+  qcheck ~count:500 ~seed:19
+    ~print:(fun (e, extent) ->
+      Printf.sprintf "%s over extent %d" (Ansor.Expr.to_string (Ansor.Expr.Cast_int e)) extent)
+    "distinct count equals a plain sweep"
+    QCheck2.Gen.(pair gen_iexpr (oneof [ int_range 1 256; int_range 257 2000 ]))
+    (fun (e, extent) -> Access.distinct_values e "v" extent = plain_distinct e extent)
+
 (* ---------- features ---------- *)
 
 let test_feature_dimensions () =
@@ -247,6 +307,7 @@ let () =
           case "working set" test_working_set;
           case "T2D zero-guard fraction" test_select_zero_fraction_t2d;
           case "no guard on matmul" test_select_fraction_absent;
+          prop_distinct_values;
         ] );
       ( "features",
         [
