@@ -87,17 +87,54 @@ type var_range = {
   vr_argmax : int;
 }
 
+(* The reference: scan every [p] in [0, extent), keeping the first
+   iteration attaining each extreme.  Allocation-free in the loop. *)
 let scan_digits ~extent digits =
+  let strides = Array.of_list (List.map (fun ((d : Linform.digit), _) -> d.stride) digits)
+  and lens = Array.of_list (List.map (fun ((d : Linform.digit), _) -> d.len) digits)
+  and coefs = Array.of_list (List.map snd digits) in
   let value p =
-    List.fold_left (fun acc (d, c) -> acc + (c * Linform.digit_value d p)) 0 digits
+    (* [Linform.digit_value], inlined *)
+    let acc = ref 0 in
+    for j = 0 to Array.length coefs - 1 do
+      acc := !acc + (coefs.(j) * (p / strides.(j) mod lens.(j)))
+    done;
+    !acc
   in
-  let r = ref { vr_var = ""; vr_min = value 0; vr_argmin = 0; vr_max = value 0; vr_argmax = 0 } in
+  let v0 = value 0 in
+  let lo = ref v0 and argmin = ref 0 and hi = ref v0 and argmax = ref 0 in
   for p = 1 to extent - 1 do
     let v = value p in
-    if v < !r.vr_min then r := { !r with vr_min = v; vr_argmin = p };
-    if v > !r.vr_max then r := { !r with vr_max = v; vr_argmax = p }
+    if v < !lo then begin
+      lo := v;
+      argmin := p
+    end;
+    if v > !hi then begin
+      hi := v;
+      argmax := p
+    end
   done;
-  !r
+  { vr_var = ""; vr_min = !lo; vr_argmin = !argmin; vr_max = !hi; vr_argmax = !argmax }
+
+(* Closed form of [scan_digits] for one digit [c·((p / stride) mod len)]:
+   the digit is 0 at [p = 0] and first reaches its top
+   [m = min ((extent-1)/stride) (len-1)] at [p = stride·m]. *)
+let digit_range ~extent ((d : Linform.digit), c) =
+  let m = min ((extent - 1) / d.stride) (d.len - 1) in
+  let top = c * m and at = d.stride * m in
+  if c > 0 then { vr_var = ""; vr_min = 0; vr_argmin = 0; vr_max = top; vr_argmax = at }
+  else if c < 0 then { vr_var = ""; vr_min = top; vr_argmin = at; vr_max = 0; vr_argmax = 0 }
+  else { vr_var = ""; vr_min = 0; vr_argmin = 0; vr_max = 0; vr_argmax = 0 }
+
+(* [scan_digits], through the closed form where it applies: a single
+   digit whose values cannot overflow. *)
+let digits_range ~extent digits =
+  match digits with
+  | [ ((d : Linform.digit), c) ]
+    when extent > 0 && d.stride > 0 && d.len > 0
+         && abs c < max_int / extent && c <> min_int ->
+    digit_range ~extent (d, c)
+  | _ -> scan_digits ~extent digits
 
 exception Inexact
 
@@ -139,7 +176,7 @@ let exact_hull env e =
         | Some ds -> (
           match Linform.merge_digits ds with
           | [] -> acc
-          | digits -> { (scan_digits ~extent digits) with vr_var = v } :: acc))
+          | digits -> { (digits_range ~extent digits) with vr_var = v } :: acc))
       groups []
   in
   let lo = List.fold_left (fun acc r -> acc + r.vr_min) !const ranges in

@@ -177,6 +177,24 @@ let prop_sampled_programs_certify =
         (fun st -> Bounds.certify (Lower.lower st) = Bounds.Certified)
         (sample_programs ~seed ~n:3 dag))
 
+(* The closed-form digit range is the scan's result, arg points
+   included; extents are [stride·q + r] for any remainder [r]. *)
+let prop_digit_range_is_scan =
+  qcheck ~count:500 ~seed:23
+    ~print:(fun (stride, len, c, extent) ->
+      Printf.sprintf "stride %d len %d c %d extent %d" stride len c extent)
+    "closed-form digit range equals the scan"
+    QCheck2.Gen.(
+      map
+        (fun (stride, len, c, (q, r)) -> (stride, len, c, (stride * q) + (r mod stride)))
+        (quad (int_range 1 40) (int_range 1 60) (int_range (-1000) 1000)
+           (pair (int_range 0 80) (int_range 0 39))))
+    (fun (stride, len, c, extent) ->
+      extent = 0
+      ||
+      let digit = ({ Ansor_analysis.Linform.stride; len }, c) in
+      Bounds.digits_range ~extent [ digit ] = Bounds.scan_digits ~extent [ digit ])
+
 let test_memoization () =
   (* a shape unique to this test, so the first certify is a genuine miss *)
   let p =
@@ -565,6 +583,7 @@ let () =
           case "guarded padding read certifies" test_guarded_pad_certifies;
           case "over-budget program is unknown/warn" test_unknown_is_warn_not_error;
           prop_sampled_programs_certify;
+          prop_digit_range_is_scan;
           case "verdicts are memoized" test_memoization;
           case "golden verdicts" test_golden_verdicts;
         ] );
