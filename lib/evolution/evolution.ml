@@ -64,8 +64,7 @@ let mutate_tile_sizes ?on_reject rng dag st =
   let steps = steps_of st in
   let consumers = consumer_stages steps in
   let candidates =
-    List.filteri (fun _ _ -> true) steps
-    |> List.mapi (fun i s -> (i, s))
+    List.mapi (fun i s -> (i, s)) steps
     |> List.filter_map (fun (i, s) ->
            match (s : Step.t) with
            | Step.Split { stage; iv; lengths; _ }
@@ -81,8 +80,6 @@ let mutate_tile_sizes ?on_reject rng dag st =
     let i, stage, iv, lengths = Rng.choice_list rng candidates in
     let k = List.length lengths in
     let sources =
-      List.filteri (fun _ l -> l > 1) lengths
-      |> fun _ ->
       List.filter (fun p -> List.nth lengths p > 1) (List.init k Fun.id)
     in
     let src = Rng.choice_list rng sources in
@@ -231,15 +228,18 @@ let classify steps =
     steps
 
 (* Per-DAG-node score totals of one candidate: [scores] holds one score
-   per innermost statement, in [Access.analyze] order. *)
+   per innermost statement, in [Prog.iter_stmts] order (which is
+   [Access.analyze] order). *)
 let node_scores (c : Candidate.t) scores =
+  let stages = ref [] in
+  Prog.iter_stmts c.prog (fun _ (s : Prog.stmt) -> stages := s.stage :: !stages);
   let tbl = Hashtbl.create 8 in
   List.iter2
-    (fun (info : Access.stmt_info) s ->
-      let node = node_of_stage info.stmt.stage in
+    (fun stage s ->
+      let node = node_of_stage stage in
       let cur = Option.value ~default:0.0 (Hashtbl.find_opt tbl node) in
       Hashtbl.replace tbl node (cur +. s))
-    (Access.analyze c.prog) scores;
+    (List.rev !stages) scores;
   fun node -> Option.value ~default:0.0 (Hashtbl.find_opt tbl node)
 
 let crossover ?on_reject ~scorer rng ~greedy_node_prob dag (a : Candidate.t)
