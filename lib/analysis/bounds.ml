@@ -10,7 +10,8 @@ module Lru = Ansor_util.Lru
    machinery is shared with the race detector ({!Linform}): each index
    expression decomposes into a constant plus per-loop-variable groups of
    [(p / stride) mod len] digits, whose exact value range (and the
-   iterations attaining it) is computed by a bounded scan; guarded
+   iterations attaining it) is computed in closed form for a single
+   digit and by a bounded scan otherwise; guarded
    accesses (the padding [select] idiom — C ternaries evaluate only the
    taken branch) fall back to an exhaustive guard-aware enumeration of
    the mentioned loop variables.
@@ -116,30 +117,25 @@ let scan_digits ~extent digits =
   done;
   { vr_var = ""; vr_min = !lo; vr_argmin = !argmin; vr_max = !hi; vr_argmax = !argmax }
 
-(* Closed form of [scan_digits] for one digit [c·((p / stride) mod len)]:
+(* [scan_digits], in closed form for one digit [c·((p / stride) mod len)]:
    the digit is 0 at [p = 0] and first reaches its top
-   [m = min ((extent-1)/stride) (len-1)] at [p = stride·m]. *)
-let digit_range ~extent ((d : Linform.digit), c) =
-  let m = min ((extent - 1) / d.stride) (d.len - 1) in
-  let top = c * m and at = d.stride * m in
-  if c > 0 then { vr_var = ""; vr_min = 0; vr_argmin = 0; vr_max = top; vr_argmax = at }
-  else if c < 0 then { vr_var = ""; vr_min = top; vr_argmin = at; vr_max = 0; vr_argmax = 0 }
-  else { vr_var = ""; vr_min = 0; vr_argmin = 0; vr_max = 0; vr_argmax = 0 }
-
-(* [scan_digits], through the closed form where it applies: a single
-   digit whose values cannot overflow. *)
+   [m = min ((extent-1)/stride) (len-1)] at [p = stride·m].  Groups of
+   several digits, and a digit whose values could overflow, are scanned. *)
 let digits_range ~extent digits =
   match digits with
   | [ ((d : Linform.digit), c) ]
-    when extent > 0 && d.stride > 0 && d.len > 0
-         && abs c < max_int / extent && c <> min_int ->
-    digit_range ~extent (d, c)
+    when extent > 0 && d.stride > 0 && d.len > 0 && c <> 0
+         && c > -(max_int / extent) && c < max_int / extent ->
+    let m = min ((extent - 1) / d.stride) (d.len - 1) in
+    let top = c * m and at = d.stride * m in
+    if c > 0 then { vr_var = ""; vr_min = 0; vr_argmin = 0; vr_max = top; vr_argmax = at }
+    else { vr_var = ""; vr_min = top; vr_argmin = at; vr_max = 0; vr_argmax = 0 }
   | _ -> scan_digits ~extent digits
 
 exception Inexact
 
 (* Exact hull of an index expression: constant plus independent per-var
-   digit groups, each scanned over its full range.  Raises [Inexact] when
+   digit groups, each ranged over its full extent by [digits_range].  Raises [Inexact] when
    a term is beyond the digit grammar, mixes variables, or a variable's
    extent is over the scan budget. *)
 let exact_hull env e =

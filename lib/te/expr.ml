@@ -41,16 +41,13 @@ let ( +! ) a b = Iadd (a, b)
 let ( -! ) a b = Isub (a, b)
 let ( *! ) a b = Imul (a, b)
 
+(* OCaml's [/] and [mod] raise [Division_by_zero] on a zero divisor *)
 let idiv a b =
-  if b = 0 then raise Division_by_zero
-  else if (a < 0) <> (b < 0) && a mod b <> 0 then (a / b) - 1
-  else a / b
+  if (a < 0) <> (b < 0) && a mod b <> 0 then (a / b) - 1 else a / b
 
 let imod a b =
-  if b = 0 then raise Division_by_zero
-  else
-    let r = a mod b in
-    if r < 0 then r + abs b else r
+  let r = a mod b in
+  if r < 0 then r + abs b else r
 
 let rec eval_iexpr lookup = function
   | Int n -> n
