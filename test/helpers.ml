@@ -11,15 +11,13 @@ let case name f = Alcotest.test_case name `Quick f
 (* With [seed] the generator is pinned, and the seed is part of the test
    name, so a failure report names it. *)
 let qcheck ?(count = 100) ?seed ?print name gen prop =
-  match seed with
-  | None ->
-    QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)
-  | Some seed ->
-    QCheck_alcotest.to_alcotest
-      ~rand:(Random.State.make [| seed |])
-      (QCheck2.Test.make ~count ?print
-         ~name:(Printf.sprintf "%s (qcheck seed %d)" name seed)
-         gen prop)
+  let name, rand =
+    match seed with
+    | None -> (name, None)
+    | Some s ->
+      (Printf.sprintf "%s (qcheck seed %d)" name s, Some (Random.State.make [| s |]))
+  in
+  QCheck_alcotest.to_alcotest ?rand (QCheck2.Test.make ~count ?print ~name gen prop)
 
 (* Equivalence of a schedule state against the naive evaluation of its
    (possibly surgery-extended) DAG. *)
