@@ -140,6 +140,18 @@ let linear rng (r : float array) =
 
 let small = { Gbdt.default_params with n_trees = 12 }
 
+(* Column [f] as its rows would bin: every quantile edge is the column
+   minimum when more than 31/32 of the rows sit there (the last edge is
+   the value at rank [31/32 * (n - 1)]), and then every row falls in the
+   bin above that edge. *)
+let single_bin x f =
+  let vals = Array.map (fun r -> r.(f)) x in
+  Array.sort Float.compare vals;
+  let n = Array.length vals in
+  vals.(0) = vals.(31 * (n - 1) / Gbdt.max_bins)
+
+let constant x f = Array.for_all (fun r -> r.(f) = x.(0).(f)) x
+
 (* A small tuning corpus built the way the search builds one: sampled
    schedules of a conv layer, featurized per statement, labelled by the
    simulator, trained through the cost model (throughput targets and
@@ -257,6 +269,77 @@ let golden_cases =
         let x, y = golden_data 21 40 3 uniform linear in
         Gbdt.train ~params:{ small with min_samples_leaf = 5 } ~x ~y () );
     ("tuning corpus", "71140cb39ccedcd1524c2904bd042327", corpus_model);
+    (* The cases below hold columns whose rows all fall in one bin
+       without being constant, captured before the trainer left such
+       columns out of its histograms. *)
+    ( "non-constant single-bin column",
+      "81b1c4ea0b390c50b317cc5abc86ff28",
+      fun () ->
+        (* column 1 sits at its minimum in all but a few of its 256 rows
+           (more than 31/32 of them), so every quantile edge is that
+           minimum *)
+        let x, y =
+          golden_data 22 256 4
+            (fun f rng ->
+              let v = Rng.float rng 1.0 in
+              if f <> 1 then v else if v > 0.01 then 0.0 else 0.5 +. v)
+            (fun rng r -> r.(0) +. (4.0 *. r.(1)) +. Rng.float rng 0.1)
+        in
+        check_bool "column 1 single-bin, not constant" true
+          (single_bin x 1 && not (constant x 1));
+        Gbdt.train ~params:small ~x ~y () );
+    ( "every column single-bin",
+      "f7b9e07a61820f3aed1db2b51058f1d8",
+      fun () ->
+        let x, y =
+          golden_data 23 160 3
+            (fun f rng ->
+              if f = 0 || Rng.int rng 64 > 0 then float_of_int f
+              else float_of_int f +. Rng.float rng 1.0)
+            (fun rng _ -> Rng.float rng 1.0)
+        in
+        check_bool "all columns single-bin, two not constant" true
+          (List.for_all (single_bin x) [ 0; 1; 2 ]
+          && not (constant x 1 || constant x 2));
+        Gbdt.train ~params:small ~x ~y () );
+    ( "signed zeros",
+      "7f75fe3441837850b6cd7c64f83581bf",
+      fun () ->
+        (* column 0 holds only -0.0 and 0.0 (one bin); column 1 mixes
+           them with other values *)
+        let x, y =
+          golden_data 24 200 3
+            (fun f rng ->
+              match (f, Rng.int rng 3) with
+              | 0, 0 | 1, 0 -> -0.0
+              | 0, _ | 1, 1 -> 0.0
+              | _ -> Rng.float rng 1.0)
+            (fun rng r -> r.(1) +. r.(2) +. Rng.float rng 0.1)
+        in
+        check_bool "column 0 single-bin, column 1 not" true
+          (single_bin x 0 && not (single_bin x 1));
+        Gbdt.train ~params:small ~x ~y () );
+    ( "warm start, init splits a single-bin column",
+      "f8b8f6b8803aaefee24fb32da5b9dab9",
+      fun () ->
+        (* [init] splits columns 1 and 3 of [plain]; here column 1 is
+           constant and column 3 sits at its minimum in most rows *)
+        let x, y =
+          golden_data 25 200 6
+            (fun f rng ->
+              let v = Rng.float rng 1.0 in
+              match f with
+              | 1 -> 0.25
+              | 3 -> if v > 0.02 then 0.0 else v
+              | _ -> v)
+            linear
+        in
+        let init = init () in
+        let imp = Gbdt.feature_importance init in
+        check_bool "init splits columns 1 and 3, single-bin here" true
+          (imp.(1) > 0.0 && imp.(3) > 0.0 && single_bin x 1 && single_bin x 3
+         && not (constant x 3));
+        Gbdt.train ~params:small ~init ~x ~y () );
   ]
 
 let () =
