@@ -93,11 +93,16 @@ let train ?(params = default_params) ?init ~x ~y ?w () =
   let wsum = Array.fold_left ( +. ) 0.0 w in
   if wsum <= 0.0 then invalid_arg "Gbdt.train: weights sum to zero";
   let edges = make_bins x n_features in
-  (* a feature without edges has a single bin and never splits *)
+  (* A feature whose rows all fall in one bin never splits: below that
+     bin the left side is empty, from it on the right side weighs exactly
+     0.0 (both sides sum the same rows in the same order).  Leaving it out
+     changes no model bit. *)
   let splittable =
     Array.of_list
       (List.filter
-         (fun f -> Array.length edges.(f) > 0)
+         (fun f ->
+           let b0 = bin_value edges.(f) x.(0).(f) in
+           Array.exists (fun row -> bin_value edges.(f) row.(f) <> b0) x)
          (List.init n_features Fun.id))
   in
   let na = Array.length splittable in

@@ -10,19 +10,22 @@
     bins, and shrinkage.
 
     {b Data layout.}  Every value is binned once per {!train} call into a
-    byte matrix, one byte per (row, splittable feature), row-major; a
-    feature with a single bin (a constant column) is left out, since it
-    can never split.  A node owns a slice of one row-index array; a split
-    partitions that slice in place, stably.  One histogram buffer
-    ([3 x max_bins] floats per splittable feature: weight, weighted
-    residual, row count) is reused by every node, and the weighted
-    residuals are computed once per tree.
+    byte matrix, one byte per (row, splittable feature), row-major.  A
+    feature whose rows all fall in one bin is left out, since it can
+    never split: a constant column, but also one whose quantile edges
+    all equal its minimum (about 31/32 of its rows or more sit there).
+    A node owns a slice of one row-index array; a split partitions that
+    slice in place, stably.  One histogram buffer ([3 x max_bins] floats
+    per splittable feature: weight, weighted residual, row count) is
+    reused by every node, and the weighted residuals are computed once
+    per tree.
 
     {b Complexity.}  Binning sorts each column once:
     O(features x samples x log samples).  A tree reads each row's bytes
-    once per level and scans [max_bins] histogram entries per feature
-    per split node: O(trees x (depth x samples x features + nodes x
-    features x max_bins)), with [nodes] the split nodes of one tree.
+    once per level and scans [max_bins] histogram entries per splittable
+    feature per split node: O(trees x (depth x samples x splittable +
+    nodes x splittable x max_bins)), with [splittable] the features left
+    in and [nodes] the split nodes of one tree.
 
     {b Bit-identity contract.}  A model is a deterministic function of
     its inputs, down to the bits of every threshold, leaf and
