@@ -10,8 +10,8 @@ module Lru = Ansor_util.Lru
    machinery is shared with the race detector ({!Linform}): each index
    expression decomposes into a constant plus per-loop-variable groups of
    [(p / stride) mod len] digits, whose exact value range (and the
-   iterations attaining it) is computed in closed form for a single
-   digit and by a bounded scan otherwise; guarded
+   iterations attaining it) is computed in closed form when the digits
+   form a nested mixed radix and by a bounded scan otherwise; guarded
    accesses (the padding [select] idiom — C ternaries evaluate only the
    taken branch) fall back to an exhaustive guard-aware enumeration of
    the mentioned loop variables.
@@ -117,27 +117,51 @@ let scan_digits ~extent digits =
   done;
   { vr_var = ""; vr_min = !lo; vr_argmin = !argmin; vr_max = !hi; vr_argmax = !argmax }
 
-(* [scan_digits], in closed form for one digit [c·((p / stride) mod len)]:
-   the digit is 0 at [p = 0] and first reaches its top
-   [m = min ((extent-1)/stride) (len-1)] at [p = stride·m].  Groups of
-   several digits, and a digit whose values could overflow, are scanned. *)
+(* [scan_digits], in closed form for a nested mixed radix: sorted by
+   stride, each stride is a multiple of the previous [stride·len], and
+   (with more than one digit) [extent] is a multiple of the top stride or
+   reaches [stride·len] of the top digit.  The digits then range
+   independently, each over [0, m] with [m = min ((extent-1)/stride)
+   (len-1)] ([len-1] but for the top digit), so the maximum puts every
+   positive-coefficient digit at its [m] and every other at 0 — first
+   reached at [p = Σ stride·m] over the digits at [m] — and the minimum
+   does the same with the negative coefficients.  Other groups, and
+   groups whose values could overflow, are scanned. *)
 let digits_range ~extent digits =
-  match digits with
-  | [ ((d : Linform.digit), c) ]
-    when extent > 0 && d.stride > 0 && d.len > 0 && c <> 0
-         && c > -(max_int / extent) && c < max_int / extent ->
-    let m = min ((extent - 1) / d.stride) (d.len - 1) in
-    let top = c * m and at = d.stride * m in
-    if c > 0 then { vr_var = ""; vr_min = 0; vr_argmin = 0; vr_max = top; vr_argmax = at }
-    else { vr_var = ""; vr_min = top; vr_argmin = at; vr_max = 0; vr_argmax = 0 }
-  | _ -> scan_digits ~extent digits
+  let n = List.length digits in
+  let bound = if extent > 0 then max_int / extent / max 1 n else 0 in
+  let fits ((d : Linform.digit), c) =
+    d.stride > 0 && d.len > 0 && c > -bound && c < bound
+  in
+  let rec nested = function
+    | ((a : Linform.digit), _) :: ((((b : Linform.digit), _) :: _) as rest) ->
+      b.stride mod a.stride = 0 && b.stride / a.stride mod a.len = 0 && nested rest
+    | [ ((top : Linform.digit), _) ] ->
+      n = 1 || extent mod top.stride = 0 || extent / top.stride >= top.len
+    | [] -> false
+  in
+  let by_stride ((a : Linform.digit), _) ((b : Linform.digit), _) =
+    Int.compare a.stride b.stride
+  in
+  if List.for_all fits digits && nested (List.sort by_stride digits) then
+    List.fold_left
+      (fun r ((d : Linform.digit), c) ->
+        let m = min ((extent - 1) / d.stride) (d.len - 1) in
+        if c > 0 then
+          { r with vr_max = r.vr_max + (c * m); vr_argmax = r.vr_argmax + (d.stride * m) }
+        else if c < 0 then
+          { r with vr_min = r.vr_min + (c * m); vr_argmin = r.vr_argmin + (d.stride * m) }
+        else r)
+      { vr_var = ""; vr_min = 0; vr_argmin = 0; vr_max = 0; vr_argmax = 0 }
+      digits
+  else scan_digits ~extent digits
 
 exception Inexact
 
 (* Exact hull of an index expression: constant plus independent per-var
-   digit groups, each ranged over its full extent by [digits_range].  Raises [Inexact] when
-   a term is beyond the digit grammar, mixes variables, or a variable's
-   extent is over the scan budget. *)
+   digit groups, each ranged over its full extent by [digits_range].
+   Raises [Inexact] when a term is beyond the digit grammar, mixes
+   variables, or a variable's extent is over the scan budget. *)
 let exact_hull env e =
   let lf = Linform.of_iexpr e in
   (* group p-mentioning terms by their (single) variable *)

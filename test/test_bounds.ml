@@ -34,6 +34,7 @@ module Protocol = Ansor.Measure_protocol
 module Toolchain = Ansor.Toolchain
 module C = Ansor.Codegen_c
 module Rng = Ansor.Rng
+module Linform = Ansor_analysis.Linform
 
 let machine = Ansor.Machine.intel_cpu
 let has_code code ds = List.exists (fun d -> d.D.code = code) ds
@@ -192,8 +193,58 @@ let prop_digit_range_is_scan =
     (fun (stride, len, c, extent) ->
       extent = 0
       ||
-      let digit = ({ Ansor_analysis.Linform.stride; len }, c) in
+      let digit = ({ Linform.stride; len }, c) in
       Bounds.digits_range ~extent [ digit ] = Bounds.scan_digits ~extent [ digit ])
+
+(* Groups of one to four digits, in shuffled order.  Strides form a
+   chain [stride' = stride·len·gap] (gaps included), sometimes broken by
+   bumping one stride; lengths include 1 and coefficients are signed (0
+   too).  The extent is a multiple of the top stride, reaches past the
+   top digit, or ends anywhere, mid-block included, where the closed form
+   must give way to the scan. *)
+let prop_nested_digit_range_is_scan =
+  let open QCheck2.Gen in
+  let group =
+    let* shape =
+      list_size (int_range 1 4)
+        (triple (int_range 1 5) (int_range 1 2) (int_range (-30) 30))
+    in
+    let* s0 = int_range 1 3 in
+    let* bump = int_range 0 7 in
+    let* pick = int_range 0 2 in
+    let* q = int_range 1 12 in
+    let* r = int_range 0 10_000 in
+    let digits =
+      List.mapi
+        (fun i (stride, len, c) ->
+          ({ Linform.stride = (if i = bump then stride + 1 else stride); len }, c))
+        (List.rev
+           (fst
+              (List.fold_left
+                 (fun (acc, stride) (len, gap, c) ->
+                   ((stride, len, c) :: acc, stride * len * gap))
+                 ([], s0) shape)))
+    in
+    let top, _ = List.nth digits (List.length digits - 1) in
+    let extent =
+      match pick with
+      | 0 -> top.stride * q
+      | 1 -> (top.stride * top.len) + (r mod (2 * top.stride))
+      | _ -> 1 + (r mod (top.stride * (top.len + 1)))
+    in
+    map (fun order -> (extent, order)) (shuffle_l digits)
+  in
+  qcheck ~count:500 ~seed:29
+    ~print:(fun (extent, digits) ->
+      Printf.sprintf "extent %d: %s" extent
+        (String.concat " + "
+           (List.map
+              (fun ((d : Linform.digit), c) ->
+                Printf.sprintf "%d·((p / %d) mod %d)" c d.stride d.len)
+              digits)))
+    "nested digit range equals the scan" group
+    (fun (extent, digits) ->
+      Bounds.digits_range ~extent digits = Bounds.scan_digits ~extent digits)
 
 let test_memoization () =
   (* a shape unique to this test, so the first certify is a genuine miss *)
@@ -584,6 +635,7 @@ let () =
           case "over-budget program is unknown/warn" test_unknown_is_warn_not_error;
           prop_sampled_programs_certify;
           prop_digit_range_is_scan;
+          prop_nested_digit_range_is_scan;
           case "verdicts are memoized" test_memoization;
           case "golden verdicts" test_golden_verdicts;
         ] );
