@@ -117,43 +117,52 @@ let scan_digits ~extent digits =
   done;
   { vr_var = ""; vr_min = !lo; vr_argmin = !argmin; vr_max = !hi; vr_argmax = !argmax }
 
-(* [scan_digits], in closed form for a nested mixed radix: sorted by
-   stride, each stride is a multiple of the previous [stride·len], and
-   (with more than one digit) [extent] is a multiple of the top stride or
-   reaches [stride·len] of the top digit.  The digits then range
-   independently, each over [0, m] with [m = min ((extent-1)/stride)
-   (len-1)] ([len-1] but for the top digit), so the maximum puts every
-   positive-coefficient digit at its [m] and every other at 0 — first
-   reached at [p = Σ stride·m] over the digits at [m] — and the minimum
-   does the same with the negative coefficients.  Other groups, and
-   groups whose values could overflow, are scanned. *)
+(* Several digits, sorted by stride, form a nested chain: each stride is a
+   multiple of the previous [stride·len] (tested by division, so it cannot
+   overflow), and [extent] is a multiple of the top stride or at least
+   [stride·len] of the top digit. *)
+let rec nested ~extent = function
+  | ((a : Linform.digit), _) :: ((((b : Linform.digit), _) :: _) as rest) ->
+    b.stride mod a.stride = 0
+    && b.stride / a.stride mod a.len = 0
+    && nested ~extent rest
+  | [ ((top : Linform.digit), _) ] ->
+    extent mod top.stride = 0 || extent / top.stride >= top.len
+  | [] -> false
+
+(* Positive strides and lengths, and coefficients small enough that no
+   sum of [c·m] terms overflows. *)
+let rec fits ~bound = function
+  | [] -> true
+  | ((d : Linform.digit), c) :: rest ->
+    d.stride > 0 && d.len > 0 && c > -bound && c < bound && fits ~bound rest
+
+let by_stride ((a : Linform.digit), _) ((b : Linform.digit), _) =
+  Int.compare a.stride b.stride
+
+let rec closed_range ~extent lo argmin hi argmax = function
+  | [] -> { vr_var = ""; vr_min = lo; vr_argmin = argmin; vr_max = hi; vr_argmax = argmax }
+  | ((d : Linform.digit), c) :: rest ->
+    let m = min ((extent - 1) / d.stride) (d.len - 1) in
+    if c > 0 then closed_range ~extent lo argmin (hi + (c * m)) (argmax + (d.stride * m)) rest
+    else if c < 0 then
+      closed_range ~extent (lo + (c * m)) (argmin + (d.stride * m)) hi argmax rest
+    else closed_range ~extent lo argmin hi argmax rest
+
+(* [scan_digits], in closed form for a nested mixed radix ([nested]).  The
+   digits then range independently, each over [0, m] with
+   [m = min ((extent-1)/stride) (len-1)] ([len-1] but for the top digit),
+   so the maximum puts every positive-coefficient digit at its [m] and
+   every other at 0 — first reached at [p = Σ stride·m] over the digits
+   at [m] — and the minimum does the same with the negative coefficients.
+   Other groups, and groups whose values could overflow, are scanned. *)
 let digits_range ~extent digits =
   let n = List.length digits in
-  let bound = if extent > 0 then max_int / extent / max 1 n else 0 in
-  let fits ((d : Linform.digit), c) =
-    d.stride > 0 && d.len > 0 && c > -bound && c < bound
-  in
-  let rec nested = function
-    | ((a : Linform.digit), _) :: ((((b : Linform.digit), _) :: _) as rest) ->
-      b.stride mod a.stride = 0 && b.stride / a.stride mod a.len = 0 && nested rest
-    | [ ((top : Linform.digit), _) ] ->
-      n = 1 || extent mod top.stride = 0 || extent / top.stride >= top.len
-    | [] -> false
-  in
-  let by_stride ((a : Linform.digit), _) ((b : Linform.digit), _) =
-    Int.compare a.stride b.stride
-  in
-  if List.for_all fits digits && nested (List.sort by_stride digits) then
-    List.fold_left
-      (fun r ((d : Linform.digit), c) ->
-        let m = min ((extent - 1) / d.stride) (d.len - 1) in
-        if c > 0 then
-          { r with vr_max = r.vr_max + (c * m); vr_argmax = r.vr_argmax + (d.stride * m) }
-        else if c < 0 then
-          { r with vr_min = r.vr_min + (c * m); vr_argmin = r.vr_argmin + (d.stride * m) }
-        else r)
-      { vr_var = ""; vr_min = 0; vr_argmin = 0; vr_max = 0; vr_argmax = 0 }
-      digits
+  if
+    extent > 0 && n > 0
+    && fits ~bound:(max_int / extent / n) digits
+    && (n = 1 || nested ~extent (List.sort by_stride digits))
+  then closed_range ~extent 0 0 0 0 digits
   else scan_digits ~extent digits
 
 exception Inexact
@@ -164,8 +173,15 @@ exception Inexact
    variables, or a variable's extent is over the scan budget. *)
 let exact_hull env e =
   let lf = Linform.of_iexpr e in
-  (* group p-mentioning terms by their (single) variable *)
-  let groups : (string, (Expr.iexpr * int) list) Hashtbl.t = Hashtbl.create 4 in
+  (* group p-mentioning terms by their (single) variable; an index
+     mentions a handful of variables, so an association list beats a
+     hash table *)
+  let rec add v t = function
+    | [] -> [ (v, [ t ]) ]
+    | (v', ts) :: rest when String.equal v v' -> (v', t :: ts) :: rest
+    | g :: rest -> g :: add v t rest
+  in
+  let groups = ref [] in
   let const = ref lf.Linform.const in
   List.iter
     (fun (atom, c) ->
@@ -177,14 +193,12 @@ let exact_hull env e =
           with Division_by_zero -> raise Inexact
         in
         const := !const + (c * v)
-      | [ v ] ->
-        Hashtbl.replace groups v
-          ((atom, c) :: Option.value (Hashtbl.find_opt groups v) ~default:[])
+      | [ v ] -> groups := add v (atom, c) !groups
       | _ -> raise Inexact)
     lf.Linform.terms;
   let ranges =
-    Hashtbl.fold
-      (fun v terms acc ->
+    List.fold_left
+      (fun acc (v, terms) ->
         let extent =
           match env v with
           | Some { I.lo = 0; hi } -> hi + 1
@@ -197,7 +211,7 @@ let exact_hull env e =
           match Linform.merge_digits ds with
           | [] -> acc
           | digits -> { (digits_range ~extent digits) with vr_var = v } :: acc))
-      groups []
+      [] !groups
   in
   let lo = List.fold_left (fun acc r -> acc + r.vr_min) !const ranges in
   let hi = List.fold_left (fun acc r -> acc + r.vr_max) !const ranges in

@@ -28,23 +28,30 @@ let default_params =
 
 let max_bins = 32
 
-(* Quantile bin edges per feature: at most [max_bins - 1] thresholds. *)
+(* Quantile bin edges per feature: at most [max_bins - 1] thresholds.  A
+   constant column (all rows [=], signed zeros included) gets the single
+   edge [v] unsorted: all its rows share a bin, so it never splits and
+   its edge is never a threshold. *)
 let make_bins x n_features =
   let n = Array.length x in
   Array.init n_features (fun f ->
-      let vals = Array.init n (fun i -> x.(i).(f)) in
-      Array.sort Float.compare vals;
-      (* distinct quantiles *)
-      let edges = ref [] in
-      for b = 1 to max_bins - 1 do
-        let q = float_of_int b /. float_of_int max_bins in
-        let idx = int_of_float (q *. float_of_int (n - 1)) in
-        let v = vals.(idx) in
-        match !edges with
-        | e :: _ when e >= v -> ()
-        | _ -> edges := v :: !edges
-      done;
-      Array.of_list (List.rev !edges))
+      let v0 = x.(0).(f) in
+      if Array.for_all (fun row -> row.(f) = v0) x then [| v0 |]
+      else begin
+        let vals = Array.init n (fun i -> x.(i).(f)) in
+        Array.sort Float.compare vals;
+        (* distinct quantiles *)
+        let edges = ref [] in
+        for b = 1 to max_bins - 1 do
+          let q = float_of_int b /. float_of_int max_bins in
+          let idx = int_of_float (q *. float_of_int (n - 1)) in
+          let v = vals.(idx) in
+          match !edges with
+          | e :: _ when e >= v -> ()
+          | _ -> edges := v :: !edges
+        done;
+        Array.of_list (List.rev !edges)
+      end)
 
 let bin_value edges v =
   (* index of first edge > v; edges sorted ascending *)
