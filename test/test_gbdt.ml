@@ -319,6 +319,27 @@ let golden_cases =
         check_bool "column 0 single-bin, column 1 not" true
           (single_bin x 0 && not (single_bin x 1));
         Gbdt.train ~params:small ~x ~y () );
+    ( "signed zero as a split threshold",
+      "76aec78ca35470578bc50e4ee824912f",
+      fun () ->
+        (* column 1: a quarter each of negatives, -0.0, 0.0 and positives;
+           its zero edge splits the negatives off, and which zero the
+           column sort leaves at that quantile sets the threshold's
+           sign bit *)
+        let x, y =
+          golden_data 27 200 3
+            (fun f rng ->
+              if f <> 1 then Rng.float rng 1.0
+              else
+                match Rng.int rng 4 with
+                | 0 -> -.Rng.float rng 1.0
+                | 1 -> -0.0
+                | 2 -> 0.0
+                | _ -> Rng.float rng 1.0)
+            (fun rng r ->
+              (if r.(1) < 0.0 then 1.0 else 0.0) +. r.(2) +. Rng.float rng 0.1)
+        in
+        Gbdt.train ~params:small ~x ~y () );
     ( "warm start, init splits a single-bin column",
       "f8b8f6b8803aaefee24fb32da5b9dab9",
       fun () ->
