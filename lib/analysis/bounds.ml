@@ -117,10 +117,10 @@ let scan_digits ~extent digits =
   done;
   { vr_var = ""; vr_min = !lo; vr_argmin = !argmin; vr_max = !hi; vr_argmax = !argmax }
 
-(* Several digits, sorted by stride, form a nested chain: each stride is a
-   multiple of the previous [stride·len] (tested by division, so it cannot
-   overflow), and [extent] is a multiple of the top stride or at least
-   [stride·len] of the top digit. *)
+(* Whether several digits, sorted by stride, form a nested chain: each
+   stride a multiple of the previous [stride·len] (tested by division, so
+   it cannot overflow), and [extent] a multiple of the top stride or at
+   least [stride·len] of the top digit. *)
 let rec nested ~extent = function
   | ((a : Linform.digit), _) :: ((((b : Linform.digit), _) :: _) as rest) ->
     b.stride mod a.stride = 0

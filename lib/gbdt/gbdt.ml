@@ -31,14 +31,16 @@ let max_bins = 32
 (* Quantile bin edges per feature: at most [max_bins - 1] thresholds.  A
    constant column (all rows [=], signed zeros included) gets the single
    edge [v] unsorted: all its rows share a bin, so it never splits and
-   its edge is never a threshold. *)
+   its edge is never a threshold.  Every other column is copied into one
+   reused buffer and sorted there. *)
 let make_bins x n_features =
   let n = Array.length x in
+  let vals = Array.make n 0.0 in
   Array.init n_features (fun f ->
       let v0 = x.(0).(f) in
       if Array.for_all (fun row -> row.(f) = v0) x then [| v0 |]
       else begin
-        let vals = Array.init n (fun i -> x.(i).(f)) in
+        Array.iteri (fun i row -> vals.(i) <- row.(f)) x;
         Array.sort Float.compare vals;
         (* distinct quantiles *)
         let edges = ref [] in
@@ -53,8 +55,9 @@ let make_bins x n_features =
         Array.of_list (List.rev !edges)
       end)
 
-let bin_value edges v =
-  (* index of first edge > v; edges sorted ascending *)
+let bin_value (edges : float array) (v : float) =
+  (* index of first edge > v; edges sorted ascending; the annotation makes
+     [<] a float comparison, not a polymorphic one *)
   let lo = ref 0 and hi = ref (Array.length edges) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in

@@ -20,7 +20,7 @@
     reused by every node, and the weighted residuals are computed once
     per tree.
 
-    {b Complexity.}  Binning sorts each column once:
+    {b Complexity.}  Binning sorts each non-constant column once:
     O(features x samples x log samples).  A tree reads each row's bytes
     once per level and scans [max_bins] histogram entries per splittable
     feature per split node: O(trees x (depth x samples x splittable +
@@ -36,7 +36,10 @@
       keeps every slice ascending);
     - subtrees grow right first, then left, so split gains are added to
       [importance] in that order.
-    [test/test_gbdt.ml] pins both with digests of marshalled models. *)
+    Binning pins a third: a column is sorted by [Array.sort], a heap
+    sort, which decides whether [-0.0] or [0.0] lands at a quantile and
+    so the sign bit of a zero threshold.  [test/test_gbdt.ml] pins all
+    three with digests of marshalled models. *)
 
 type t
 
