@@ -15,10 +15,9 @@ let certify = Bounds.certify
 let bounds = Bounds.diagnostics
 let defuse = Defuse.check
 
-let static_checks prog =
-  Validate.check prog @ Races.check prog @ Bounds.diagnostics prog
-
-let static_errors prog = Diagnostic.errors (static_checks prog)
+let static_errors prog =
+  Diagnostic.errors
+    (Validate.check prog @ Races.check prog @ Bounds.diagnostics prog)
 
 let analyze ?(config = default_config) ?(bounds = true) prog =
   let base = Validate.check prog @ Races.check prog @ Lint.check config prog in

@@ -31,24 +31,21 @@ val lint : config -> Ansor_sched.Prog.t -> Ansor_sched.Diagnostic.t list
 (** Structural and performance lints; see {!Lint.check}. *)
 
 val certify : Ansor_sched.Prog.t -> Bounds.verdict
-(** Memory-safety verdict of the affine bounds certifier, memoized by
-    canonical program hash; see {!Bounds.certify}. *)
+(** Memory-safety verdict of the affine bounds certifier; see
+    {!Bounds.check}. *)
 
 val bounds : Ansor_sched.Prog.t -> Ansor_sched.Diagnostic.t list
-(** Bounds-certification diagnostics (memoized): an [Error] with a
+(** Bounds-certification diagnostics: an [Error] with a
     rendered witness for [Unsafe], [Warn]s for unproven dimensions. *)
 
 val defuse : Ansor_sched.Prog.t -> Ansor_sched.Diagnostic.t list
 (** Def-use warnings: reads of non-input buffers that textual order
     cannot have defined; see {!Defuse.check}. *)
 
-val static_checks : Ansor_sched.Prog.t -> Ansor_sched.Diagnostic.t list
-(** Validator, race detector, and bounds certifier — the
-    size-independent correctness oracle used to gate search and
-    serving. *)
-
 val static_errors : Ansor_sched.Prog.t -> Ansor_sched.Diagnostic.t list
-(** The [Error]-severity subset of {!static_checks}. *)
+(** The [Error]-severity diagnostics of the validator, race detector and
+    bounds certifier — the size-independent correctness oracle used to
+    gate search and serving. *)
 
 val analyze :
   ?config:config ->

@@ -1,7 +1,6 @@
 open Ansor_te
 open Ansor_sched
 module I = Validate.Interval
-module Lru = Ansor_util.Lru
 
 (* Static memory-safety certification of lowered programs.
 
@@ -410,7 +409,7 @@ let witness_diag w =
   Diagnostic.makef ~severity:Diagnostic.Error ~code:"out-of-bounds-witness"
     ~loc:(Diagnostic.Stage w.w_stage) "%s" (witness_to_string w)
 
-(* Uncached certification: walks every statement, proves every access
+(* Certification: walks every statement, proves every access
    dimension or finds a witness.  The first witness wins (deterministic:
    statements in program order, accesses write-then-reads, dimensions
    outermost first). *)
@@ -546,30 +545,10 @@ let check (prog : Prog.t) : verdict * Diagnostic.t list =
   | None ->
     if !unknown then (Unknown, List.rev !diags) else (Certified, [])
 
-(* ---- memoization --------------------------------------------------------- *)
+(* Every consumer (evolution's mutant filter, the native measurement
+   gate, the registry's serving bar and [ansor lint]) runs [check]
+   afresh: a memo keyed by the canonical program hash costs more in
+   hashing than its hits save (DESIGN §14). *)
+let certify prog = fst (check prog)
 
-(* Verdicts are pure in the program, so one process-wide LRU keyed by the
-   canonical lowered-program hash (the machine-independent core of the
-   measurement-cache key) serves every consumer: evolution's mutant
-   filter, the native measurement gate, the registry's serving bar and
-   [ansor lint].  Not domain-safe — certify only from the owning domain
-   (all current call sites run on the calling domain). *)
-
-let memo : (verdict * Diagnostic.t list) Lru.t = Lru.create ~capacity:8192
-
-let certify_full prog : (verdict * Diagnostic.t list) * bool =
-  let key = Prog.canonical_hash prog in
-  match Lru.find memo key with
-  | Some r -> (r, true)
-  | None ->
-    let r = check prog in
-    Lru.add memo key r;
-    (r, false)
-
-let certify' prog =
-  let (verdict, _), hit = certify_full prog in
-  (verdict, hit)
-
-let certify prog = fst (certify' prog)
-
-let diagnostics prog = snd (fst (certify_full prog))
+let diagnostics prog = snd (check prog)

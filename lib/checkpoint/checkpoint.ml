@@ -10,15 +10,17 @@ type image = { meta : meta; session : Ansor_scheduler.Scheduler.Snapshot.t }
 (* v2: Shared.snapshot gained the cross-task warm-start fields
    (pretrained base model, store-derived records, provenance).
    v3: Telemetry.stats gained the memory-safety certification counters
-   (bounds_rejected / certified / cert_cache_hits).
+   (bounds_rejected / certified and a verdict-memo hit count).
    v4: Tuner.Snapshot gained the exploitation-descent cursor and
    plateau-detector state; Telemetry.stats gained the descent counters.
    v5: the Single/Session payload variant is gone — a single-operator
    session is a one-task scheduler session, so every image holds one
    Scheduler.Snapshot.t.
+   v6: Telemetry.stats lost the verdict-memo hit count with the memo
+   itself; every native-gate certification is in [certified].
    The version lives in the magic line, so a snapshot from an older
    binary is rejected cleanly instead of misparsed by Marshal. *)
-let version = 5
+let version = 6
 
 let magic = Printf.sprintf "ansor-snapshot-v%d" version
 

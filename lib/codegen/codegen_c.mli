@@ -67,10 +67,6 @@ val guard_helpers : string
     differential oracle keys on.  Needs [<stdio.h>]/[<stdlib.h>]; emit
     once per TU, after {!helpers}. *)
 
-val input_buffers : Prog.t -> (string * int list) list
-(** The program's input buffers — those it never stores to (and never
-    reduction-initializes) — with their shapes, in buffer order. *)
-
 val emit_bench_tu : ?guard:bool -> Prog.t list -> string
 (** One self-contained benchmark translation unit over N kernels — the
     native measurement backend's batch-compilation hot path (one gcc

@@ -6,7 +6,7 @@
     and parallelization features (length of the innermost annotated loop,
     one-hot position/kind encoding, product of annotated lengths, count);
     GPU-thread-binding placeholders; a 10-point arithmetic-intensity curve;
-    per-buffer access features for up to [buffers_per_stmt] buffers (access
+    per-buffer access features for up to 5 buffers (access
     type, bytes, unique bytes, lines, unique lines, reuse type, reuse
     distance, reuse counter, stride, bytes-over-reuse ratios); allocation
     features; and outer-loop context features.
@@ -15,10 +15,6 @@
     trees split on orders of magnitude. *)
 
 open Ansor_sched
-
-val buffers_per_stmt : int
-(** Buffer-feature blocks per statement (5, as in the paper); statements
-    touching more buffers keep the largest, fewer are zero-padded. *)
 
 val dim : int
 (** Length of a feature vector. *)

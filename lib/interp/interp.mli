@@ -44,10 +44,6 @@ type exec_mode =
   | Snapshot_reversed  (** as [Snapshot_forward], logs applied in
           reverse iteration order *)
 
-val order_modes : exec_mode list
-(** The non-[Sequential] modes, in the order [order_sensitive] tries
-    them. *)
-
 val order_sensitive : ?tol:float -> Prog.t -> inputs:tensors -> exec_mode option
 (** Runs the program under every mode and returns the first whose
     outputs differ from [Sequential] by more than [tol] (default

@@ -32,15 +32,6 @@ type report = {
   x_tasks : task_report list;
 }
 
-val check_task :
-  ?config:Measure_native.config ->
-  sample:int ->
-  seed:int ->
-  machine:Ansor_machine.Machine.t ->
-  string ->
-  Ansor_te.Dag.t ->
-  task_report
-
 val run :
   ?config:Measure_native.config ->
   ?sample:int ->

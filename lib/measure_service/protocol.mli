@@ -32,7 +32,6 @@ type failure =
   | Run_error of string
   | Timeout
 
-val pp_failure : Format.formatter -> failure -> unit
 val failure_to_string : failure -> string
 
 (** Which measurement backend a service runs candidates on:

@@ -151,16 +151,15 @@ type prepared =
    deterministic, so like a compile error it is never retried, consumes
    zero trials, and is checked {e before} the dedup cache: a latency
    recorded for an out-of-bounds program is garbage even when some past
-   session managed to record one.  Verdicts are memoized process-wide by
-   canonical program hash, so re-certifying the populations evolution
-   already filtered is a table lookup. *)
+   session managed to record one.  Every call runs the certifier afresh
+   (about 40 µs a program), so [certified] counts gate calls and is the
+   same in every process. *)
 let certification_gate t prog =
   match t.config.backend with
   | Protocol.Sim -> None
   | Protocol.Native ->
-    let verdict, hit = Ansor_analysis.Bounds.certify' prog in
-    Telemetry.add_certification t.telemetry ~hit;
-    (match verdict with
+    Telemetry.incr_certified t.telemetry;
+    (match Ansor_analysis.Bounds.certify prog with
     | Ansor_analysis.Bounds.Certified -> None
     | Ansor_analysis.Bounds.Unsafe w ->
       Some (Ansor_analysis.Bounds.witness_to_string w)

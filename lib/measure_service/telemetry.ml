@@ -31,7 +31,6 @@ type stats = {
   statically_rejected : int;
   bounds_rejected : int;
   certified : int;
-  cert_cache_hits : int;
   warm_starts : int;
   store_samples : int;
   finetune_rounds : int;
@@ -65,7 +64,6 @@ let empty_stats =
     statically_rejected = 0;
     bounds_rejected = 0;
     certified = 0;
-    cert_cache_hits = 0;
     warm_starts = 0;
     store_samples = 0;
     finetune_rounds = 0;
@@ -113,8 +111,6 @@ let fields =
     Int ("bounds_rejected", (fun s -> s.bounds_rejected),
       fun s v -> { s with bounds_rejected = v });
     Int ("certified", (fun s -> s.certified), fun s v -> { s with certified = v });
-    Int ("cert_cache_hits", (fun s -> s.cert_cache_hits),
-      fun s v -> { s with cert_cache_hits = v });
     Int ("warm_starts", (fun s -> s.warm_starts),
       fun s v -> { s with warm_starts = v });
     Int ("store_samples", (fun s -> s.store_samples),
@@ -245,10 +241,7 @@ let incr_batches t = update t (fun s -> { s with batches = s.batches + 1 })
 let incr_statically_rejected t =
   update t (fun s -> { s with statically_rejected = s.statically_rejected + 1 })
 
-let add_certification t ~hit =
-  update t (fun s ->
-      if hit then { s with cert_cache_hits = s.cert_cache_hits + 1 }
-      else { s with certified = s.certified + 1 })
+let incr_certified t = update t (fun s -> { s with certified = s.certified + 1 })
 
 let incr_warm_starts t = update t (fun s -> { s with warm_starts = s.warm_starts + 1 })
 

@@ -22,8 +22,6 @@ type phase =
   | Native_run
   | Descent
 
-val phase_name : phase -> string
-
 (** An immutable snapshot of the counters. *)
 type stats = {
   trials : int;  (** backend measurement runs, retries included *)
@@ -38,17 +36,18 @@ type stats = {
   retries : int;  (** extra runs caused by transient failures *)
   batches : int;  (** measure-batch calls *)
   statically_rejected : int;
-      (** evolution mutants discarded by the static race detector before
-          ever reaching the measurement backend *)
+      (** candidates dropped by the static checks before reaching the
+          measurement backend: every [Evolution.verify] rejection
+          (validation errors, races or bounds witnesses) of evolution
+          mutants, descent and exploit neighbours, plus fresh samples
+          the tuner drops for an [Unsafe] bounds witness *)
   bounds_rejected : int;
       (** candidates the memory-safety certifier refused to hand to the
           native backend ([Bounds_error]: an out-of-bounds witness, or an
           unproven program without guarded codegen) *)
   certified : int;
-      (** fresh certifications performed by the native gate (memo-table
-          misses; every verdict class counts) *)
-  cert_cache_hits : int;
-      (** native-gate certifications served from the verdict memo table *)
+      (** certifications run by the native gate (every verdict class
+          counts) *)
   warm_starts : int;
       (** cost models seeded from a pretrained model-store bundle instead
           of starting cold *)
@@ -136,11 +135,11 @@ val add_backoff : t -> float -> unit
 val incr_batches : t -> unit
 
 val incr_statically_rejected : t -> unit
-(** One evolution mutant rejected by the pre-measurement static filter. *)
+(** One candidate rejected by a pre-measurement static check (see
+    [statically_rejected]). *)
 
-val add_certification : t -> hit:bool -> unit
-(** One certification event at the native gate: a memo-table hit
-    ([~hit:true]) or a fresh run of the bounds certifier. *)
+val incr_certified : t -> unit
+(** One run of the bounds certifier at the native gate. *)
 
 val incr_warm_starts : t -> unit
 (** One cost model seeded from a pretrained store model. *)
@@ -163,10 +162,6 @@ val add_descent_sweep : t -> trials:int -> improved:bool -> unit
 
 val incr_descent_plateau_stops : t -> unit
 (** One descent stage terminated by the measured-plateau stop rule. *)
-
-val score_speedup : stats -> float
-(** Realized parallel speedup of the scoring fan-out
-    ([score_work_seconds / score_wall_seconds]; 1.0 when no batch ran). *)
 
 val add_score_batch :
   t -> hits:int -> misses:int -> evictions:int -> wall:float -> work:float ->

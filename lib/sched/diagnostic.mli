@@ -36,19 +36,11 @@ val makef :
   'a
 (** [makef] is {!make} with a format string for the message. *)
 
-val severity_to_string : severity -> string
-
-val compare_severity : severity -> severity -> int
-(** Orders [Error < Warn < Info], i.e. worst first. *)
-
-val loc_to_string : location -> string
-
 val pp : Format.formatter -> t -> unit
 (** ["error[write-race] statement of stage C: ..."] *)
 
 val to_string : t -> string
 
-val is_error : t -> bool
 val errors : t list -> t list
 val has_errors : t list -> bool
 

@@ -71,7 +71,6 @@ val replay_checked : Dag.t -> Step.t list -> (t, string) result
 val find_stage : t -> string -> stage
 (** @raise Not_found *)
 
-val mem_stage : t -> string -> bool
 val stage_names : t -> string list
 val ivar : stage -> int -> ivar_info
 val leaf_pos : stage -> int -> int option

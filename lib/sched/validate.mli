@@ -35,9 +35,6 @@ module Interval : sig
   val sub : t -> t -> t
   val mul : t -> t -> t
 
-  val floordiv_const : t -> int -> t
-  (** Floor-divide by a positive constant. *)
-
   val imin : t -> t -> t
   val imax : t -> t -> t
 

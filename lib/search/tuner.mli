@@ -110,8 +110,6 @@ module Shared : sig
   (** ["cold"], or the warm model's ladder rung: ["exact"] / ["class"] /
       ["global"].  Survives snapshot/restore. *)
 
-  val is_warm : t -> bool
-
   val warm_starts : t -> int
   (** Warm starts adopted over the session's lifetime (at most one per
       {!adopt_store} call; {!restore} carries the count over). *)
@@ -129,8 +127,6 @@ module Shared : sig
 
   val num_aux : t -> int
   (** Store-derived sibling records currently in the training corpus. *)
-
-  val has_store : t -> bool
 
   (** Checkpoint image of the shared state: the full training set (newest
       first, order preserved) plus whether a model had been trained.  Pure

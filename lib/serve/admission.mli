@@ -22,7 +22,6 @@ type shed_reason = Queue_full | Displaced
 (** The total classification of one offered request. *)
 type outcome = Served | Shed of shed_reason | Quota_exceeded
 
-val shed_reason_to_string : shed_reason -> string
 val outcome_to_string : outcome -> string
 
 type shed_policy =

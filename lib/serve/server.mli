@@ -153,8 +153,6 @@ val nominal_latency : t -> float
 
 type event_kind = Proposed | Promoted | Rolled_back
 
-val event_kind_to_string : event_kind -> string
-
 type event = {
   vtime : float;
   key : string;

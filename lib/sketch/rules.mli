@@ -26,17 +26,6 @@ type t = {
 val skip : t
 (** Rule 1: move on without transforming the node. *)
 
-val always_inline : t
-(** Rule 2: inline strictly-inlinable non-output nodes. Exclusive. *)
-
-val add_cache_stage : t
-(** Rule 5: add a cache-write stage for data-reuse nodes without a fusible
-    consumer, re-visiting the node so rule 4 fuses the copy. *)
-
-val reduction_factorization : t
-(** Rule 6: rfactor a long reduction of a low-parallelism node into a
-    partial-reduction stage plus a final reduction. *)
-
 val default : t list
 (** The Table-1 rule set, in priority order.  Rules 3 (multi-level tiling
     for data-reuse nodes with no fusible consumer) and 4 (the same plus
@@ -50,10 +39,6 @@ type tiling = { space_parts : int; reduce_parts : int; bind_levels : int }
 val default_tiling : tiling
 (** SSRSRS: 4 space levels, 2 reduction levels, 2 bound levels. *)
 
-val limited_tiling : tiling
-(** The manual-template-like structure of the "Limited space" ablation
-    and the AutoTVM baseline: 2 space levels, 1 bound level. *)
-
 val make :
   tiling:tiling ->
   with_fusion:bool ->
@@ -65,15 +50,6 @@ val make :
     space). *)
 
 val limited : fusion:bool -> t list
-(** [make ~tiling:limited_tiling ~with_cache:false ~with_rfactor:false]. *)
-
-val effective_consumer : State.t -> int -> int option
-(** The fusible consumer of node [i], looking through stages already
-    inlined in the current state (each link must satisfy
-    {!Ansor_te.Dag.fusible_consumer}). *)
-
-val multilevel_space_parts : int
-(** Space-tile levels of the SSRSRS structure (4). *)
-
-val multilevel_reduce_parts : int
-(** Reduction-tile levels of the SSRSRS structure (2). *)
+(** The manual-template-like rule set of the "Limited space" ablation and
+    the AutoTVM baseline: two-level space and reduction tiling with one
+    bound level, and no cache or rfactor rules. *)

@@ -127,8 +127,6 @@ let fusible_consumer t i =
     | _ -> None)
   | _ -> None
 
-let has_fusible_consumer t i = fusible_consumer t i <> None
-
 let has_more_reduction_parallel t i =
   match t.ops.(i) with
   | Op.Placeholder _ -> false

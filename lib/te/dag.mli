@@ -54,14 +54,11 @@ val has_data_reuse : t -> int -> bool
     tensor is reused across a space axis (e.g. matmul, conv2d): candidates
     for multi-level tiling (rules 3-5). *)
 
-val has_fusible_consumer : t -> int -> bool
-(** True when the node has exactly one consumer, and that consumer is an
-    elementwise node of the same output shape accessing the node's tensor
-    at its own space indices (e.g. matmul + bias_add, conv2d + relu): rule
-    4 can fuse them. *)
-
 val fusible_consumer : t -> int -> int option
-(** The consumer witnessing {!has_fusible_consumer}, if any. *)
+(** The node's consumer when it is its only one, and is an elementwise
+    node of the same output shape accessing the node's tensor at its own
+    space indices (e.g. matmul + bias_add, conv2d + relu): rule 4 can
+    fuse them. *)
 
 val has_more_reduction_parallel : t -> int -> bool
 (** True for nodes with little space parallelism but ample reduction

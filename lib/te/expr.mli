@@ -99,8 +99,6 @@ val subst_tensor : string -> (iexpr list -> t) -> t -> t
 val subst_axes : (string * iexpr) list -> t -> t
 (** Simultaneous substitution of axis variables in an expression. *)
 
-val subst_axes_iexpr : (string * iexpr) list -> iexpr -> iexpr
-
 (** Static operation counts of one evaluation of an expression, split the
     way the cost-model features need them (Appendix B). *)
 type op_counts = {

@@ -56,10 +56,6 @@ val reduce_extent : t -> int
 (** Product of reduction-axis extents (1 for elementwise ops and
     placeholders). *)
 
-val flops_per_elem : t -> int
-(** Floating-point operations needed to produce one output element:
-    body flops times reduction extent, plus the accumulations. *)
-
 val flops : t -> int
 (** Total floating-point operations of the operator. *)
 

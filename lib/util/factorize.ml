@@ -21,50 +21,13 @@ let prime_factors n =
   in
   go n 2 []
 
-let rec factorizations_uncached n k =
+let rec factorizations n k =
   if n <= 0 || k <= 0 then invalid_arg "Factorize.factorizations";
   if k = 1 then [ [ n ] ]
   else
-    let ds = divisors n in
     List.concat_map
-      (fun d ->
-        List.map (fun rest -> d :: rest) (factorizations_uncached (n / d) (k - 1)))
-      ds
-
-(* Annotation sampling asks for the same (n, k) factorization lists over
-   and over (tile-size resampling, mutation, constrained replay); the
-   recursion re-enumerates divisor trees exponentially each time.  Memoize
-   per-(n, k) — subproblems included — behind a mutex so worker domains can
-   share the table. *)
-let memo : (int * int, int list list) Hashtbl.t = Hashtbl.create 256
-let memo_mutex = Mutex.create ()
-let memo_limit = 8192
-
-let memo_find key =
-  Mutex.protect memo_mutex (fun () -> Hashtbl.find_opt memo key)
-
-let memo_store key v =
-  Mutex.protect memo_mutex (fun () ->
-      if Hashtbl.length memo >= memo_limit then Hashtbl.reset memo;
-      Hashtbl.replace memo key v)
-
-let factorizations n k =
-  if n <= 0 || k <= 0 then invalid_arg "Factorize.factorizations";
-  let rec go n k =
-    if k = 1 then [ [ n ] ]
-    else
-      match memo_find (n, k) with
-      | Some r -> r
-      | None ->
-        let r =
-          List.concat_map
-            (fun d -> List.map (fun rest -> d :: rest) (go (n / d) (k - 1)))
-            (divisors n)
-        in
-        memo_store (n, k) r;
-        r
-  in
-  go n k
+      (fun d -> List.map (fun rest -> d :: rest) (factorizations (n / d) (k - 1)))
+      (divisors n)
 
 let rec count_factorizations n k =
   if n <= 0 || k <= 0 then invalid_arg "Factorize.count_factorizations";

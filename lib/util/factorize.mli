@@ -15,14 +15,7 @@ val prime_factors : int -> int list
 val factorizations : int -> int -> int list list
 (** [factorizations n k] lists all ordered [k]-tuples of positive integers
     whose product is [n]. The count grows quickly; intended for small [k]
-    (<= 5) as used by multi-level tiling.  Results are memoized per
-    [(n, k)] (annotation sampling issues the same queries repeatedly);
-    the memo table is shared and mutex-protected, safe from worker
-    domains.  Do {e not} mutate the returned lists. *)
-
-val factorizations_uncached : int -> int -> int list list
-(** The same enumeration without the memo table — a fresh computation for
-    tests and cross-checks. *)
+    (<= 5) as used by multi-level tiling. *)
 
 val count_factorizations : int -> int -> int
 (** [count_factorizations n k] = [List.length (factorizations n k)] without

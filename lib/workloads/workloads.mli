@@ -52,10 +52,6 @@ val vgg16 : batch:int -> net
 (** Classic heavy-conv CNN: large 3x3 convolutions and three dense
     layers — a compute-bound stress test for the task scheduler. *)
 
-val transformer_block : batch:int -> net
-(** One encoder block (attention QKV + scores + context + FFN + layer
-    norm), the building pattern of modern LLM inference. *)
-
 val squeezenet_fire : batch:int -> net
 (** A SqueezeNet "fire" stage: squeeze 1x1 followed by parallel expand
     1x1 / 3x3 convolutions — many small heterogeneous tasks. *)

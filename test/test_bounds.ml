@@ -246,20 +246,6 @@ let prop_nested_digit_range_is_scan =
     (fun (extent, digits) ->
       Bounds.digits_range ~extent digits = Bounds.scan_digits ~extent digits)
 
-let test_memoization () =
-  (* a shape unique to this test, so the first certify is a genuine miss *)
-  let p =
-    prog
-      [ loop "p" 4231 [ stmt "B" "B" [ Expr.Axis "p" ] (Expr.Const 1.0) ] ]
-      [ ("B", [ 4231 ]) ] []
-  in
-  let v1, hit1 = Bounds.certify' p in
-  let v2, hit2 = Bounds.certify' p in
-  check_bool "first is a miss" false hit1;
-  check_bool "second is a hit" true hit2;
-  check_bool "verdicts agree" true (v1 = v2);
-  check_string "certified" "certified" (Bounds.verdict_name v1)
-
 (* ---- def-use -------------------------------------------------------------- *)
 
 let test_defuse_uninit_read () =
@@ -407,9 +393,8 @@ let test_native_gate_refuses_unsafe_and_unknown () =
   check_int "runner saw only the certified program" 1 (List.length !seen);
   let stats = Service.stats svc in
   check_int "bounds_rejected counted" 2 stats.Ansor.Telemetry.bounds_rejected;
-  check_bool "certification counted" true
-    (stats.Ansor.Telemetry.certified + stats.Ansor.Telemetry.cert_cache_hits
-     >= 3)
+  check_int "one certification per request" 3
+    stats.Ansor.Telemetry.certified
 
 let test_native_gate_allow_unproven () =
   let seen = ref [] in
@@ -636,7 +621,6 @@ let () =
           prop_sampled_programs_certify;
           prop_digit_range_is_scan;
           prop_nested_digit_range_is_scan;
-          case "verdicts are memoized" test_memoization;
           case "golden verdicts" test_golden_verdicts;
         ] );
       ( "def-use",

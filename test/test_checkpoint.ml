@@ -167,11 +167,13 @@ let test_snapshot_roundtrip_and_fallback () =
            ~magic:(Printf.sprintf "ansor-snapshot-v%d" Checkpoint.version)
        with
       | Ok payload ->
-        Ansor_util.Framed.write ~path:p ~magic:"ansor-snapshot-v4" payload
+        Ansor_util.Framed.write ~path:p
+          ~magic:(Printf.sprintf "ansor-snapshot-v%d" (Checkpoint.version - 1))
+          payload
       | Error e -> Alcotest.failf "current generation unreadable: %s" e);
       (match Checkpoint.load ~path:p with
       | Error _ -> ()
-      | Ok _ -> Alcotest.fail "v4 snapshot loaded");
+      | Ok _ -> Alcotest.fail "previous-version snapshot loaded");
       (* truncate the current generation: fall back to the previous one *)
       let s = read_file p in
       write_file p (String.sub s 0 (String.length s / 2));

@@ -329,8 +329,7 @@ let test_telemetry_accounting_and_json () =
   record 9 (Error Protocol.Timeout);
   repeat 10 (fun () -> Telemetry.incr_batches t);
   repeat 11 (fun () -> Telemetry.incr_statically_rejected t);
-  repeat 12 (fun () -> Telemetry.add_certification t ~hit:false);
-  repeat 13 (fun () -> Telemetry.add_certification t ~hit:true);
+  repeat 12 (fun () -> Telemetry.incr_certified t);
   repeat 15 (fun () -> Telemetry.incr_warm_starts t);
   Telemetry.add_store_samples t 7;
   Telemetry.add_store_samples t 9;
@@ -358,7 +357,7 @@ let test_telemetry_accounting_and_json () =
       ("build_errors", 5.); ("compile_errors", 6.); ("run_errors", 8.);
       ("timeouts", 9.); ("retries", 3.); ("batches", 10.);
       ("statically_rejected", 11.); ("bounds_rejected", 7.);
-      ("certified", 12.); ("cert_cache_hits", 13.); ("warm_starts", 15.);
+      ("certified", 12.); ("warm_starts", 15.);
       ("store_samples", 16.); ("finetune_rounds", 17.);
       ("native_compiles", 18.); ("native_kernels", 19.);
       ("descent_trials", 22.); ("descent_sweeps", 21.);

@@ -134,20 +134,18 @@ let test_factorizations () =
     (List.length (Factorize.factorizations 24 3))
     (Factorize.count_factorizations 24 3);
   Alcotest.(check (list (list int))) "n=1 k=3" [ [ 1; 1; 1 ] ]
-    (Factorize.factorizations 1 3)
-
-let test_factorizations_memo () =
-  (* the memoized entry point and a fresh uncached enumeration agree,
-     including on repeated queries that hit the cache *)
+    (Factorize.factorizations 1 3);
   List.iter
     (fun (n, k) ->
-      let uncached = Factorize.factorizations_uncached n k in
-      Alcotest.(check (list (list int)))
-        (Printf.sprintf "first query (%d,%d)" n k)
-        uncached (Factorize.factorizations n k);
-      Alcotest.(check (list (list int)))
-        (Printf.sprintf "cached query (%d,%d)" n k)
-        uncached (Factorize.factorizations n k))
+      let fs = Factorize.factorizations n k in
+      List.iter
+        (fun f ->
+          check_int (Printf.sprintf "(%d,%d) arity" n k) k (List.length f);
+          check_int (Printf.sprintf "(%d,%d) product" n k) n
+            (List.fold_left ( * ) 1 f))
+        fs;
+      check_int (Printf.sprintf "(%d,%d) count" n k)
+        (Factorize.count_factorizations n k) (List.length fs))
     [ (12, 3); (36, 2); (64, 4); (1, 3); (97, 2); (360, 3) ]
 
 let prop_random_factorization =
@@ -282,6 +280,66 @@ let test_framed_failures () =
   | Ok _ -> Alcotest.fail "missing file accepted"
   | Error _ -> ()
 
+(* ---------- No process-global tables ---------- *)
+
+(* A column-0 [let] in [lib/**/*.ml] that binds a name, with no
+   parameters, to a new table, lock or cell: such a value lives as long
+   as the process and is shared by every session and domain in it.  The
+   right-hand side may start on the next line or behind a module path
+   ([Ansor_util.Lru.create]). *)
+let global_binding =
+  Str.regexp
+    ("let +\\([a-z_][A-Za-z0-9_']*\\)[ \n]*\\(:[^=]*\\)?=[ \n(]*"
+    ^ "\\([A-Z][A-Za-z0-9_]*\\.\\)*"
+    ^ "\\(Hashtbl\\.create\\|Lru\\.create\\|Mutex\\.create\\|Atomic\\.make\\|ref\\)\\b")
+
+let rec ml_files dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.concat_map (fun f ->
+         let p = Filename.concat dir f in
+         if f.[0] = '.' then []
+         else if Sys.is_directory p then ml_files p
+         else if Filename.check_suffix f ".ml" then [ p ]
+         else [])
+
+let global_state_sites root =
+  List.concat_map
+    (fun path ->
+      let lines =
+        In_channel.with_open_bin path In_channel.input_all
+        |> String.split_on_char '\n' |> Array.of_list
+      in
+      let shown =
+        let r = String.length root in
+        "lib" ^ String.sub path r (String.length path - r)
+      in
+      List.init (Array.length lines) Fun.id
+      |> List.filter_map (fun l ->
+             let next = if l + 1 < Array.length lines then lines.(l + 1) else "" in
+             let text = lines.(l) ^ "\n" ^ next in
+             if Str.string_match global_binding text 0 then
+               Some
+                 (Printf.sprintf "%s:%d: %s = %s" shown (l + 1)
+                    (Str.matched_group 1 text) (Str.matched_group 4 text))
+             else None))
+    (ml_files root)
+
+let test_no_global_state () =
+  let flags text = Str.string_match global_binding text 0 in
+  check_bool "qualified maker on the next line" true
+    (flags "let memo : (string, int) Lru.t =\n  Ansor_util.Lru.create 8");
+  check_bool "a cell" true (flags "let flag = ref None");
+  check_bool "a function makes a fresh table per call" false
+    (flags "let fresh () = Hashtbl.create 8");
+  check_bool "a longer name is not ref" false (flags "let x = refresh ()");
+  check_bool "the scan sees the library" true
+    (Sys.file_exists "../lib/util/factorize.ml");
+  match global_state_sites "../lib" with
+  | [] -> ()
+  | sites ->
+    Alcotest.failf "process-global mutable state in lib/:\n%s"
+      (String.concat "\n" sites)
+
 let () =
   Alcotest.run "util"
     [
@@ -306,7 +364,6 @@ let () =
           case "divisors" test_divisors;
           case "prime factors" test_prime_factors;
           case "factorizations" test_factorizations;
-          case "factorization memo agrees" test_factorizations_memo;
           prop_random_factorization;
           prop_weighted_factorization;
           case "weighted factorization bias" test_weighted_factorization_bias;
@@ -326,4 +383,6 @@ let () =
           case "spearman" test_spearman;
         ] );
       ("framed", [ case "every defect is an Error" test_framed_failures ]);
+      ( "globals",
+        [ case "no top-level table, lock or ref in lib" test_no_global_state ] );
     ]
