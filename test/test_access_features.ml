@@ -175,6 +175,206 @@ let prop_distinct_values =
     QCheck2.Gen.(pair gen_iexpr (oneof [ int_range 1 256; int_range 257 2000 ]))
     (fun (e, extent) -> Access.distinct_values e "v" extent = plain_distinct e extent)
 
+(* Index expressions shaped like the ones lowering produces, over [vars]:
+   affine forms with zero and negative coefficients, digits
+   [b * ((x / s) mod l) + c] with zero, negative and positive divisors,
+   divisors that vary with the variables, nested min/max, constant
+   divisions by zero, sums of these, and the unstructured trees of
+   [gen_iexpr]. *)
+let gen_index vars =
+  let open QCheck2.Gen in
+  let module E = Ansor.Expr in
+  let coef = int_range (-3) 4 in
+  let var = oneofl (List.map (fun x -> E.Axis x) vars) in
+  let term = map2 (fun x a -> if a = 1 then x else E.Imul (x, E.Int a)) var coef in
+  let affine =
+    map3
+      (fun ts c sub ->
+        let sum = List.fold_left (fun acc t -> E.Iadd (acc, t)) (List.hd ts) (List.tl ts) in
+        if c = 0 then sum else if sub then E.Isub (sum, E.Int c) else E.Iadd (sum, E.Int c))
+      (list_size (int_range 1 3) term)
+      (int_range (-2) 40) bool
+  in
+  let divisor = frequency [ (6, int_range 1 16); (1, int_range (-3) 0); (1, oneofl [ 32; 64; 100; 256 ]) ] in
+  let digit =
+    map3
+      (fun inner (s, l) (b, c) ->
+        let q = match s with None -> inner | Some s -> E.Idiv (inner, E.Int s) in
+        let r = match l with None -> q | Some l -> E.Imod (q, E.Int l) in
+        let r = if b = 1 then r else E.Imul (E.Int b, r) in
+        if c = 0 then r else E.Iadd (r, E.Int c))
+      affine
+      (pair (opt divisor) (opt divisor))
+      (pair coef (int_range (-4) 8))
+  in
+  let varying =
+    map3
+      (fun a b div -> if div then E.Idiv (a, b) else E.Imod (a, b))
+      affine affine bool
+  in
+  let raising =
+    map2 (fun e k -> E.Iadd (e, E.Imul (E.Idiv (E.Int k, E.Int 0), E.Int 0))) affine small_nat
+  in
+  let base =
+    frequency
+      [ (3, affine); (4, digit); (1, varying); (1, raising); (1, gen_iexpr) ]
+  in
+  let minmax =
+    map3
+      (fun a b mn -> if mn then E.Imin (a, b) else E.Imax (a, b))
+      base base bool
+  in
+  frequency
+    [
+      (6, base);
+      (1, minmax);
+      (1, map2 (fun a b -> E.Iadd (a, b)) base base);
+      (1, map3 (fun a b c -> E.Imin (E.Imax (a, b), c)) base base base);
+    ]
+
+(* Extents on both sides of 256 and at its edges, at multiples of 256
+   and off them. *)
+let gen_extent =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, int_range 1 300);
+        (2, oneofl [ 255; 256; 257; 511; 512; 513; 768; 1000; 1024; 1025; 2048; 4096; 4097 ]);
+        (2, int_range 257 5000);
+      ])
+
+let prop_distinct_index_forms =
+  qcheck ~count:2000 ~seed:22
+    ~print:(fun (e, extent) ->
+      Printf.sprintf "%s over extent %d" (Ansor.Expr.to_string (Ansor.Expr.Cast_int e)) extent)
+    "distinct count of index forms equals a plain sweep"
+    QCheck2.Gen.(pair (gen_index [ "v"; "u" ]) gen_extent)
+    (fun (e, extent) -> Access.distinct_values e "v" extent = plain_distinct e extent)
+
+(* The specification of [Access.analyze] on one access, read point by
+   point: the element-offset difference of a unit step of each loop, and
+   per (loop, dim) the distinct count (a plain sweep when the dim divides
+   somewhere, else [extent] or 1 by the unit step), multiplied into the
+   touched regions. *)
+let plain_access shape (loops : (string * int) list) idx =
+  let module E = Ansor.Expr in
+  let rec offset shape idx acc =
+    match (shape, idx) with
+    | d :: shape', i :: idx' -> offset shape' idx' ((acc * d) + i)
+    | _ -> acc
+  in
+  let offset_at env =
+    match List.map (E.eval_iexpr env) idx with
+    | values -> Some (offset shape values 0)
+    | exception Division_by_zero -> None
+  in
+  let unit v u = if u = v then 1 else 0 in
+  let base = Option.value (offset_at (fun _ -> 0)) ~default:0 in
+  let strides =
+    Array.of_list
+      (List.map
+         (fun (v, _) -> match offset_at (unit v) with Some o -> o - base | None -> 0)
+         loops)
+  in
+  let rec divides = function
+    | E.Int _ | E.Axis _ -> false
+    | E.Idiv _ | E.Imod _ -> true
+    | E.Iadd (a, b) | E.Isub (a, b) | E.Imul (a, b) | E.Imin (a, b) | E.Imax (a, b) ->
+      divides a || divides b
+  in
+  let distinct (v, extent) d =
+    let rename e =
+      (* the sweep holds every variable but [v] at 0 *)
+      let rec go = function
+        | E.Axis u -> if u = v then E.Axis "v" else E.Int 0
+        | E.Int k -> E.Int k
+        | E.Iadd (a, b) -> E.Iadd (go a, go b)
+        | E.Isub (a, b) -> E.Isub (go a, go b)
+        | E.Imul (a, b) -> E.Imul (go a, go b)
+        | E.Idiv (a, b) -> E.Idiv (go a, go b)
+        | E.Imod (a, b) -> E.Imod (go a, go b)
+        | E.Imin (a, b) -> E.Imin (go a, go b)
+        | E.Imax (a, b) -> E.Imax (go a, go b)
+      in
+      go e
+    in
+    if not (List.mem v (E.iexpr_axes d)) then 1
+    else if divides d then plain_distinct (rename d) extent
+    else if E.eval_iexpr (unit v) d - E.eval_iexpr (fun _ -> 0) d = 0 then 1
+    else extent
+  in
+  let n = List.length loops in
+  let dims = Array.of_list idx in
+  let counts = Array.of_list (List.map (fun l -> Array.map (distinct l) dims) loops) in
+  let dim_extent d = match List.nth_opt shape d with Some e -> float_of_int e | None -> 1.0 in
+  let touched =
+    Array.init (n + 1) (fun dep ->
+        let total = ref 1.0 in
+        Array.iteri
+          (fun d _ ->
+            let prod = ref 1.0 in
+            for l = dep to n - 1 do
+              prod := !prod *. float_of_int counts.(l).(d)
+            done;
+            total := !total *. Float.min !prod (dim_extent d))
+          dims;
+        !total)
+  in
+  (strides, touched)
+
+(* One statement [O[out] = A[a] + B[b]] under loops [v0, v1, ...] of the
+   given extents; a tensor missing from [shapes] has no buffer. *)
+let gen_access_prog =
+  let open QCheck2.Gen in
+  let* extents = list_size (int_range 1 4) (frequency [ (3, int_range 1 40); (1, gen_extent) ]) in
+  let vars = List.mapi (fun i _ -> Printf.sprintf "v%d" i) extents in
+  let idx = list_size (int_range 0 3) (gen_index ("w" :: vars)) in
+  let shape = list_size (int_range 0 3) (int_range 1 64) in
+  let* out = idx and* a = idx and* b = idx in
+  let* shapes = list_size (return 3) (opt shape) in
+  let buffers =
+    List.filter_map
+      (fun (t, s) -> Option.map (fun s -> (t, s)) s)
+      (List.combine [ "O"; "A"; "B" ] shapes)
+  in
+  return (List.combine vars extents, buffers, out, a, b)
+
+let prog_of (loops, buffers, out, a, b) =
+  let stmt =
+    {
+      Prog.stage = "O";
+      tensor = "O";
+      indices = out;
+      rhs = Ansor.Expr.(access "A" a +: access "B" b);
+      update = None;
+      max_unroll = None;
+    }
+  in
+  let items =
+    List.fold_right
+      (fun (lvar, extent) body ->
+        [ Prog.Loop { lvar; extent; kind = Ansor.State.Space; ann = Step.No_ann; body } ])
+      loops [ Prog.Stmt stmt ]
+  in
+  { Prog.items; buffers; inits = [] }
+
+let prop_access_reference =
+  qcheck ~count:500 ~seed:22
+    ~print:(fun p -> Prog.to_string (prog_of p))
+    "strides and touched regions equal the point-by-point reading"
+    gen_access_prog
+    (fun ((loops, buffers, out, a, b) as p) ->
+      match Access.analyze (prog_of p) with
+      | [ info ] ->
+        List.for_all
+          (fun (acc : Access.access) ->
+            let idx = match acc.tensor with "O" -> out | "A" -> a | _ -> b in
+            let shape = Option.value (List.assoc_opt acc.tensor buffers) ~default:[] in
+            let strides, touched = plain_access shape loops idx in
+            strides = acc.strides && touched = acc.touched)
+          info.accesses
+      | _ -> false)
+
 (* ---------- features ---------- *)
 
 let test_feature_dimensions () =
@@ -308,6 +508,8 @@ let () =
           case "T2D zero-guard fraction" test_select_zero_fraction_t2d;
           case "no guard on matmul" test_select_fraction_absent;
           prop_distinct_values;
+          prop_distinct_index_forms;
+          prop_access_reference;
         ] );
       ( "features",
         [
