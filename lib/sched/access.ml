@@ -22,83 +22,253 @@ type stmt_info = {
   counts : Expr.op_counts;
 }
 
-(* Row-major element offset; probe points may fall outside the tensor,
-   only differences matter. *)
-let offset shape indices =
-  let rec go shape indices acc =
-    match (shape, indices) with
-    | [], [] -> acc
-    | d :: shape', i :: indices' -> go shape' indices' ((acc * d) + i)
-    | _ -> acc
-  in
-  go shape indices 0
-
 let max_sweep = 256
+
+(* An index expression, decomposed once per access: [const] plus
+   [coefs.(l)] times the variable of loop [l], plus each atom's [coef]
+   times its subterm.  Atoms are the divisions, remainders, minima,
+   maxima and products of two variables that mention a loop; subterms
+   that mention none are folded into [const].  The sum is exact in the
+   wrapping [int] ring, so it is the plain evaluation term by term. *)
+type atom = {
+  coef : int;
+  term : Expr.iexpr;
+  vars : int list;  (** loops whose variable [term] mentions *)
+  at_zero : int option;  (** [term] with every variable at 0; [None]: divides by zero *)
+}
+
+type dim = {
+  const : int;
+  coefs : int array;
+  atoms : atom list;
+  mentions : bool array;  (** loops whose variable occurs in the expression *)
+  raises : bool;  (** a subterm without variables divides by zero *)
+  divides : bool;  (** a division or remainder occurs somewhere *)
+}
+
+let rec has_divmod = function
+  | Expr.Int _ | Expr.Axis _ -> false
+  | Expr.Idiv _ | Expr.Imod _ -> true
+  | Expr.Iadd (a, b) | Expr.Isub (a, b) | Expr.Imul (a, b) | Expr.Imin (a, b)
+  | Expr.Imax (a, b) ->
+    has_divmod a || has_divmod b
+
+let zero_env _ = 0
+
+(* [pos u] is the loop of variable [u], or -1: a variable of no enclosing
+   loop is held at 0. *)
+let decompose pos n (e : Expr.iexpr) =
+  let const = ref 0 and coefs = Array.make n 0 and atoms = ref [] in
+  let mentions = Array.make n false and raises = ref false in
+  let rec vars acc (e : Expr.iexpr) =
+    match e with
+    | Int _ -> acc
+    | Axis u ->
+      let p = pos u in
+      if p < 0 || List.mem p acc then acc else p :: acc
+    | Iadd (a, b) | Isub (a, b) | Imul (a, b) | Idiv (a, b) | Imod (a, b)
+    | Imin (a, b) | Imax (a, b) ->
+      vars (vars acc a) b
+  in
+  let rec add scale (e : Expr.iexpr) =
+    match e with
+    | Int k -> const := !const + (scale * k)
+    | Axis u ->
+      let p = pos u in
+      if p >= 0 then begin
+        mentions.(p) <- true;
+        coefs.(p) <- coefs.(p) + scale
+      end
+    | Iadd (a, b) ->
+      add scale a;
+      add scale b
+    | Isub (a, b) ->
+      add scale a;
+      add (-scale) b
+    | Imul (a, b) when vars [] a = [] -> scaled scale a b
+    | Imul (a, b) when vars [] b = [] -> scaled scale b a
+    | Imul _ | Idiv _ | Imod _ | Imin _ | Imax _ -> (
+      match vars [] e with
+      | [] -> (
+        match Expr.eval_iexpr zero_env e with
+        | x -> const := !const + (scale * x)
+        | exception Division_by_zero -> raises := true)
+      | vs ->
+        List.iter (fun p -> mentions.(p) <- true) vs;
+        let at_zero =
+          try Some (Expr.eval_iexpr zero_env e) with Division_by_zero -> None
+        in
+        atoms := { coef = scale; term = e; vars = vs; at_zero } :: !atoms)
+  (* [scale * k * e], [k] free of loop variables *)
+  and scaled scale k e =
+    match Expr.eval_iexpr zero_env k with
+    | k -> add (scale * k) e
+    | exception Division_by_zero ->
+      raises := true;
+      add 0 e
+  in
+  add 1 e;
+  {
+    const = !const;
+    coefs;
+    atoms = !atoms;
+    mentions;
+    raises = !raises;
+    divides = has_divmod e;
+  }
+
+(* The value of [d] with the variable of loop [l] at 1 ([l < 0]: none)
+   and every other at 0; raises [Division_by_zero] where the plain
+   evaluation does. *)
+let value loop_vars d l =
+  if d.raises then raise Division_by_zero;
+  List.fold_left
+    (fun acc t ->
+      let x =
+        if List.mem l t.vars then
+          let v = loop_vars.(l) in
+          Expr.eval_iexpr (fun u -> if String.equal u v then 1 else 0) t.term
+        else
+          match t.at_zero with Some x -> x | None -> raise Division_by_zero
+      in
+      acc + (t.coef * x))
+    (if l < 0 then d.const else d.const + d.coefs.(l))
+    d.atoms
 
 type op = Add | Sub | Mul | Div | Mod | Min | Max
 
-(* The arithmetic of {!Expr.eval_iexpr}. *)
-let apply op x y =
-  match op with
-  | Add -> x + y
-  | Sub -> x - y
-  | Mul -> x * y
-  | Div -> Expr.idiv x y
-  | Mod -> Expr.imod x y
-  | Min -> Int.min x y
-  | Max -> Int.max x y
+(* A subterm with one variable [v] left, every other at 0: [Lin (c, a)]
+   is [c + a*v]; constant operands are folded. *)
+type proj = Lin of int * int | Op of op * proj * proj
 
-(* Values of an index expression over the sweep points: one for all of
-   them, or one per point. *)
-type column = Fixed of int | Column of int array
+(* [Division_by_zero] when a divisor is the constant 0, so every point
+   divides by zero. *)
+let rec project v (e : Expr.iexpr) =
+  match e with
+  | Int k -> Lin (k, 0)
+  | Axis u -> if String.equal u v then Lin (0, 1) else Lin (0, 0)
+  | Iadd (a, b) -> (
+    match (project v a, project v b) with
+    | Lin (c, x), Lin (d, y) -> Lin (c + d, x + y)
+    | p, q -> Op (Add, p, q))
+  | Isub (a, b) -> (
+    match (project v a, project v b) with
+    | Lin (c, x), Lin (d, y) -> Lin (c - d, x - y)
+    | p, q -> Op (Sub, p, q))
+  | Imul (a, b) -> (
+    match (project v a, project v b) with
+    | Lin (c, 0), Lin (d, y) -> Lin (c * d, c * y)
+    | Lin (c, x), Lin (d, 0) -> Lin (c * d, x * d)
+    | p, q -> Op (Mul, p, q))
+  | Idiv (a, b) -> fold Div Expr.idiv (project v a) (project v b)
+  | Imod (a, b) -> fold Mod Expr.imod (project v a) (project v b)
+  | Imin (a, b) -> fold Min Int.min (project v a) (project v b)
+  | Imax (a, b) -> fold Max Int.max (project v a) (project v b)
 
-(* [expr] at every point of [points] for [v], every other variable held
-   at 0: evaluated a node at a time over the whole column, in plain loops
-   over [int array]s, instead of a point at a time through name lookups.
-   A point whose evaluation divides by zero yields 0; a constant subterm
-   that divides by zero makes every point 0. *)
-let sweep_values v expr points =
-  let n = Array.length points in
-  let failed = Array.make n false in
-  let column = function Fixed x -> Array.make n x | Column xs -> xs in
-  let rec go (e : Expr.iexpr) =
-    match e with
-    | Int k -> Fixed k
-    | Axis u -> if String.equal u v then Column points else Fixed 0
-    | Iadd (a, b) -> node Add a b
-    | Isub (a, b) -> node Sub a b
-    | Imul (a, b) -> node Mul a b
-    | Idiv (a, b) -> node Div a b
-    | Imod (a, b) -> node Mod a b
-    | Imin (a, b) -> node Min a b
-    | Imax (a, b) -> node Max a b
-  and node op a b =
-    match (op, go a, go b) with
-    | _, Fixed x, Fixed y -> Fixed (apply op x y)
-    (* identities: a column's failed points are already recorded *)
-    | (Add | Sub), c, Fixed 0 | Add, Fixed 0, c | Mul, c, Fixed 1 | Mul, Fixed 1, c
-      ->
-      c
-    | _, a, b ->
-      let xs = column a and ys = column b in
-      let r = Array.make n 0 in
-      for k = 0 to n - 1 do
-        let y = ys.(k) in
-        if y = 0 && (op = Div || op = Mod) then failed.(k) <- true
-        else r.(k) <- apply op xs.(k) y
-      done;
-      Column r
-  in
-  let values =
-    match go expr with
-    | exception Division_by_zero -> Array.make n 0
-    | Fixed x -> Array.make n x
-    | Column xs -> Array.copy xs
-  in
-  for k = 0 to n - 1 do
-    if failed.(k) then values.(k) <- 0
-  done;
-  values
+and fold op f p q =
+  match (p, q) with
+  | _, Lin (0, 0) when op = Div || op = Mod -> raise Division_by_zero
+  | Lin (c, 0), Lin (d, 0) -> Lin (f c d, 0)
+  | p, q -> Op (op, p, q)
+
+(* A closure over the point; a zero divisor raises [Division_by_zero] as
+   {!Expr.eval_iexpr} does.  A digit of an affine form is one closure. *)
+let rec compile = function
+  | Lin (c, 0) -> fun _ -> c
+  | Lin (0, 1) -> Fun.id
+  | Lin (c, a) -> fun p -> c + (a * p)
+  | Op (Mod, Op (Div, Lin (c, a), Lin (s, 0)), Lin (l, 0)) ->
+    fun p -> Expr.imod (Expr.idiv (c + (a * p)) s) l
+  | Op (Div, Lin (c, a), Lin (s, 0)) -> fun p -> Expr.idiv (c + (a * p)) s
+  | Op (Mod, Lin (c, a), Lin (l, 0)) -> fun p -> Expr.imod (c + (a * p)) l
+  | Op (Mul, Lin (k, 0), q) | Op (Mul, q, Lin (k, 0)) ->
+    let g = compile q in
+    fun p -> k * g p
+  | Op (op, q, r) -> (
+    let f = compile q and g = compile r in
+    match op with
+    | Add -> fun p -> f p + g p
+    | Sub -> fun p -> f p - g p
+    | Mul -> fun p -> f p * g p
+    | Div -> fun p -> Expr.idiv (f p) (g p)
+    | Mod -> fun p -> Expr.imod (f p) (g p)
+    | Min -> fun p -> Int.min (f p) (g p)
+    | Max -> fun p -> Int.max (f p) (g p))
+
+(* How the distinct values of one dim over the points [t * step],
+   [t < n], are counted.  Each closed form is exact over those points:
+   - [Zero]: every point divides by zero and counts as 0;
+   - [Affine a], [c + a*v]: 1 value when [a = 0], else [n], as [a*step*t]
+     cannot wrap;
+   - [Digit d], [c + b * ((a*v + c') / s) mod l] (the division or the
+     remainder may be absent) with [a, s, l >= 1]: the quotients advance
+     by [a*step/s] per point, so they form a run of consecutive integers
+     when [a*step <= s] (at most [l] residues) and an arithmetic
+     progression when [s] divides [a*step] (its residues repeat with
+     period [l / gcd]);
+   every other form, [c + a*v + sum b * p], is [Swept] point by point. *)
+type plan =
+  | Zero
+  | Affine of int
+  | Digit of int
+  | Swept of (int * int * (int * proj) list)
+
+(* Operands of a closed form stay below this, so no product wraps. *)
+let closed_bound = 1 lsl 20
+
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+let small x = x >= -closed_bound && x <= closed_bound
+
+let digit_count ~n ~step ~b ~c ~a ~s ~l =
+  let stride = a * step in
+  if not (a >= 1 && s >= 1 && small a && small s && small b && small c && small step
+          && small stride)
+  then None
+  else if b = 0 then Some 1
+  else
+    let run () = Expr.idiv ((stride * (n - 1)) + c) s - Expr.idiv c s + 1 in
+    match l with
+    | None -> Some (if stride >= s then n else run ())
+    | Some l when l < 1 || not (small l) -> None
+    | Some l when stride <= s -> Some (Int.min l (run ()))
+    | Some l when stride mod s = 0 -> Some (Int.min n (l / gcd (stride / s) l))
+    | Some _ -> None
+
+let plan loop_vars d l ~n ~step =
+  let v = loop_vars.(l) in
+  match
+    if d.raises then raise Division_by_zero;
+    List.fold_left
+      (fun (c, a, rest) t ->
+        if List.mem l t.vars then
+          match project v t.term with
+          | Lin (c', a') -> (c + (t.coef * c'), a + (t.coef * a'), rest)
+          | p -> (c, a, (t.coef, p) :: rest)
+        else
+          match t.at_zero with
+          | Some z -> (c + (t.coef * z), a, rest)
+          | None -> raise Division_by_zero)
+      (d.const, d.coefs.(l), []) d.atoms
+  with
+  | exception Division_by_zero -> Zero
+  | _, a, [] ->
+    if small a && small step && small (a * step) then Affine a
+    else Swept (0, a, [])
+  | c, a, rest -> (
+    let closed =
+      match (a, rest) with
+      | 0, [ (b, Op (Mod, Op (Div, Lin (c, a), Lin (s, 0)), Lin (l, 0))) ] ->
+        digit_count ~n ~step ~b ~c ~a ~s ~l:(Some l)
+      | 0, [ (b, Op (Mod, Lin (c, a), Lin (l, 0))) ] ->
+        digit_count ~n ~step ~b ~c ~a ~s:1 ~l:(Some l)
+      | 0, [ (b, Op (Div, Lin (c, a), Lin (s, 0))) ] ->
+        digit_count ~n ~step ~b ~c ~a ~s ~l:None
+      | _ -> None
+    in
+    match closed with
+    | Some k -> Digit k
+    | None -> Swept (c, a, rest))
 
 (* Number of distinct entries of [values]: a byte bitmap over their span
    when it is small, a sort otherwise. *)
@@ -125,95 +295,145 @@ let count_distinct values =
       done
     end
     else begin
-      let sorted = Array.copy values in
-      Array.sort Int.compare sorted;
+      Array.sort Int.compare values;
       for k = 0 to n - 1 do
-        if k = 0 || sorted.(k) <> sorted.(k - 1) then incr d
+        if k = 0 || values.(k) <> values.(k - 1) then incr d
       done
     end;
     !d
   end
 
-(* Number of distinct values [expr] takes as [v] sweeps [0, extent); other
-   variables are held at zero and an evaluation that divides by zero
-   counts as 0.  Exact up to [max_sweep] evaluations, then estimated from
-   a uniformly-spaced sample. *)
-let distinct_values expr v extent =
-  let points =
-    if extent <= max_sweep then Array.init (max 0 extent) Fun.id
-    else Array.init max_sweep (fun s -> s * (extent / max_sweep))
+(* The distinct values of [c + a*v + sum b * p] over the points, one
+   allocation-free loop over closures compiled once; a point that divides
+   by zero counts as 0. *)
+let sweep (c, a, rest) ~n ~step =
+  let coefs = Array.of_list (List.map fst rest) in
+  let terms = Array.of_list (List.map (fun (_, p) -> compile p) rest) in
+  let values = Array.make n 0 in
+  for t = 0 to n - 1 do
+    let p = t * step in
+    values.(t) <-
+      (try
+         let x = ref (c + (a * p)) in
+         for j = 0 to Array.length terms - 1 do
+           x := !x + (coefs.(j) * terms.(j) p)
+         done;
+         !x
+       with Division_by_zero -> 0)
+  done;
+  count_distinct values
+
+(* The sweep points: [0, extent) up to [max_sweep] of them, else
+   [max_sweep] points [t * (extent / max_sweep)]. *)
+let points extent =
+  if extent <= max_sweep then (max 0 extent, 1)
+  else (max_sweep, extent / max_sweep)
+
+(* Number of distinct values dim [d] takes as loop [l]'s variable sweeps
+   [0, extent), every other variable held at zero and an evaluation that
+   divides by zero counted as 0.  Exact up to [max_sweep] points, then
+   scaled from the sampled count when that is at least half the
+   samples.  [sweep] counts the forms without a closed one. *)
+let distinct ~sweep loop_vars d l extent =
+  let n, step = points extent in
+  let sampled =
+    if n = 0 then 0
+    else
+      match plan loop_vars d l ~n ~step with
+      | Zero -> 1
+      | Affine a -> if a = 0 then 1 else n
+      | Digit k -> k
+      | Swept form -> sweep form ~n ~step
   in
-  let d = count_distinct (sweep_values v expr points) in
-  if extent <= max_sweep || d < max_sweep / 2 then d
+  if extent <= max_sweep || sampled < max_sweep / 2 then sampled
   else
     int_of_float
-      (float_of_int extent *. float_of_int d /. float_of_int max_sweep)
+      (float_of_int extent *. float_of_int sampled /. float_of_int max_sweep)
 
-let make_access ~sweep buffers loop_vars extents ~tensor ~idx ~is_write ~count =
-  let shape =
-    match List.assoc_opt tensor buffers with Some s -> s | None -> []
+(* [expr] as the one dim of an access under the one loop [v] *)
+let single v expr =
+  ([| v |], decompose (fun u -> if String.equal u v then 0 else -1) 1 expr)
+
+let distinct_values expr v extent =
+  let loop_vars, d = single v expr in
+  distinct ~sweep loop_vars d 0 extent
+
+let sweep_path expr v extent =
+  let loop_vars, d = single v expr in
+  let n, step = points extent in
+  match plan loop_vars d 0 ~n ~step with
+  | Zero -> "zero"
+  | Affine _ -> "affine"
+  | Digit _ -> "digit"
+  | Swept _ -> "sweep"
+
+let make_access ~sweep buffers loop_vars extents dims ~tensor ~is_write ~count =
+  let sizes =
+    match List.assoc_opt tensor buffers with
+    | Some s -> Array.of_list s
+    | None -> [||]
   in
   let n = Array.length loop_vars in
-  let dims = Array.of_list idx in
   let ndims = Array.length dims in
-  let eval_at env = List.map (Expr.eval_iexpr env) idx in
-  let zero _ = 0 in
-  let base = try offset shape (eval_at zero) with Division_by_zero -> 0 in
+  (* row-major weight of each index: the offset reads the first [m]
+     indices into the first [m] dims, probe points may fall outside the
+     tensor and only differences matter *)
+  let m = Int.min (Array.length sizes) ndims in
+  let weights = Array.make ndims 0 in
+  if m > 0 then begin
+    weights.(m - 1) <- 1;
+    for k = m - 2 downto 0 do
+      weights.(k) <- weights.(k + 1) * sizes.(k + 1)
+    done
+  end;
+  let offset l =
+    let acc = ref 0 in
+    for k = 0 to ndims - 1 do
+      acc := !acc + (weights.(k) * value loop_vars dims.(k) l)
+    done;
+    !acc
+  in
+  let base = try offset (-1) with Division_by_zero -> 0 in
   (* fine-grained (unit-step) stride per loop *)
   let strides =
-    Array.map
-      (fun v ->
-        let env u = if String.equal u v then 1 else 0 in
-        match offset shape (eval_at env) - base with
-        | d -> d
-        | exception Division_by_zero -> 0)
-      loop_vars
+    Array.init n (fun l -> try offset l - base with Division_by_zero -> 0)
   in
-  (* distinct index values per (loop, dim); cheap path: an expression that
-     is plainly swept (unit stride in that dim) or untouched *)
-  let var_in_dim =
-    Array.map (fun d -> Expr.iexpr_axes d) dims
+  (* distinct index values per (loop, dim) *)
+  let distinct =
+    Array.init n (fun l ->
+        Array.map
+          (fun d ->
+            if not d.mentions.(l) then 1
+            else if d.divides then distinct ~sweep loop_vars d l extents.(l)
+            else if value loop_vars d l - value loop_vars d (-1) = 0 then 1
+            else (* affine in v: extent distinct values *) extents.(l))
+          dims)
   in
-  let distinct = Array.make_matrix n ndims 1 in
-  for l = 0 to n - 1 do
-    let v = loop_vars.(l) in
-    for d = 0 to ndims - 1 do
-      if List.mem v var_in_dim.(d) then begin
-        let has_divmod =
-          let rec go = function
-            | Expr.Int _ | Expr.Axis _ -> false
-            | Expr.Iadd (a, b) | Expr.Isub (a, b) | Expr.Imul (a, b)
-            | Expr.Imin (a, b) | Expr.Imax (a, b) ->
-              go a || go b
-            | Expr.Idiv _ | Expr.Imod _ -> true
-          in
-          go dims.(d)
-        in
-        distinct.(l).(d) <-
-          (if has_divmod then sweep dims.(d) v extents.(l)
-           else (* affine in v: extent distinct values iff coefficient <> 0 *)
-             let env u = if String.equal u v then 1 else 0 in
-             let step =
-               try Expr.eval_iexpr env dims.(d) - Expr.eval_iexpr zero dims.(d)
-               with Division_by_zero -> 0
-             in
-             if step = 0 then 1 else extents.(l))
-      end
-    done
-  done;
   let dim_extent d =
-    match List.nth_opt shape d with Some e -> float_of_int e | None -> 1.0
+    if d < Array.length sizes then float_of_int sizes.(d) else 1.0
+  in
+  (* per dim, the loops whose distinct count is not 1, outermost first,
+     with that count: multiplying by 1.0 leaves a product's bits as they
+     are, so the products below skip those factors *)
+  let factors =
+    Array.init ndims (fun d ->
+        let acc = ref [] in
+        for l = n - 1 downto 0 do
+          if distinct.(l).(d) <> 1 then
+            acc := (l, float_of_int distinct.(l).(d)) :: !acc
+        done;
+        !acc)
   in
   (* touched.(dep): distinct elements accessed by loops at depth >= dep *)
   let touched = Array.make (n + 1) 1.0 in
   for dep = n downto 0 do
+    let rec prod acc = function
+      | [] -> acc
+      | (l, k) :: rest -> prod (if l >= dep then acc *. k else acc) rest
+    in
     let total = ref 1.0 in
     for d = 0 to ndims - 1 do
-      let prod = ref 1.0 in
-      for l = dep to n - 1 do
-        prod := !prod *. float_of_int distinct.(l).(d)
-      done;
-      total := !total *. Float.min !prod (dim_extent d)
+      total := !total *. Float.min (prod 1.0 factors.(d)) (dim_extent d)
     done;
     touched.(dep) <- !total
   done;
@@ -228,18 +448,24 @@ let make_access ~sweep buffers loop_vars extents ~tensor ~idx ~is_write ~count =
     in
     go (n - 1)
   in
-  let spatial dep =
-    (* smallest unit-step stride among moving loops at depth >= dep: the
-       fraction of touched elements that start a new cache line *)
-    let s = ref max_int in
-    for l = dep to n - 1 do
-      if strides.(l) <> 0 then s := min !s (abs strides.(l))
-    done;
-    if !s = max_int then 1.0
-    else float_of_int (min !s line_elems) /. float_of_int line_elems
-  in
+  (* smallest unit-step stride among moving loops at depth >= dep: the
+     fraction of touched elements that start a new cache line *)
+  let min_stride = Array.make (n + 1) max_int in
+  for l = n - 1 downto 0 do
+    min_stride.(l) <-
+      (if strides.(l) <> 0 then min min_stride.(l + 1) (abs strides.(l))
+       else min_stride.(l + 1))
+  done;
   let lines =
-    Array.mapi (fun dep t -> Float.max 1.0 (t *. spatial dep)) touched
+    Array.mapi
+      (fun dep t ->
+        let s = min_stride.(dep) in
+        let spatial =
+          if s = max_int then 1.0
+          else float_of_int (min s line_elems) /. float_of_int line_elems
+        in
+        Float.max 1.0 (t *. spatial))
+      touched
   in
   let reuse_loop =
     let rec go l = if l < 0 then None else if not (moves l) then Some l else go (l - 1) in
@@ -248,15 +474,15 @@ let make_access ~sweep buffers loop_vars extents ~tensor ~idx ~is_write ~count =
   { tensor; is_write; count; strides; touched; lines; inner_stride; reuse_loop }
 
 let analyze (prog : Prog.t) =
-  (* statements of one program share most index expressions and loops;
-     a table local to the call keeps [analyze] safe on any domain *)
-  let memo = Hashtbl.create 64 in
-  let sweep expr v extent =
-    let key = (expr, v, extent) in
+  (* statements of one program share most swept forms; a table local to
+     the call keeps [analyze] safe on any domain *)
+  let memo = Hashtbl.create 16 in
+  let sweep form ~n ~step =
+    let key = (form, n, step) in
     match Hashtbl.find_opt memo key with
     | Some d -> d
     | None ->
-      let d = distinct_values expr v extent in
+      let d = sweep form ~n ~step in
       Hashtbl.add memo key d;
       d
   in
@@ -264,8 +490,20 @@ let analyze (prog : Prog.t) =
   Prog.iter_stmts prog (fun loops stmt ->
       let loop_vars = Array.of_list (List.map (fun l -> l.Prog.lvar) loops) in
       let extents = Array.of_list (List.map (fun l -> l.Prog.extent) loops) in
+      let n = Array.length loop_vars in
       let iters =
         Array.fold_left (fun acc e -> acc *. float_of_int e) 1.0 extents
+      in
+      (* the loop of each variable, resolved once per statement *)
+      let pos u =
+        let rec go l =
+          if l >= n then -1 else if String.equal loop_vars.(l) u then l else go (l + 1)
+        in
+        go 0
+      in
+      let access ~tensor ~idx ~is_write ~count =
+        let dims = Array.of_list (List.map (decompose pos n) idx) in
+        make_access ~sweep prog.buffers loop_vars extents dims ~tensor ~is_write ~count
       in
       let reads = Expr.accesses stmt.rhs in
       let dedup =
@@ -278,14 +516,12 @@ let analyze (prog : Prog.t) =
         |> List.rev
       in
       let out =
-        make_access ~sweep prog.buffers loop_vars extents ~tensor:stmt.tensor
-          ~idx:stmt.indices ~is_write:true ~count:1
+        access ~tensor:stmt.tensor ~idx:stmt.indices ~is_write:true ~count:1
       in
       let read_accesses =
         List.map
           (fun ((t, idx), count) ->
-            make_access ~sweep prog.buffers loop_vars extents ~tensor:t ~idx
-              ~is_write:false ~count)
+            access ~tensor:t ~idx ~is_write:false ~count)
           dedup
       in
       let counts =

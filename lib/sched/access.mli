@@ -49,7 +49,29 @@ val distinct_values : Expr.iexpr -> string -> int -> int
 (** [distinct_values e v extent]: number of distinct values [e] takes as
     [v] sweeps [0, extent), every other variable held at 0 and an
     evaluation that divides by zero counted as 0.  Exact for
-    [extent <= 256]; above, estimated from 256 evenly spaced points. *)
+    [extent <= 256].  Above, [v] takes the 256 points [s * (extent/256)],
+    [s < 256], which cover only [[0, 256 * (extent/256))]; when at least
+    128 of their values are distinct the count is scaled to
+    [extent * d / 256].
+
+    The expression is decomposed into a constant, an affine coefficient
+    of [v] and its divisions, remainders, minima and maxima, with the
+    other variables folded to 0.  The count is closed-form, and exact over
+    the points, when that form is affine ([c + a*v]: 1 value when
+    [a = 0], else one per point), when it is one digit
+    [c + b * ((a*v + c') / s) mod l] with [a, s, l >= 1] and either
+    [a * step <= s] (its quotients are a run of consecutive integers, so
+    [min l run] values; on [[0, extent)] that is
+    [min l ((extent-1)/s + 1)] for [a = 1, c' = 0]) or [s] dividing
+    [a * step] (an arithmetic progression; for [v mod m] sampled at step
+    [k = extent/256] that is [min 256 (m / gcd k m)]), or when a constant
+    divisor is 0 (one value, 0).  Every other form is evaluated point by
+    point through a closure compiled once. *)
+
+val sweep_path : Expr.iexpr -> string -> int -> string
+(** [sweep_path e v extent]: how {!distinct_values} counts: ["affine"],
+    ["digit"] or ["zero"] for the closed forms, ["sweep"] point by
+    point. *)
 
 val working_set : stmt_info -> int -> float
 (** [working_set info d]: bytes touched by one execution of the loops at

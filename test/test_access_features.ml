@@ -375,6 +375,67 @@ let prop_access_reference =
           info.accesses
       | _ -> false)
 
+
+(* Which path [Access.distinct_values] takes, on the exact or the sampled
+   side of 256. *)
+let path_key dim v extent =
+  Access.sweep_path dim v extent ^ if extent <= 256 then " exact" else " sampled"
+
+let tally keys =
+  let paths = Hashtbl.create 8 in
+  List.iter
+    (fun key ->
+      Hashtbl.replace paths key (1 + Option.value (Hashtbl.find_opt paths key) ~default:0))
+    keys;
+  fun key -> Option.value (Hashtbl.find_opt paths key) ~default:0
+
+let all_paths =
+  List.concat_map
+    (fun p -> [ p ^ " exact"; p ^ " sampled" ])
+    [ "affine"; "digit"; "zero"; "sweep" ]
+
+(* The closed forms carry the analysis corpus: each (loop, dim) pair that
+   [Access.analyze] sweeps (the dim divides somewhere and mentions the
+   loop) is counted by its path.  No divided dim there is affine in a
+   loop past 256, so "affine sampled" is left to the properties, whose
+   generator takes every path. *)
+let test_sweep_paths_fire () =
+  let module E = Ansor.Expr in
+  let rec divides = function
+    | E.Int _ | E.Axis _ -> false
+    | E.Idiv _ | E.Imod _ -> true
+    | E.Iadd (a, b) | E.Isub (a, b) | E.Imul (a, b) | E.Imin (a, b) | E.Imax (a, b) ->
+      divides a || divides b
+  in
+  let keys = ref [] in
+  List.iter
+    (fun (_, p) ->
+      Prog.iter_stmts p (fun loops (stmt : Prog.stmt) ->
+          List.iter
+            (fun dim ->
+              List.iter
+                (fun (l : Prog.loop) ->
+                  if divides dim && List.mem l.lvar (E.iexpr_axes dim) then
+                    keys := path_key dim l.lvar l.extent :: !keys)
+                loops)
+            (stmt.indices @ List.concat_map snd (E.accesses stmt.rhs))))
+    (Lazy.force analysis_corpus);
+  let corpus = tally !keys in
+  let generated =
+    tally
+      (List.map
+         (fun (e, extent) -> path_key e "v" extent)
+         (QCheck2.Gen.generate ~rand:(Random.State.make [| 22 |]) ~n:2000
+            QCheck2.Gen.(pair (gen_index [ "v"; "u" ]) gen_extent)))
+  in
+  List.iter
+    (fun key -> Printf.printf "%s: corpus %d, generated %d\n" key (corpus key) (generated key))
+    all_paths;
+  List.iter
+    (fun key -> check_bool (key ^ " on the corpus") true (corpus key > 0))
+    [ "affine exact"; "digit exact"; "digit sampled"; "sweep exact"; "sweep sampled" ];
+  List.iter (fun key -> check_bool (key ^ " generated") true (generated key > 0)) all_paths
+
 (* ---------- features ---------- *)
 
 let test_feature_dimensions () =
@@ -510,6 +571,7 @@ let () =
           prop_distinct_values;
           prop_distinct_index_forms;
           prop_access_reference;
+          case "closed forms fire on the corpus" test_sweep_paths_fire;
         ] );
       ( "features",
         [
