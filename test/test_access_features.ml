@@ -358,22 +358,34 @@ let prog_of (loops, buffers, out, a, b) =
   in
   { Prog.items; buffers; inits = [] }
 
+let matches_reference ((loops, buffers, out, a, b) as p) =
+  match Access.analyze (prog_of p) with
+  | [ info ] ->
+    List.for_all
+      (fun (acc : Access.access) ->
+        let idx = match acc.tensor with "O" -> out | "A" -> a | _ -> b in
+        let shape = Option.value (List.assoc_opt acc.tensor buffers) ~default:[] in
+        let strides, touched = plain_access shape loops idx in
+        strides = acc.strides && touched = acc.touched)
+      info.accesses
+  | _ -> false
+
 let prop_access_reference =
   qcheck ~count:500 ~seed:22
     ~print:(fun p -> Prog.to_string (prog_of p))
     "strides and touched regions equal the point-by-point reading"
     gen_access_prog
-    (fun ((loops, buffers, out, a, b) as p) ->
-      match Access.analyze (prog_of p) with
-      | [ info ] ->
-        List.for_all
-          (fun (acc : Access.access) ->
-            let idx = match acc.tensor with "O" -> out | "A" -> a | _ -> b in
-            let shape = Option.value (List.assoc_opt acc.tensor buffers) ~default:[] in
-            let strides, touched = plain_access shape loops idx in
-            strides = acc.strides && touched = acc.touched)
-          info.accesses
-      | _ -> false)
+    matches_reference
+
+(* One form swept under two loops whose extents sample it at different
+   steps: the counts are kept apart. *)
+let test_same_form_two_extents () =
+  let module E = Ansor.Expr in
+  let form v = E.(Iadd (Imul (Idiv (Axis v, Int 64), Int 2), Imod (Axis v, Int 2))) in
+  let p =
+    ([ ("v0", 300); ("v1", 2000) ], [ ("A", [ 4096 ]); ("B", [ 4096 ]) ], [], [ form "v0" ], [ form "v1" ])
+  in
+  check_bool "A and B each match the reference" true (matches_reference p)
 
 
 (* Which path [Access.distinct_values] takes, on the exact or the sampled
@@ -571,6 +583,7 @@ let () =
           prop_distinct_values;
           prop_distinct_index_forms;
           prop_access_reference;
+          case "one form under two extents" test_same_form_two_extents;
           case "closed forms fire on the corpus" test_sweep_paths_fire;
         ] );
       ( "features",
