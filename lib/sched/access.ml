@@ -200,12 +200,9 @@ let rec compile = function
    - [Zero]: every point divides by zero and counts as 0;
    - [Affine a], [c + a*v]: 1 value when [a = 0], else [n], as [a*step*t]
      cannot wrap;
-   - [Digit d], [c + b * ((a*v + c') / s) mod l] (the division or the
-     remainder may be absent) with [a, s, l >= 1]: the quotients advance
-     by [a*step/s] per point, so they form a run of consecutive integers
-     when [a*step <= s] (at most [l] residues) and an arithmetic
-     progression when [s] divides [a*step] (its residues repeat with
-     period [l / gcd]);
+   - [Digit k]: [k] values of [c + b * ((a*v + c') / s) mod l] (the
+     division or the remainder may be absent) with [a, s, l >= 1], see
+     {!digit_count};
    every other form, [c + a*v + sum b * p], is [Swept] point by point. *)
 type plan =
   | Zero
@@ -220,6 +217,11 @@ let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
 let small x = x >= -closed_bound && x <= closed_bound
 
+(* The quotients advance by [a*step/s] per point.  They form a run of
+   consecutive integers when [a*step <= s], so [min l run] residues, and
+   an arithmetic progression when [s] divides [a*step], whose residues
+   repeat with period [l / gcd (a*step/s) l].  [b <> 0] maps the digits
+   one to one.  [None] when neither holds or an operand is too large. *)
 let digit_count ~n ~step ~b ~c ~a ~s ~l =
   let stride = a * step in
   if not (a >= 1 && s >= 1 && small a && small s && small b && small c && small step
@@ -254,7 +256,7 @@ let plan loop_vars d l ~n ~step =
   | exception Division_by_zero -> Zero
   | _, a, [] ->
     if small a && small step && small (a * step) then Affine a
-    else Swept (0, a, [])
+    else (* [a*step*t] might wrap *) Swept (0, a, [])
   | c, a, rest -> (
     let closed =
       match (a, rest) with
