@@ -195,7 +195,10 @@ let gen_index vars =
       (list_size (int_range 1 3) term)
       (int_range (-2) 40) bool
   in
-  let divisor = frequency [ (6, int_range 1 16); (1, int_range (-3) 0); (1, oneofl [ 32; 64; 100; 256 ]) ] in
+  let divisor =
+    frequency
+      [ (6, int_range 1 16); (1, int_range (-3) 0); (1, oneofl [ 32; 64; 100; 256 ]) ]
+  in
   let digit =
     map3
       (fun inner (s, l) (b, c) ->
@@ -382,9 +385,8 @@ let prop_access_reference =
 let test_same_form_two_extents () =
   let module E = Ansor.Expr in
   let form v = E.(Iadd (Imul (Idiv (Axis v, Int 64), Int 2), Imod (Axis v, Int 2))) in
-  let p =
-    ([ ("v0", 300); ("v1", 2000) ], [ ("A", [ 4096 ]); ("B", [ 4096 ]) ], [], [ form "v0" ], [ form "v1" ])
-  in
+  let loops = [ ("v0", 300); ("v1", 2000) ] in
+  let p = (loops, [ ("A", [ 4096 ]); ("B", [ 4096 ]) ], [], [ form "v0" ], [ form "v1" ]) in
   check_bool "A and B each match the reference" true (matches_reference p)
 
 
