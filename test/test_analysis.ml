@@ -382,6 +382,38 @@ let test_evolve_rejects_and_survives () =
     out;
   check_bool "static rejections counted" true (!rejected > 0)
 
+(* Captured before [evolve] remembered the verdicts it had reached: the
+   rejection count is telemetry's [statically_rejected] for this run, so
+   a proposal rejected again must count again, and the output must keep
+   its histories and fitness bits. *)
+let test_evolve_rejection_golden () =
+  (* a full reduction: [Parallel] on its reduction axis is a race, so
+     annotation mutants are often rejected, some more than once *)
+  let dag = Ansor.Nn.matrix_norm ~m:64 ~n:64 () in
+  let rng = Rng.create 7 in
+  let rejected = ref 0 in
+  let config =
+    { Evolution.default_config with population = 64; generations = 4 }
+  in
+  let out =
+    Evolution.evolve
+      ~on_reject:(fun () -> incr rejected)
+      ~scorer:(scorer ()) rng config (Policy.cpu ~workers:20) dag
+      ~init:(candidates (sample_programs ~seed:11 ~n:8 dag))
+      ~out:8
+  in
+  let digest =
+    List.map
+      (fun (s : Evolution.scored) ->
+        Printf.sprintf "%s %Lx"
+          (Digest.to_hex (Step.history_key s.cand.state.history))
+          (Int64.bits_of_float s.fitness))
+      out
+    |> String.concat "\n" |> Digest.string |> Digest.to_hex
+  in
+  check_int "rejected proposals" 17 !rejected;
+  check_string "output" "6f6b00741096c73946bb68aa9e12a92f" digest
+
 (* registry serving bar: an entry whose replayed schedule carries a race
    must not resolve *)
 let test_registry_rejects_racy_entry () =
@@ -465,6 +497,7 @@ let () =
           prop_sampler_programs_race_free;
           case "evolution static filter" test_evolution_static_filter;
           case "evolve rejects and survives" test_evolve_rejects_and_survives;
+          case "evolve rejection count golden" test_evolve_rejection_golden;
           case "registry rejects racy entry" test_registry_rejects_racy_entry;
           case "verify_state catches race" test_verify_state_catches_race;
         ] );

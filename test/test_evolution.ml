@@ -148,6 +148,30 @@ let test_evolve_returns_sorted_distinct () =
   check_int "distinct" (List.length keys)
     (List.length (List.sort_uniq compare keys))
 
+(* Two evolve calls on matmuls of different sizes, both from the bare
+   schedule: their annotation mutants have equal histories, so a verdict
+   table keyed by history alone that outlived one call would hand the
+   second call the first DAG's programs. *)
+let test_evolve_verifies_its_own_dag () =
+  let config =
+    { Evolution.default_config with population = 16; generations = 2 }
+  in
+  List.iter
+    (fun n ->
+      let dag = Ansor.Nn.matmul ~m:n ~n ~k:n () in
+      let out =
+        Evolution.evolve ~scorer:(scorer ()) (Rng.create 3) config cpu_policy
+          dag ~init:(candidates [ State.init dag ]) ~out:8
+      in
+      check_bool "offspring returned" true (List.length out > 1);
+      List.iter
+        (fun (s : Evolution.scored) ->
+          match Evolution.verify dag s.cand.state.history with
+          | Some c -> check_string "program of this DAG" c.key s.cand.key
+          | None -> Alcotest.fail "returned history does not verify")
+        out)
+    [ 16; 32; 16 ]
+
 let test_evolve_improves_with_model () =
   (* train a model on measured samples; evolution guided by it should find
      programs whose true latency beats the best random sample *)
@@ -206,6 +230,7 @@ let () =
       ( "evolve",
         [
           case "sorted distinct output" test_evolve_returns_sorted_distinct;
+          case "verifies against its own DAG" test_evolve_verifies_its_own_dag;
           case "model-guided improvement" test_evolve_improves_with_model;
         ] );
     ]

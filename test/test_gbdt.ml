@@ -152,6 +152,12 @@ let single_bin x f =
 
 let constant x f = Array.for_all (fun r -> r.(f) = x.(0).(f)) x
 
+(* [x] with one more column, [g row], after the others *)
+let with_column x g = Array.map (fun r -> Array.append r [| g r |]) x
+
+(* multiples of 1/8 in [0, 125): every transform below is exact on them *)
+let dyadic _ rng = float_of_int (Rng.int rng 1000) /. 8.0
+
 (* A small tuning corpus built the way the search builds one: sampled
    schedules of a conv layer, featurized per statement, labelled by the
    simulator, trained through the cost model (throughput targets and
@@ -361,7 +367,111 @@ let golden_cases =
           (imp.(1) > 0.0 && imp.(3) > 0.0 && single_bin x 1 && single_bin x 3
          && not (constant x 3));
         Gbdt.train ~params:small ~init ~x ~y () );
+    (* The cases below hold copies, increasing and decreasing transforms
+       and near-copies of a column, and non-finite targets, captured
+       before the trainer left out columns that rank the rows exactly as
+       an earlier column does. *)
+    ( "exact copy after its original",
+      "bb5c6c98f8ca67990356d8a734fae615",
+      fun () ->
+        let x, y = golden_data 28 240 4 uniform linear in
+        Gbdt.train ~params:small ~x:(with_column x (fun r -> r.(0))) ~y () );
+    ( "increasing transform before its original",
+      "9393898590b3a331e2e018c0dbc275ff",
+      fun () ->
+        (* column 0 is [2 v + 3] of column 1: the original comes second,
+           so thresholds on this pair come from column 0's edges *)
+        let x, y =
+          golden_data 29 240 3 dyadic (fun rng r ->
+              (2.0 *. r.(0)) -. r.(1) +. Rng.float rng 0.1)
+        in
+        let x = Array.map (fun r -> Array.append [| (2.0 *. r.(0)) +. 3.0 |] r) x in
+        Gbdt.train ~params:small ~x ~y () );
+    ( "decreasing copy",
+      "61422237149bf1650391f3eab54de57f",
+      fun () ->
+        (* [-v] bins the rows in reverse order: it is kept *)
+        let x, y = golden_data 30 240 4 uniform linear in
+        Gbdt.train ~params:small ~x:(with_column x (fun r -> -.r.(0))) ~y () );
+    ( "decreasing copy before its original",
+      "a56ebbce4070eab847d06be88c22db29",
+      fun () ->
+        (* on 12 values each value has its own bin, so [-v] offers the
+           original's splits with sides swapped; its sums run from the
+           other end and can differ in the last bit, so both stay *)
+        let x, y =
+          golden_data 36 240 4
+            (fun f rng ->
+              if f = 0 then float_of_int (Rng.int rng 12) else Rng.float rng 1.0)
+            linear
+        in
+        let x = Array.map (fun r -> Array.append [| -.r.(0) |] r) x in
+        Gbdt.train ~params:small ~x ~y () );
+    ( "near-copy differing in one row",
+      "dcb90498e5a8c60ba7a9fd262f8105f1",
+      fun () ->
+        let x, y = golden_data 31 240 4 uniform linear in
+        let x = with_column x (fun r -> r.(0)) in
+        x.(17).(4) <- 2.0;
+        Gbdt.train ~params:small ~x ~y () );
+    ( "warm start over duplicated columns",
+      "7ea3b5bf26623ec6eb01e22582dbf8b5",
+      fun () ->
+        let dup seed =
+          let x, y = golden_data seed 200 4 uniform linear in
+          (with_column (with_column x (fun r -> r.(1))) (fun r -> r.(0)), y)
+        in
+        let x0, y0 = dup 32 and x, y = dup 33 in
+        let init = Gbdt.train ~params:small ~x:x0 ~y:y0 () in
+        Gbdt.train ~params:small ~init ~x ~y () );
+    ( "NaN and infinite targets",
+      "4ca21ac8df56759f52aa68561f6a71cc",
+      fun () ->
+        let x, y = golden_data 34 200 3 uniform linear in
+        y.(5) <- Float.nan;
+        y.(40) <- Float.infinity;
+        y.(41) <- Float.neg_infinity;
+        Gbdt.train ~params:small ~x:(with_column x (fun r -> r.(2))) ~y () );
+    ( "infinite target",
+      "65374628b9538c406163054d60034006",
+      fun () ->
+        let x, y = golden_data 35 200 3 uniform linear in
+        y.(9) <- Float.infinity;
+        Gbdt.train ~params:small ~x:(with_column x (fun r -> r.(1))) ~y () );
   ]
+
+(* Appending a strictly increasing transform of column [c] bins the
+   rows exactly as column [c] does, and a later column never wins a tie:
+   the model keeps its base, trees and importance bit for bit, and the
+   new column's importance is 0.  Retraining [plain] with no new trees
+   and [~init] gives exactly that expected model: [plain]'s base and
+   trees, its importance padded with one 0. *)
+let prop_increasing_copy_changes_nothing =
+  let transforms =
+    [| (fun v -> (2.0 *. v) +. 3.0); (fun v -> v *. v *. v);
+       (fun v -> v -. 1000.0); (fun v -> Float.ldexp v 3) |]
+  in
+  qcheck ~count:60 ~seed:23 "an appended increasing copy changes no model bit"
+    QCheck2.Gen.(
+      tup4 (int_range 0 10_000) (pair (int_range 20 160) (int_range 2 5))
+        (pair (int_range 0 4) (int_range 0 3))
+        (pair (int_range 1 6) (int_range 1 6)))
+    (fun (seed, (n, dims), (c, t), (depth, leaf)) ->
+      let c = c mod dims in
+      let x, y =
+        golden_data seed n dims
+          (fun f rng ->
+            if f mod 2 = 0 then dyadic f rng
+            else float_of_int (Rng.int rng (2 + f)))
+          linear
+      in
+      let params = { small with max_depth = depth; min_samples_leaf = leaf } in
+      let plain = Gbdt.train ~params ~x ~y () in
+      let x' = with_column x (fun r -> transforms.(t) r.(c)) in
+      let expected =
+        Gbdt.train ~params:{ params with n_trees = 0 } ~init:plain ~x:x' ~y ()
+      in
+      digest (Gbdt.train ~params ~x:x' ~y ()) = digest expected)
 
 let () =
   Alcotest.run "gbdt"
@@ -381,6 +491,7 @@ let () =
           case "feature importance" test_feature_importance;
           case "predict_many" test_predict_many;
           case "extrapolation finite" test_extrapolation_is_finite;
+          prop_increasing_copy_changes_nothing;
         ] );
       ( "golden",
         List.map
