@@ -82,11 +82,36 @@ let predict t row =
    each row's bin bytes are read contiguously. *)
 let feature_block = 32
 
+(* Column [f] binned, as dense ranks: the [k] bins its rows use become
+   bytes [0 .. k - 1], in order.  [cuts.(r)] is the edge that closes rank
+   [r]'s bin, so rows of rank [<= r] are exactly those [< cuts.(r)].  The
+   row holding the column's largest value (or a NaN) lies past every
+   edge, so the top rank has no cut and [Array.length cuts = k - 1]. *)
+let rank_column x (edges : float array) f =
+  let nb = Array.length edges + 1 in
+  let col = Bytes.create (Array.length x) and used = Array.make nb false in
+  Array.iteri
+    (fun i row ->
+      let b = bin_value edges row.(f) in
+      used.(b) <- true;
+      Bytes.set col i (Char.chr b))
+    x;
+  let rank = Array.make nb 0 and k = ref 0 and cuts = ref [] in
+  Array.iteri
+    (fun b u ->
+      if u then begin
+        rank.(b) <- !k;
+        incr k;
+        if b < nb - 1 then cuts := edges.(b) :: !cuts
+      end)
+    used;
+  (Bytes.map (fun c -> Char.chr rank.(Char.code c)) col, Array.of_list (List.rev !cuts))
+
 (* Flat training buffers (layout and bit-identity contract: see the .mli):
-   [bins] holds row [i]'s bin of splittable feature [j] at [i * na + j]; a
+   [bins] holds row [i]'s rank of splittable feature [j] at [i * na + j]; a
    node owns the slice [rows.(lo) .. rows.(hi - 1)], in ascending row
    order; [hist] holds the weight, weighted residual and row count of
-   feature [j], bin [b] at [3 * (j * max_bins + b)].  Counts are floats:
+   feature [j], rank [r] at [3 * (j * max_bins + r)].  Counts are floats:
    they stay exact integers. *)
 let train ?(params = default_params) ?init ~x ~y ?w () =
   let n = Array.length x in
@@ -103,27 +128,45 @@ let train ?(params = default_params) ?init ~x ~y ?w () =
   let wsum = Array.fold_left ( +. ) 0.0 w in
   if wsum <= 0.0 then invalid_arg "Gbdt.train: weights sum to zero";
   let edges = make_bins x n_features in
-  (* A feature whose rows all fall in one bin never splits: below that
-     bin the left side is empty, from it on the right side weighs exactly
-     0.0 (both sides sum the same rows in the same order).  Leaving it out
-     changes no model bit. *)
+  (* Scanning a column's cuts rather than its bins skips only bins no row
+     uses.  Such a bin adds [+0.0] to cumulative sums that start at
+     [+0.0], so are never [-0.0] and keep their bits: it offers again the
+     split just before it, whose equal gain never replaces it, or an
+     empty left side, which never passes [lw > 0.0].  Two columns are
+     left out, neither changing a model bit:
+     - a column whose rows share one bin (no cut) never splits;
+     - a column with the same ranks as an earlier kept one puts the same
+       rows, in the same order, on each side of each cut, so every
+       histogram entry, sum and gain matches that column's bit for bit,
+       and the scan replaces its best split only on a strictly greater
+       gain: the earlier column wins every tie.
+     A NaN gain would break that order.  A split passes only if the
+     node's weight total is positive, and a gain is NaN only if a weight
+     or weighted residual in the node is NaN or infinite (a finite sum
+     that overflows aside).  That makes the node's residual total, and
+     so [parent_score], non-finite: every gain is then NaN or
+     [-infinity], none passes [min_gain], and the node is a leaf
+     whichever split the scan kept. *)
+  let seen = Hashtbl.create 64 in
   let splittable =
-    Array.of_list
-      (List.filter
-         (fun f ->
-           let b0 = bin_value edges.(f) x.(0).(f) in
-           Array.exists (fun row -> bin_value edges.(f) row.(f) <> b0) x)
-         (List.init n_features Fun.id))
+    List.init n_features Fun.id
+    |> List.filter_map (fun f ->
+           let col, cuts = rank_column x edges.(f) f in
+           if Array.length cuts = 0 || Hashtbl.mem seen col then None
+           else begin
+             Hashtbl.add seen col ();
+             Some (f, col, cuts)
+           end)
+    |> Array.of_list
   in
+  let features = Array.map (fun (f, _, _) -> f) splittable
+  and cuts = Array.map (fun (_, _, c) -> c) splittable in
   let na = Array.length splittable in
   let bins = Bytes.create (n * na) in
   Array.iteri
-    (fun i row ->
-      Array.iteri
-        (fun j f ->
-          Bytes.set bins ((i * na) + j) (Char.chr (bin_value edges.(f) row.(f))))
-        splittable)
-    x;
+    (fun j (_, col, _) ->
+      Bytes.iteri (fun i r -> Bytes.unsafe_set bins ((i * na) + j) r) col)
+    splittable;
   (* Warm start: with [init], boosting continues from the pretrained
      model's predictions — new trees fit the residuals the old model
      leaves behind, and the result carries the old trees in front.  The
@@ -176,14 +219,13 @@ let train ?(params = default_params) ?init ~x ~y ?w () =
       else begin
         let parent_score = if sw > 0.0 then swy *. swy /. sw else 0.0 in
         Array.iteri
-          (fun j f ->
-            Array.fill hist (3 * j * max_bins) (3 * (Array.length edges.(f) + 1)) 0.0)
-          splittable;
+          (fun j c -> Array.fill hist (3 * j * max_bins) (3 * (Array.length c + 1)) 0.0)
+          cuts;
         for block = 0 to ((na + feature_block - 1) / feature_block) - 1 do
           let j0 = block * feature_block in
           let j1 = min na (j0 + feature_block) - 1 in
           for k = lo to hi - 1 do
-            (* in bounds by construction: [i < n], a bin is < [max_bins] *)
+            (* in bounds by construction: [i < n], a rank is < [max_bins] *)
             let i = Array.unsafe_get rows k in
             let wi = Array.unsafe_get w i and wri = Array.unsafe_get wr i in
             for j = j0 to j1 do
@@ -197,9 +239,9 @@ let train ?(params = default_params) ?init ~x ~y ?w () =
         done;
         let best = ref None in
         Array.iteri
-          (fun j f ->
+          (fun j c ->
             let lw = ref 0.0 and lwy = ref 0.0 and ln = ref 0 in
-            for b = 0 to Array.length edges.(f) - 1 do
+            for b = 0 to Array.length c - 1 do
               let h = 3 * ((j * max_bins) + b) in
               lw := !lw +. hist.(h);
               lwy := !lwy +. hist.(h + 1);
@@ -219,10 +261,10 @@ let train ?(params = default_params) ?init ~x ~y ?w () =
                 | _ -> best := Some (gain, j, b)
               end
             done)
-          splittable;
+          cuts;
         match !best with
         | Some (gain, j, b) when gain > params.min_gain ->
-          let f = splittable.(j) in
+          let f = features.(j) in
           importance.(f) <- importance.(f) +. gain;
           (* stable partition: left rows compact in place, right rows go
              through [scratch]; both halves keep ascending row order *)
@@ -244,7 +286,7 @@ let train ?(params = default_params) ?init ~x ~y ?w () =
              gains is part of the bit-identity contract *)
           let right = grow mid hi (depth + 1) in
           let left = grow lo mid (depth + 1) in
-          Node { feature = f; threshold = edges.(f).(b); left; right }
+          Node { feature = f; threshold = cuts.(j).(b); left; right }
         | _ -> leaf ()
       end
     in

@@ -9,23 +9,33 @@
     feature, computed once per training set), greedy splits over the
     bins, and shrinkage.
 
-    {b Data layout.}  Every value is binned once per {!train} call into a
-    byte matrix, one byte per (row, splittable feature), row-major.  A
-    feature whose rows all fall in one bin is left out, since it can
-    never split: a constant column, but also one whose quantile edges
-    all equal its minimum (about 31/32 of its rows or more sit there).
+    {b Data layout.}  Every value is binned once per {!train} call, and
+    each column's bins are rewritten as dense ranks: the [k] bins its
+    rows use become [0 .. k - 1], in order, and the rank [r] split cuts
+    at the edge that closes rank [r]'s bin.  The ranks go into a byte
+    matrix, one byte per (row, splittable feature), row-major.  Two
+    kinds of column are left out:
+    - a feature whose rows all fall in one bin ([k = 1]), since it can
+      never split: a constant column, but also one whose quantile edges
+      all equal its minimum (about 31/32 of its rows or more sit there);
+    - a feature whose rank column equals that of an earlier kept one
+      (an exact copy, or any strictly increasing transform of it): it
+      puts the same rows on the same side of every cut, so it can only
+      tie the earlier column, and ties go to the earlier one.
     A node owns a slice of one row-index array; a split partitions that
     slice in place, stably.  One histogram buffer ([3 x max_bins] floats
     per splittable feature: weight, weighted residual, row count) is
     reused by every node, and the weighted residuals are computed once
     per tree.
 
-    {b Complexity.}  Binning sorts each non-constant column once:
-    O(features x samples x log samples).  A tree reads each row's bytes
-    once per level and scans [max_bins] histogram entries per splittable
-    feature per split node: O(trees x (depth x samples x splittable +
-    nodes x splittable x max_bins)), with [splittable] the features left
-    in and [nodes] the split nodes of one tree.
+    {b Complexity.}  Binning sorts each non-constant column once and
+    bins every value once: O(features x samples x log samples); ranking
+    and the duplicate check hash each column once, O(features x
+    samples).  A tree reads each row's bytes once per level and scans
+    at most [max_bins] histogram entries per splittable feature per
+    split node: O(trees x (depth x samples x splittable + nodes x
+    splittable x max_bins)), with [splittable] the features left in
+    and [nodes] the split nodes of one tree.
 
     {b Bit-identity contract.}  A model is a deterministic function of
     its inputs, down to the bits of every threshold, leaf and
@@ -38,8 +48,16 @@
       [importance] in that order.
     Binning pins a third: a column is sorted by [Array.sort], a heap
     sort, which decides whether [-0.0] or [0.0] lands at a quantile and
-    so the sign bit of a zero threshold.  [test/test_gbdt.ml] pins all
-    three with digests of marshalled models. *)
+    so the sign bit of a zero threshold.  Neither rank rewrite nor the
+    columns left out change a bit: a bin no row uses adds [+0.0] to a
+    cumulative sum that is never [-0.0], and a dropped column's gains
+    equal, bit for bit, those of the earlier column it copies, which
+    wins every tie.  (A NaN gain, which breaks ties the other way, needs
+    a non-finite weight or residual in the node; that makes the node's
+    own score non-finite, and such a node is a leaf whichever split was
+    best.)  [test/test_gbdt.ml] pins all of this with digests of
+    marshalled models, and a property checks that appending an
+    increasing copy of a column changes no model bit. *)
 
 type t
 
