@@ -32,22 +32,63 @@ let node_of_stage name =
   in
   strip ".local" (strip ".rf" name)
 
+(* What verifying one edited history concluded. *)
+type verdict = Dead | Rejected | Verified of Candidate.t
+
 (* Replays an edited history, lowers it into a candidate, and statically
    rejects mutants the race detector or the bounds certifier proves
    wrong — the verification step of §5.1 plus the pre-measurement
-   filter.  [on_reject] fires only for the static-analysis rejections
-   (telemetry's [statically_rejected]); replay/lowering failures are
-   ordinary dead offspring. *)
-let verify ?on_reject dag steps =
+   filter.  Replay/lowering failures are ordinary dead offspring.
+   [static_ok] runs the static checks on a lowered candidate. *)
+let judge ~static_ok dag steps =
   match Annotate.replay_constrained dag steps ~fill:Annotate.Keep with
-  | Error _ -> None
-  | Ok st ->
-    Option.bind (Candidate.of_state st) (fun (c : Candidate.t) ->
-        if Ansor_analysis.Analysis.static_errors c.prog = [] then Some c
-        else begin
-          Option.iter (fun f -> f ()) on_reject;
-          None
-        end)
+  | Error _ -> Dead
+  | Ok st -> (
+    match Candidate.of_state st with
+    | None -> Dead
+    | Some c -> if static_ok c then Verified c else Rejected)
+
+(* [on_reject] fires only for the static-analysis rejections
+   (telemetry's [statically_rejected]). *)
+let conclude ?on_reject = function
+  | Verified c -> Some c
+  | Dead -> None
+  | Rejected ->
+    Option.iter (fun f -> f ()) on_reject;
+    None
+
+let static_ok (c : Candidate.t) =
+  Ansor_analysis.Analysis.static_errors c.prog = []
+
+let verify ?on_reject dag steps = conclude ?on_reject (judge ~static_ok dag steps)
+
+(* The verdicts one [evolve] call has reached, by [Step.history_key] of
+   the edited history, and the static-check outcome of each program it
+   lowered, by [Candidate.key].  Both are pure functions of their key for
+   a fixed DAG, so a hit returns exactly what verifying again would; a
+   [Rejected] hit still fires [on_reject], so every rejected proposal is
+   counted.  The table lives only as long as its [evolve] call: descent
+   and later rounds verify afresh (see the .mli for why). *)
+type table = {
+  histories : (string, verdict) Hashtbl.t;
+  programs : (string, bool) Hashtbl.t;
+}
+
+let memo tbl key f =
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+    let v = f () in
+    Hashtbl.add tbl key v;
+    v
+
+let verify_in table ?on_reject dag steps =
+  let static_ok (c : Candidate.t) =
+    memo table.programs c.key (fun () -> static_ok c)
+  in
+  conclude ?on_reject
+    (memo table.histories (Step.history_key steps) (fun () ->
+         judge ~static_ok dag steps))
 
 let steps_of (st : State.t) = st.history
 
@@ -60,7 +101,9 @@ let consumer_stages steps =
 
 let replace_nth l n x = List.mapi (fun i y -> if i = n then x else y) l
 
-let mutate_tile_sizes ?on_reject rng dag st =
+(* Each operator below sends its edited history through [check]: plain
+   [verify] when called on its own, the call's table inside [evolve]. *)
+let tile_sizes check rng st =
   let steps = steps_of st in
   let consumers = consumer_stages steps in
   let candidates =
@@ -102,10 +145,9 @@ let mutate_tile_sizes ?on_reject rng dag st =
           if p = src then l / factor else if p = dst then l * factor else l)
         lengths
     in
-    verify ?on_reject dag
-      (replace_nth steps i (Step.Split { stage; iv; lengths; tbd = false }))
+    check (replace_nth steps i (Step.Split { stage; iv; lengths; tbd = false }))
 
-let mutate_annotation ?on_reject rng dag st =
+let annotation check rng st =
   let steps = steps_of st in
   let indexed = List.mapi (fun i s -> (i, s)) steps in
   let ann_edits =
@@ -151,10 +193,10 @@ let mutate_annotation ?on_reject rng dag st =
   | [] -> None
   | edits -> (
     match Rng.choice_list rng edits with
-    | `Replace (i, step) -> verify ?on_reject dag (replace_nth steps i step)
-    | `Append step -> verify ?on_reject dag (steps @ [ step ]))
+    | `Replace (i, step) -> check (replace_nth steps i step)
+    | `Append step -> check (steps @ [ step ]))
 
-let mutate_pragma ?on_reject rng (policy : Ansor_sketch.Policy.t) dag st =
+let pragma check rng (policy : Ansor_sketch.Policy.t) st =
   let steps = steps_of st in
   let candidates =
     List.mapi (fun i s -> (i, s)) steps
@@ -171,10 +213,9 @@ let mutate_pragma ?on_reject rng (policy : Ansor_sketch.Policy.t) dag st =
     if choices = [] then None
     else
       let max_step = Rng.choice_list rng choices in
-      verify ?on_reject dag
-        (replace_nth steps i (Step.Pragma_unroll { stage; max_step }))
+      check (replace_nth steps i (Step.Pragma_unroll { stage; max_step }))
 
-let mutate_location ?on_reject rng dag st =
+let location check rng st =
   let steps = steps_of st in
   (* last compute_at per stage decides its location *)
   let last_by_stage = Hashtbl.create 4 in
@@ -200,9 +241,20 @@ let mutate_location ?on_reject rng dag st =
         let bindings = Rng.choice_list rng variants in
         (* appending keeps the original step so consumer-split constraints
            stay solvable; the last step wins for placement *)
-        verify ?on_reject dag
-          (steps @ [ Step.Compute_at { stage; target; target_iv; bindings } ])
+        check (steps @ [ Step.Compute_at { stage; target; target_iv; bindings } ])
     | _ -> None)
+
+let mutate_tile_sizes ?on_reject rng dag st =
+  tile_sizes (verify ?on_reject dag) rng st
+
+let mutate_annotation ?on_reject rng dag st =
+  annotation (verify ?on_reject dag) rng st
+
+let mutate_pragma ?on_reject rng policy dag st =
+  pragma (verify ?on_reject dag) rng policy st
+
+let mutate_location ?on_reject rng dag st =
+  location (verify ?on_reject dag) rng st
 
 (* ---- crossover ---------------------------------------------------------- *)
 
@@ -242,7 +294,7 @@ let node_scores (c : Candidate.t) scores =
     (List.rev !stages) scores;
   fun node -> Option.value ~default:0.0 (Hashtbl.find_opt tbl node)
 
-let crossover ?on_reject ~scorer rng ~greedy_node_prob dag (a : Candidate.t)
+let cross check ~scorer rng ~greedy_node_prob dag (a : Candidate.t)
     (b : Candidate.t) =
   let score_a, score_b =
     match Score_service.stmt_scores scorer [ a; b ] with
@@ -305,7 +357,10 @@ let crossover ?on_reject ~scorer rng ~greedy_node_prob dag (a : Candidate.t)
       List.filter (fun s -> from_a (Step.stage_of s)) a_ann
       @ List.filter (fun s -> not (from_a (Step.stage_of s))) b_ann
     in
-    verify ?on_reject dag (structural @ ann)
+    check (structural @ ann)
+
+let crossover ?on_reject ~scorer rng ~greedy_node_prob dag a b =
+  cross (verify ?on_reject dag) ~scorer rng ~greedy_node_prob dag a b
 
 (* ---- main loop ---------------------------------------------------------- *)
 
@@ -320,6 +375,11 @@ let evolve ?on_reject ~scorer rng config policy dag ~init ~out =
       (fun cand fitness -> { cand; fitness })
       cands
       (Score_service.score scorer cands)
+  in
+  let check =
+    verify_in
+      { histories = Hashtbl.create 1024; programs = Hashtbl.create 1024 }
+      ?on_reject dag
   in
   let best = Hashtbl.create 64 in
   let remember s =
@@ -356,9 +416,8 @@ let evolve ?on_reject ~scorer rng config policy dag ~init ~out =
         let parent = select () in
         let child =
           if Rng.float rng 1.0 < config.crossover_prob then
-            crossover ?on_reject ~scorer rng
-              ~greedy_node_prob:config.greedy_node_prob dag parent
-              (select ())
+            cross check ~scorer rng ~greedy_node_prob:config.greedy_node_prob
+              dag parent (select ())
           else begin
             (* chain 1-3 mutations (geometric): multi-step moves escape
                plateaus that single-factor steps cannot *)
@@ -366,11 +425,11 @@ let evolve ?on_reject ~scorer rng config policy dag ~init ~out =
               let st = c.state in
               if config.mutate_annotations then
                 match Rng.int rng 4 with
-                | 0 -> mutate_tile_sizes ?on_reject rng dag st
-                | 1 -> mutate_annotation ?on_reject rng dag st
-                | 2 -> mutate_pragma ?on_reject rng policy dag st
-                | _ -> mutate_location ?on_reject rng dag st
-              else mutate_tile_sizes ?on_reject rng dag st
+                | 0 -> tile_sizes check rng st
+                | 1 -> annotation check rng st
+                | 2 -> pragma check rng policy st
+                | _ -> location check rng st
+              else tile_sizes check rng st
             in
             let rec chain c changed =
               match mutate_once c with

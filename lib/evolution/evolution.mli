@@ -73,7 +73,24 @@ val evolve :
     uniform, as in the paper's first iteration.  Scoring consumes no RNG,
     and the scorer's results do not depend on its worker count, so the
     output — RNG stream included — is bit-identical at any worker
-    count. *)
+    count.
+
+    Each call verifies a proposal once: it owns a table from the
+    {!Ansor_sched.Step.history_key} of every edited history its
+    operators propose to what {!verify} concluded (dead, rejected, or
+    the verified candidate), and a second one from each lowered
+    program's {!Ansor_sched.Candidate.key} to its static-check outcome,
+    so a new history that lowers to a program already checked skips the
+    checks.  Both verdicts are pure functions of their key for a fixed
+    DAG, so a hit returns what verifying again would, and a rejected hit
+    fires [on_reject] again: every rejected proposal is counted, as
+    without the table.  The table is created when the call starts and
+    dropped when it returns.  Kept longer, it grows with the session
+    (kept across perfbench's three sessions in one process, it raised
+    the peak heap from about 200 to 600 MB), and a candidate
+    it handed out to a later consumer (descent, the tuner's neighbor
+    slots) would be physically shared where a fresh one was before,
+    which changes the bytes [Marshal] writes for a checkpoint. *)
 
 (** The individual operators, exposed for testing and for the ablation
     benchmarks. Each returns [None] when the edited history fails
