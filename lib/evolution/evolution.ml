@@ -60,7 +60,8 @@ let conclude ?on_reject = function
 let static_ok (c : Candidate.t) =
   Ansor_analysis.Analysis.static_errors c.prog = []
 
-let verify ?on_reject dag steps = conclude ?on_reject (judge ~static_ok dag steps)
+let verify ?on_reject dag steps =
+  conclude ?on_reject (judge ~static_ok dag steps)
 
 (* The verdicts one [evolve] call has reached, by [Step.history_key] of
    the edited history, and the static-check outcome of each program it
@@ -241,7 +242,8 @@ let location check rng st =
         let bindings = Rng.choice_list rng variants in
         (* appending keeps the original step so consumer-split constraints
            stay solvable; the last step wins for placement *)
-        check (steps @ [ Step.Compute_at { stage; target; target_iv; bindings } ])
+        check
+          (steps @ [ Step.Compute_at { stage; target; target_iv; bindings } ])
     | _ -> None)
 
 let mutate_tile_sizes ?on_reject rng dag st =

@@ -105,7 +105,8 @@ let rank_column x (edges : float array) f =
         if b < nb - 1 then cuts := edges.(b) :: !cuts
       end)
     used;
-  (Bytes.map (fun c -> Char.chr rank.(Char.code c)) col, Array.of_list (List.rev !cuts))
+  ( Bytes.map (fun c -> Char.chr rank.(Char.code c)) col,
+    Array.of_list (List.rev !cuts) )
 
 (* Flat training buffers (layout and bit-identity contract: see the .mli):
    [bins] holds row [i]'s rank of splittable feature [j] at [i * na + j]; a
@@ -132,8 +133,8 @@ let train ?(params = default_params) ?init ~x ~y ?w () =
      uses.  Such a bin adds [+0.0] to cumulative sums that start at
      [+0.0], so are never [-0.0] and keep their bits: it offers again the
      split just before it, whose equal gain never replaces it, or an
-     empty left side, which never passes [lw > 0.0].  Two columns are
-     left out, neither changing a model bit:
+     empty left side, which never passes [lw > 0.0].  Two kinds of column
+     are left out, neither changing a model bit:
      - a column whose rows share one bin (no cut) never splits;
      - a column with the same ranks as an earlier kept one puts the same
        rows, in the same order, on each side of each cut, so every
@@ -219,7 +220,8 @@ let train ?(params = default_params) ?init ~x ~y ?w () =
       else begin
         let parent_score = if sw > 0.0 then swy *. swy /. sw else 0.0 in
         Array.iteri
-          (fun j c -> Array.fill hist (3 * j * max_bins) (3 * (Array.length c + 1)) 0.0)
+          (fun j c ->
+            Array.fill hist (3 * j * max_bins) (3 * (Array.length c + 1)) 0.0)
           cuts;
         for block = 0 to ((na + feature_block - 1) / feature_block) - 1 do
           let j0 = block * feature_block in
