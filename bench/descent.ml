@@ -28,25 +28,8 @@ let json_path =
   | Some p -> p
   | None -> "BENCH_descent.json"
 
-let descent_config =
-  let getf name d =
-    match Sys.getenv_opt name with Some v -> float_of_string v | None -> d
-  in
-  let geti name d =
-    match Sys.getenv_opt name with Some v -> int_of_string v | None -> d
-  in
-  let d = Ansor.Descent.default_config in
-  {
-    Ansor.Descent.stall_rounds =
-      geti "ANSOR_DESCENT_STALL" d.Ansor.Descent.stall_rounds;
-    budget_fraction = getf "ANSOR_DESCENT_FRACTION" d.Ansor.Descent.budget_fraction;
-    plateau_sweeps = geti "ANSOR_DESCENT_PLATEAU" d.Ansor.Descent.plateau_sweeps;
-    max_walk = geti "ANSOR_DESCENT_WALK" d.Ansor.Descent.max_walk;
-    max_probes = geti "ANSOR_DESCENT_PROBES" d.Ansor.Descent.max_probes;
-  }
-
 let descent_options =
-  { Ansor.Tuner.ansor_options with descent = Some descent_config }
+  { Ansor.Tuner.ansor_options with descent = Some Ansor.Descent.default_config }
 
 (* first curve point whose best-so-far is <= target *)
 let trials_to_reach curve target =

@@ -745,7 +745,6 @@ let serve_cmd =
         Ansor.Server.shards;
         capacity;
         service_workers = workers;
-        pool_workers = 1;
         noise;
         seed;
         naive;
@@ -842,8 +841,7 @@ let lint_cmd =
     let targets = ref [] and skipped = ref 0 in
     let config_for (m : Ansor.Machine.t) dag =
       {
-        Ansor.Analysis.default_config with
-        workers = m.num_workers;
+        Ansor.Analysis.workers = m.num_workers;
         vector_lanes = m.vector_lanes;
         outputs =
           List.map

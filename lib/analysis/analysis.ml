@@ -3,7 +3,6 @@ open Ansor_sched
 type config = Lint.config = {
   workers : int;
   vector_lanes : int;
-  max_unroll_default : int;
   outputs : string list;
 }
 

@@ -17,7 +17,6 @@
 type config = Lint.config = {
   workers : int;
   vector_lanes : int;
-  max_unroll_default : int;
   outputs : string list;
 }
 

@@ -8,13 +8,13 @@ open Ansor_sched
 type config = {
   workers : int;  (** worker threads a parallel loop should keep busy *)
   vector_lanes : int;  (** SIMD lanes a vectorized loop should fill *)
-  max_unroll_default : int;
-      (** unroll-explosion bar for loops without a pragma limit *)
   outputs : string list;  (** buffers that are live after the program *)
 }
 
-let default_config =
-  { workers = 4; vector_lanes = 8; max_unroll_default = 64; outputs = [] }
+let default_config = { workers = 4; vector_lanes = 8; outputs = [] }
+
+(* Unroll-explosion bar for statements without a pragma limit. *)
+let max_unroll_default = 64
 
 let warn ~code ~loc fmt = Diagnostic.makef ~severity:Diagnostic.Warn ~code ~loc fmt
 let info ~code ~loc fmt = Diagnostic.makef ~severity:Diagnostic.Info ~code ~loc fmt
@@ -81,7 +81,7 @@ let check config (prog : Prog.t) =
     | Prog.Stmt s ->
       (* unroll explosion: the statement is replicated once per iteration
          of every enclosing unrolled loop *)
-      let limit = Option.value s.max_unroll ~default:config.max_unroll_default in
+      let limit = Option.value s.max_unroll ~default:max_unroll_default in
       if unroll_product > limit then
         emit
           (warn ~code:"unroll-explosion" ~loc:(Diagnostic.Stage s.stage)

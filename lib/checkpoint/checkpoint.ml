@@ -18,9 +18,11 @@ type image = { meta : meta; session : Ansor_scheduler.Scheduler.Snapshot.t }
    Scheduler.Snapshot.t.
    v6: Telemetry.stats lost the verdict-memo hit count with the memo
    itself; every native-gate certification is in [certified].
+   v7: Telemetry.stats lost backoff_seconds with the retry backoff,
+   whose delay was always zero.
    The version lives in the magic line, so a snapshot from an older
    binary is rejected cleanly instead of misparsed by Marshal. *)
-let version = 6
+let version = 7
 
 let magic = Printf.sprintf "ansor-snapshot-v%d" version
 

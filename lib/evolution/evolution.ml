@@ -9,7 +9,6 @@ type config = {
   population : int;
   generations : int;
   crossover_prob : float;
-  greedy_node_prob : float;
   mutate_annotations : bool;
 }
 
@@ -18,7 +17,6 @@ let default_config =
     population = 128;
     generations = 4;
     crossover_prob = 0.15;
-    greedy_node_prob = 0.8;
     mutate_annotations = true;
   }
 
@@ -100,6 +98,30 @@ let consumer_stages steps =
     (function Step.Compute_at { target; _ } -> Some target | _ -> None)
     steps
 
+(* The move vocabulary shared with descent (see the .mli). *)
+let tunable_split ~consumers : Step.t -> bool = function
+  | Step.Split { stage; lengths; _ } ->
+    List.length lengths >= 2 && (not (List.mem stage consumers))
+    && List.exists (fun l -> l > 1) lengths
+  | _ -> false
+
+let annotation_moves : Step.t -> Step.t list = function
+  | Step.Annotate { stage; iv; ann } ->
+    List.map
+      (fun ann -> Step.Annotate { stage; iv; ann })
+      (match ann with
+      | Step.Vectorize -> [ Step.Unroll; Step.No_ann; Step.Parallel ]
+      | Step.Unroll -> [ Step.Vectorize; Step.No_ann; Step.Parallel ]
+      | Step.Parallel -> [ Step.No_ann ]
+      | Step.No_ann -> [ Step.Vectorize; Step.Unroll; Step.Parallel ])
+  | Step.Fuse { stage; ivs } when List.length ivs >= 3 ->
+    (* coarsen the parallel granularity: fuse one level fewer *)
+    [ Step.Fuse { stage; ivs = List.rev (List.tl (List.rev ivs)) } ]
+  | _ -> []
+
+let other_unroll_steps (policy : Ansor_sketch.Policy.t) current =
+  List.filter (fun v -> v <> current) policy.unroll_steps
+
 let replace_nth l n x = List.mapi (fun i y -> if i = n then x else y) l
 
 (* Each operator below sends its edited history through [check]: plain
@@ -112,9 +134,7 @@ let tile_sizes check rng st =
     |> List.filter_map (fun (i, s) ->
            match (s : Step.t) with
            | Step.Split { stage; iv; lengths; _ }
-             when List.length lengths >= 2
-                  && (not (List.mem stage consumers))
-                  && List.exists (fun l -> l > 1) lengths ->
+             when tunable_split ~consumers s ->
              Some (i, stage, iv, lengths)
            | _ -> None)
   in
@@ -153,24 +173,7 @@ let annotation check rng st =
   let indexed = List.mapi (fun i s -> (i, s)) steps in
   let ann_edits =
     List.concat_map
-      (fun (i, s) ->
-        match (s : Step.t) with
-        | Step.Annotate { stage; iv; ann } ->
-          let flips =
-            match ann with
-            | Step.Vectorize -> [ Step.Unroll; Step.No_ann; Step.Parallel ]
-            | Step.Unroll -> [ Step.Vectorize; Step.No_ann; Step.Parallel ]
-            | Step.Parallel -> [ Step.No_ann ]
-            | Step.No_ann -> [ Step.Vectorize; Step.Unroll; Step.Parallel ]
-          in
-          List.map
-            (fun ann' -> `Replace (i, Step.Annotate { stage; iv; ann = ann' }))
-            flips
-        | Step.Fuse { stage; ivs } when List.length ivs >= 3 ->
-          (* coarsen the parallel granularity: fuse one level fewer *)
-          let shorter = List.filteri (fun j _ -> j < List.length ivs - 1) ivs in
-          [ `Replace (i, Step.Fuse { stage; ivs = shorter }) ]
-        | _ -> [])
+      (fun (i, s) -> List.map (fun s' -> `Replace (i, s')) (annotation_moves s))
       indexed
   in
   (* also annotate a currently-bare iterator: the step semantics accept
@@ -210,7 +213,7 @@ let pragma check rng (policy : Ansor_sketch.Policy.t) st =
   | [] -> None
   | _ ->
     let i, stage, old = Rng.choice_list rng candidates in
-    let choices = List.filter (fun v -> v <> old) policy.unroll_steps in
+    let choices = other_unroll_steps policy old in
     if choices = [] then None
     else
       let max_step = Rng.choice_list rng choices in
@@ -418,8 +421,7 @@ let evolve ?on_reject ~scorer rng config policy dag ~init ~out =
         let parent = select () in
         let child =
           if Rng.float rng 1.0 < config.crossover_prob then
-            cross check ~scorer rng ~greedy_node_prob:config.greedy_node_prob
-              dag parent (select ())
+            cross check ~scorer rng ~greedy_node_prob:0.8 dag parent (select ())
           else begin
             (* chain 1-3 mutations (geometric): multi-step moves escape
                plateaus that single-factor steps cannot *)

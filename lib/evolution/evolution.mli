@@ -38,10 +38,9 @@ type config = {
   generations : int;
   crossover_prob : float;
       (** probability an offspring comes from crossover rather than
-          mutation *)
-  greedy_node_prob : float;
-      (** probability crossover picks a node's genes from the
-          better-scoring parent rather than a random one *)
+          mutation; crossover then takes each node's genes from the
+          better-scoring parent with probability 0.8, else from a random
+          one *)
   mutate_annotations : bool;
       (** allow annotation / pragma / computation-location mutations;
           disabled for template-space baselines whose annotation policy is
@@ -143,6 +142,19 @@ val verify :
 val consumer_stages : Step.t list -> string list
 (** Stages whose splits are re-derived from a producer ([Compute_at]
     targets); their split steps must not be edited directly. *)
+
+(** The move vocabulary that evolution's mutations draw from at random
+    and the descent stage enumerates in order.  [tunable_split] holds
+    for a split of two or more levels, of a stage not in [consumers],
+    with some level above 1; [annotation_moves] flips an [Annotate] step
+    or makes a [Fuse] of three or more loops one level coarser ([[]] for
+    any other step); [other_unroll_steps] lists the policy's unroll
+    steps other than the current one, in policy order. *)
+
+val tunable_split : consumers:string list -> Step.t -> bool
+val annotation_moves : Step.t -> Step.t list
+val other_unroll_steps : Ansor_sketch.Policy.t -> int -> int list
+val replace_nth : 'a list -> int -> 'a -> 'a list
 
 (** Evolution-plateau detector: the trigger signal for the exploitation
     descent stage.  [observe] is fed the tuner's best-so-far latency

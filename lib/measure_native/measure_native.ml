@@ -5,8 +5,6 @@ module Protocol = Ansor_measure_service.Protocol
 module Pool = Ansor_measure_service.Pool
 
 type config = {
-  warmup : int;
-  repeat : int;
   chunk : int;
   cflags : string list;
   guard : bool;
@@ -23,14 +21,17 @@ let guard_requested () =
 
 let default_config =
   {
-    warmup = 1;
-    repeat = 3;
     chunk = 8;
     cflags = Toolchain.native_flags;
     guard = guard_requested ();
   }
 
 let available = Toolchain.available
+
+(* Each kernel runs [warmup] times untimed, then [repeat] timed runs of
+   which the minimum is reported. *)
+let warmup = 1
+let repeat = 3
 
 (* ---- batching ------------------------------------------------------------ *)
 
@@ -63,10 +64,10 @@ let deadline_expired = function
    [warmup + repeat] times plus buffer setup, so the per-run latency
    ceiling is scaled up and padded; the batch deadline caps it further.
    [None] when neither bound exists. *)
-let process_timeout config ~timeout ~deadline =
+let process_timeout ~timeout ~deadline =
   let per_run =
     if Float.is_finite timeout && timeout > 0.0 then
-      Some ((timeout *. float_of_int (config.warmup + config.repeat)) +. 1.0)
+      Some ((timeout *. float_of_int (warmup + repeat)) +. 1.0)
     else None
   in
   let remaining =
@@ -94,14 +95,9 @@ let parse_latency lines =
    exit, garbage output) is retried — a timeout at the process level means
    the kernel is genuinely over its ceiling, and re-timing it cannot make
    it faster. *)
-let time_kernel config ~timeout ~deadline ~max_retries exe idx =
+let time_kernel ~timeout ~deadline ~max_retries exe idx =
   let args =
-    [
-      string_of_int idx;
-      "time";
-      string_of_int config.repeat;
-      string_of_int config.warmup;
-    ]
+    [ string_of_int idx; "time"; string_of_int repeat; string_of_int warmup ]
   in
   let rec attempt n =
     if deadline_expired deadline then
@@ -109,7 +105,7 @@ let time_kernel config ~timeout ~deadline ~max_retries exe idx =
     else
       let outcome =
         match
-          Toolchain.run ?timeout:(process_timeout config ~timeout ~deadline)
+          Toolchain.run ?timeout:(process_timeout ~timeout ~deadline)
             exe args
         with
         | Ok lines -> (
@@ -195,8 +191,7 @@ let runner ?(config = default_config) () :
                             } )
                         | Ok exe ->
                           ( key,
-                            time_kernel config ~timeout ~deadline ~max_retries
-                              exe j ))
+                            time_kernel ~timeout ~deadline ~max_retries exe j ))
                       ck.ck_members)
                   compiled))
         in

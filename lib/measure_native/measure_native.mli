@@ -6,7 +6,7 @@
     [gcc -O3 -fopenmp -march=native] and times real wall-clock — the
     paper's actual-hardware measurer.  The hot path is {e batch
     compilation}: one translation unit holds up to {!config.chunk} kernels
-    (each with its own buffer setup and min-of-[repeat] timing runner, the
+    (each with its own buffer setup and min-of-3 timing runner, the
     kernel selected by argv index), so a batch of B candidates costs
     [ceil(B / chunk)] compiler invocations instead of B.  Compile jobs fan
     out across the service's domain pool; timing runs stay sequential on
@@ -26,9 +26,9 @@
       wall-clock deadline, are {!Protocol.Timeout} (not retried:
       re-timing cannot make a kernel faster). *)
 
+(** Every kernel runs once untimed, then 3 timed runs of which the
+    minimum is reported. *)
 type config = {
-  warmup : int;  (** untimed runs before measurement (default 1) *)
-  repeat : int;  (** timed runs; the minimum is reported (default 3) *)
   chunk : int;  (** kernels per translation unit (default 8) *)
   cflags : string list;  (** default {!Ansor_codegen.Toolchain.native_flags} *)
   guard : bool;

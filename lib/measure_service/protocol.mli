@@ -5,8 +5,8 @@
     observed latency or a classified failure — nothing is silently dropped.
     Failure classes follow the build/run split of the original RPC measurer:
 
-    - {!Build_error}: the candidate does not lower to a program, or static
-      validation rejects it (the paper's compilation failure);
+    - {!Build_error}: the candidate does not lower to a program (the
+      paper's compilation failure);
     - {!Compile_error}: the native backend's C compiler rejected the
       emitted kernel.  Deterministic — recompiling the same source cannot
       succeed — so it is {e never} retried and, like {!Build_error},
@@ -19,7 +19,7 @@
     - {!Run_error}: the backend failed while "executing" the program
       (injected by the fault hook, a non-finite simulator estimate, or a
       crashed native binary); transient by assumption, so the service
-      retries it with backoff;
+      retries it;
     - {!Timeout}: the program's cost exceeded the configured per-program
       ceiling (the paper kills programs that run too long). *)
 

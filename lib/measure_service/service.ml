@@ -8,9 +8,7 @@ type config = {
   timeout : float;
   batch_deadline : float;
   max_retries : int;
-  backoff : float;
   noise : float;
-  validate : bool;
   backend : Protocol.backend;
   allow_unproven : bool;
 }
@@ -21,9 +19,7 @@ let default_config =
     timeout = infinity;
     batch_deadline = infinity;
     max_retries = 2;
-    backoff = 0.0;
     noise = 0.03;
-    validate = false;
     backend = Protocol.Sim;
     allow_unproven = false;
   }
@@ -81,14 +77,6 @@ let true_latency t prog = Measurer.true_latency t.measurer prog
 
 (* ---- per-candidate measurement (runs on worker domains) ----------------- *)
 
-(* Everything a worker reports back; telemetry and the cache are only
-   touched by the calling domain. *)
-type run_outcome = {
-  run_latency : (float, Protocol.failure) result;
-  run_attempts : int;
-  run_backoff : float;
-}
-
 (* The RNG stream is a pure function of (root seed, canonical key): the
    observed latency does not depend on which domain ran the candidate or in
    which order — the determinism contract of the whole service. *)
@@ -105,7 +93,7 @@ let deadline_expired = function
 
 let measure_candidate ?deadline t key prog =
   let rng = candidate_rng t key in
-  let rec attempt n backoff_acc =
+  let rec attempt n =
     let injected =
       match t.fault_hook with
       | None -> None
@@ -124,19 +112,16 @@ let measure_candidate ?deadline t key prog =
     match outcome with
     | Error (Protocol.Run_error _)
       when n <= t.config.max_retries && not (deadline_expired deadline) ->
-      (* transient: back off and re-run *)
-      let delay = t.config.backoff *. (2.0 ** float_of_int (n - 1)) in
-      if delay > 0.0 then Unix.sleepf delay;
-      attempt (n + 1) (backoff_acc +. delay)
-    | outcome ->
-      { run_latency = outcome; run_attempts = n; run_backoff = backoff_acc }
+      (* transient: re-run *)
+      attempt (n + 1)
+    | outcome -> { Protocol.out_latency = outcome; out_attempts = n }
   in
-  attempt 1 0.0
+  attempt 1
 
 (* ---- batch protocol ------------------------------------------------------ *)
 
 type prepared =
-  | Broken of string  (* did not lower / failed validation *)
+  | Broken of string  (* did not lower *)
   | Uncertified of string * string  (* key, refused by the bounds gate *)
   | Hit of string * float  (* already in the cache *)
   | First of string * Prog.t  (* cache miss, first occurrence in the batch *)
@@ -183,25 +168,18 @@ let prepare t seen_in_batch (req : Protocol.request) =
   match lowered with
   | Error msg -> Broken msg
   | Ok prog -> (
-    let validation =
-      if not t.config.validate then []
-      else Validate.check prog
-    in
-    match validation with
-    | d :: _ -> Broken (Format.asprintf "%a" Diagnostic.pp d)
-    | [] -> (
-      let key = Cache.key_of_prog ~backend:t.config.backend t.machine prog in
-      match certification_gate t prog with
-      | Some msg -> Uncertified (key, msg)
-      | None -> (
-        match Cache.find t.cache key with
-        | Some latency -> Hit (key, latency)
-        | None ->
-          if Hashtbl.mem seen_in_batch key then Dup key
-          else begin
-            Hashtbl.replace seen_in_batch key ();
-            First (key, prog)
-          end)))
+    let key = Cache.key_of_prog ~backend:t.config.backend t.machine prog in
+    match certification_gate t prog with
+    | Some msg -> Uncertified (key, msg)
+    | None -> (
+      match Cache.find t.cache key with
+      | Some latency -> Hit (key, latency)
+      | None ->
+        if Hashtbl.mem seen_in_batch key then Dup key
+        else begin
+          Hashtbl.replace seen_in_batch key ();
+          First (key, prog)
+        end))
 
 let measure_batch t reqs =
   Telemetry.time t.telemetry Telemetry.Measure (fun () ->
@@ -222,12 +200,7 @@ let measure_batch t reqs =
       in
       let expired_outcome (key, _) =
         (* never started: the batch's wall-clock budget is exhausted *)
-        ( key,
-          {
-            run_latency = Error Protocol.Timeout;
-            run_attempts = 0;
-            run_backoff = 0.0;
-          } )
+        (key, { Protocol.out_latency = Error Protocol.Timeout; out_attempts = 0 })
       in
       let outcomes =
         match (t.config.backend, t.native_runner) with
@@ -249,28 +222,19 @@ let measure_batch t reqs =
           Telemetry.add_native_compiles t.telemetry
             ~compiles:report.Protocol.nr_compiles
             ~kernels:report.Protocol.nr_kernels;
-          Array.map
-            (fun (key, (o : Protocol.outcome)) ->
-              ( key,
-                {
-                  run_latency = o.Protocol.out_latency;
-                  run_attempts = o.Protocol.out_attempts;
-                  run_backoff = 0.0;
-                } ))
-            report.Protocol.nr_outcomes
+          report.Protocol.nr_outcomes
       in
       let by_key = Hashtbl.create (Array.length outcomes) in
       Array.iter (fun (key, o) -> Hashtbl.replace by_key key o) outcomes;
       (* sequentially: account telemetry, fill the cache, assemble results *)
       Array.iter
         (fun (_, o) ->
-          Telemetry.record_result t.telemetry ~attempts:o.run_attempts
-            o.run_latency;
-          Telemetry.add_backoff t.telemetry o.run_backoff)
+          Telemetry.record_result t.telemetry ~attempts:o.Protocol.out_attempts
+            o.Protocol.out_latency)
         outcomes;
       Array.iter
         (fun (key, o) ->
-          match o.run_latency with
+          match o.Protocol.out_latency with
           | Ok latency -> Cache.add t.cache key latency
           | Error _ -> ())
         outcomes;
@@ -303,10 +267,10 @@ let measure_batch t reqs =
           { latency = Ok latency; cache_hit = true; attempts = 0; key }
         | First (key, _) ->
           let o = Hashtbl.find by_key key in
-          { latency = o.run_latency; cache_hit = false; attempts = o.run_attempts; key }
+          { latency = o.Protocol.out_latency; cache_hit = false; attempts = o.Protocol.out_attempts; key }
         | Dup key -> (
           let o = Hashtbl.find by_key key in
-          match o.run_latency with
+          match o.Protocol.out_latency with
           | Ok latency ->
             (* measured once, served to the duplicate from the cache *)
             Telemetry.record_result t.telemetry ~attempts:0 ~cache_hit:true

@@ -5,8 +5,8 @@
     the paper's parallel RPC measurer (§5, §7.6): a batch of candidate
     schedules is fanned out across {!config.num_workers} domains, every
     candidate comes back with a latency or a classified failure
-    ({!Protocol.failure}), transient run failures are retried with
-    exponential backoff, identical lowered programs are deduplicated
+    ({!Protocol.failure}), transient run failures are retried up to
+    {!config.max_retries} times, identical lowered programs are deduplicated
     through the {!Cache}, and all accounting flows into the {!Telemetry}
     stats — the single source of truth for trial budgets.
 
@@ -34,14 +34,7 @@ type config = {
           candidate cannot hang a worker domain (and the whole batch
           behind it) forever.  Expired candidates consume no trials. *)
   max_retries : int;  (** extra runs after a transient {!Protocol.Run_error} *)
-  backoff : float;
-      (** base backoff delay in seconds, doubled per retry; the delay is
-          slept for and accounted in telemetry (0 disables sleeping) *)
   noise : float;  (** measurement-noise stddev (see {!Ansor_machine.Measurer}) *)
-  validate : bool;
-      (** statically validate each program before running it, classifying
-          issues as {!Protocol.Build_error} (off by default: the search
-          layers pre-filter candidates) *)
   backend : Protocol.backend;
       (** where cache-miss candidates are measured: {!Protocol.Sim} runs
           the analytical simulator on the domain pool; {!Protocol.Native}
@@ -59,9 +52,8 @@ type config = {
 }
 
 val default_config : config
-(** 1 worker, no timeout, no batch deadline, 2 retries, no backoff delay,
-    noise 0.03, no validation, [Sim] backend, unproven programs
-    refused. *)
+(** 1 worker, no timeout, no batch deadline, 2 retries, noise 0.03,
+    [Sim] backend, unproven programs refused. *)
 
 type fault_hook = key:string -> attempt:int -> Protocol.failure option
 (** Fault injection for tests: consulted before each backend run with the

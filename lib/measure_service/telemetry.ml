@@ -40,7 +40,6 @@ type stats = {
   descent_sweeps : int;
   descent_improvements : int;
   descent_plateau_stops : int;
-  backoff_seconds : float;
   score_hits : int;
   score_misses : int;
   score_evictions : int;
@@ -73,7 +72,6 @@ let empty_stats =
     descent_sweeps = 0;
     descent_improvements = 0;
     descent_plateau_stops = 0;
-    backoff_seconds = 0.0;
     score_hits = 0;
     score_misses = 0;
     score_evictions = 0;
@@ -129,8 +127,6 @@ let fields =
       fun s v -> { s with descent_improvements = v });
     Int ("descent_plateau_stops", (fun s -> s.descent_plateau_stops),
       fun s v -> { s with descent_plateau_stops = v });
-    Float ("backoff_seconds", (fun s -> s.backoff_seconds),
-      fun s v -> { s with backoff_seconds = v });
     Int ("score_hits", (fun s -> s.score_hits), fun s v -> { s with score_hits = v });
     Int ("score_misses", (fun s -> s.score_misses),
       fun s v -> { s with score_misses = v });
@@ -232,9 +228,6 @@ let record_result t ?(attempts = 1) ?(cache_hit = false) latency =
           { s with bounds_rejected = s.bounds_rejected + 1 }
         | Error (Protocol.Run_error _) -> { s with run_errors = s.run_errors + 1 }
         | Error Protocol.Timeout -> { s with timeouts = s.timeouts + 1 })
-
-let add_backoff t seconds =
-  update t (fun s -> { s with backoff_seconds = s.backoff_seconds +. seconds })
 
 let incr_batches t = update t (fun s -> { s with batches = s.batches + 1 })
 

@@ -70,7 +70,6 @@ type stats = {
   descent_plateau_stops : int;
       (** descent stages terminated by the measured-plateau rule (k
           non-improving sweeps) *)
-  backoff_seconds : float;  (** total retry backoff delay *)
   score_hits : int;
       (** batch-scoring candidates served from the feature/score cache
           (featurization skipped) *)
@@ -131,7 +130,6 @@ val record_result : t -> ?attempts:int -> ?cache_hit:bool ->
     [attempts], [retries] by [max 0 (attempts - 1)], and the matching
     outcome counter. *)
 
-val add_backoff : t -> float -> unit
 val incr_batches : t -> unit
 
 val incr_statically_rejected : t -> unit

@@ -18,7 +18,6 @@ type options = {
   objective : objective;
   alpha : float;
   beta : float;
-  backward_window : int;
   eps_greedy : float;
   tuner_options : Tuner.options;
   service_config : Service.config;
@@ -30,7 +29,6 @@ let default_options =
     objective = F1_sum;
     alpha = 0.2;
     beta = 2.0;
-    backward_window = 3;
     eps_greedy = 0.05;
     tuner_options = Tuner.ansor_options;
     service_config = Service.default_config;
@@ -237,7 +235,8 @@ let dg_dt t g i =
   if ti = 0 then Float.neg_infinity
   else begin
     let gi = g.(i) in
-    let dt = min t.options.backward_window (ti - 1) in
+    (* a backward difference over the last 3 units (Delta-t) *)
+    let dt = min 3 (ti - 1) in
     let backward =
       if dt <= 0 then 0.0
       else

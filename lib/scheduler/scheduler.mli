@@ -40,7 +40,6 @@ type options = {
   objective : objective;
   alpha : float;  (** trust in the backward difference (paper: 0.2) *)
   beta : float;  (** trust in the similarity bound (paper: 2) *)
-  backward_window : int;  (** Delta-t of the backward difference *)
   eps_greedy : float;  (** exploration probability (paper: 0.05) *)
   tuner_options : Ansor_search.Tuner.options;
   service_config : Ansor_measure_service.Service.config;
@@ -50,8 +49,9 @@ type options = {
 }
 
 val default_options : options
-(** F1, alpha 0.2, beta 2, window 3, epsilon 0.05, Ansor tuner, default
-    measurement service. *)
+(** F1, alpha 0.2, beta 2, epsilon 0.05, Ansor tuner, default
+    measurement service.  The backward difference spans Delta-t = 3
+    allocations. *)
 
 type t
 

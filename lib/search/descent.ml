@@ -4,22 +4,16 @@ module Evolution = Ansor_evolution.Evolution
 module Score_service = Ansor_cost_model.Score_service
 module Policy = Ansor_sketch.Policy
 
-type config = {
-  stall_rounds : int;
-  budget_fraction : float;
-  plateau_sweeps : int;
-  max_walk : int;
-  max_probes : int;
-}
+type config = { budget_fraction : float; plateau_sweeps : int }
 
-let default_config =
-  {
-    stall_rounds = 6;
-    budget_fraction = 0.75;
-    plateau_sweeps = 2;
-    max_walk = 8;
-    max_probes = 16;
-  }
+let default_config = { budget_fraction = 0.75; plateau_sweeps = 2 }
+
+(* Line-search moves per coordinate and sweep. *)
+let max_walk = 8
+
+(* Winners measured per sweep: the top-scoring ones, which keeps sweeps
+   cheap and re-anchoring frequent. *)
+let max_probes = 16
 
 (* A tunable coordinate is one editable step of the incumbent's history,
    addressed by index.  Every edit is a same-index replacement, so the
@@ -50,19 +44,16 @@ let coordinates (st : State.t) =
   List.mapi
     (fun i (s : Step.t) ->
       match s with
-      | Step.Split { stage; lengths; _ }
-        when List.length lengths >= 2
-             && (not (List.mem stage consumers))
-             && List.exists (fun l -> l > 1) lengths ->
+      | Step.Split _ when Evolution.tunable_split ~consumers s ->
         Some (Split_levels i)
       | Step.Pragma_unroll _ -> Some (Unroll_pragma i)
       | Step.Annotate _ -> Some (Annotation i)
-      | Step.Fuse { ivs; _ } when List.length ivs >= 3 -> Some (Fuse_extent i)
+      | Step.Fuse _ when Evolution.annotation_moves s <> [] -> Some (Fuse_extent i)
       | _ -> None)
     steps
   |> List.filter_map Fun.id
 
-let replace_nth l n x = List.mapi (fun i y -> if i = n then x else y) l
+let replace_nth = Evolution.replace_nth
 
 (* Raw edited histories one lattice move away along [coord] — the same
    moves evolution's mutation operators draw at random, enumerated
@@ -101,28 +92,11 @@ let proposals ~(policy : Policy.t) (st : State.t) coord : Step.t list list =
     done;
     List.rev !out
   | Unroll_pragma i, Step.Pragma_unroll { stage; max_step } ->
-    List.filter_map
-      (fun v ->
-        if v = max_step then None
-        else Some (replace_nth steps i (Step.Pragma_unroll { stage; max_step = v })))
-      policy.Policy.unroll_steps
-  | Annotation i, Step.Annotate { stage; iv; ann } ->
-    let flips =
-      match ann with
-      | Step.Vectorize -> [ Step.Unroll; Step.No_ann; Step.Parallel ]
-      | Step.Unroll -> [ Step.Vectorize; Step.No_ann; Step.Parallel ]
-      | Step.Parallel -> [ Step.No_ann ]
-      | Step.No_ann -> [ Step.Vectorize; Step.Unroll; Step.Parallel ]
-    in
     List.map
-      (fun ann' -> replace_nth steps i (Step.Annotate { stage; iv; ann = ann' }))
-      flips
-  | Fuse_extent i, Step.Fuse { stage; ivs } ->
-    (* coarsen the parallel granularity one level at a time *)
-    let shorter = List.filteri (fun j _ -> j < List.length ivs - 1) ivs in
-    if List.length shorter >= 2 then
-      [ replace_nth steps i (Step.Fuse { stage; ivs = shorter }) ]
-    else []
+      (fun v -> replace_nth steps i (Step.Pragma_unroll { stage; max_step = v }))
+      (Evolution.other_unroll_steps policy max_step)
+  | Annotation i, (Step.Annotate _ as s) | Fuse_extent i, (Step.Fuse _ as s) ->
+    List.map (replace_nth steps i) (Evolution.annotation_moves s)
   | _ -> []
 
 (* Every neighbor goes through exactly the gate evolution offspring do
@@ -149,7 +123,7 @@ let argmax scores =
    pick the most promising *unmeasured* point on it.  Scoring is one
    batched call per step, so it stays pooled and feature-cached in the
    scoring service. *)
-let line_search cfg ~scorer ?on_reject ~policy dag (w : State.t) coord =
+let line_search ~scorer ?on_reject ~policy dag (w : State.t) coord =
   let visited = Hashtbl.create 8 in
   Hashtbl.replace visited (Step.history_key w.history) ();
   let acc = ref [] in
@@ -169,7 +143,7 @@ let line_search cfg ~scorer ?on_reject ~policy dag (w : State.t) coord =
         if best_i >= 0 && best_s > prev_score then
           go (List.nth vars best_i).state best_s (steps_left - 1)
   in
-  go w neg_infinity cfg.max_walk;
+  go w neg_infinity max_walk;
   !acc
 
 (* One coordinate sweep from the cursor's incumbent: line-search every
@@ -179,7 +153,7 @@ let line_search cfg ~scorer ?on_reject ~policy dag (w : State.t) coord =
    of them actually improves the incumbent is decided by measurement
    ([advance]'s [improved]), not by the model, which is what makes the
    plateau stop a *measured* plateau. *)
-let sweep cfg ~dag ~policy ~scorer ?on_reject ~measured cursor =
+let sweep ~dag ~policy ~scorer ?on_reject ~measured cursor =
   match State.replay_checked dag cursor.current with
   | Error e -> Error e
   | Ok start_st ->
@@ -193,7 +167,7 @@ let sweep cfg ~dag ~policy ~scorer ?on_reject ~measured cursor =
     let winners = ref [] in
     List.iteri
       (fun rank coord ->
-        let line = line_search cfg ~scorer ?on_reject ~policy dag start_st coord in
+        let line = line_search ~scorer ?on_reject ~policy dag start_st coord in
         let cands = List.filter (fun (c, _) -> fresh c) line in
         let best_i, best_s = argmax (List.map snd cands) in
         if best_i >= 0 then begin
@@ -209,7 +183,7 @@ let sweep cfg ~dag ~policy ~scorer ?on_reject ~measured cursor =
         (fun (r1, s1, _) (r2, s2, _) ->
           if s1 <> s2 then compare s2 s1 else compare r1 r2)
         (List.rev !winners)
-      |> List.filteri (fun i _ -> i < cfg.max_probes)
+      |> List.filteri (fun i _ -> i < max_probes)
     in
     (* hand them over in coordinate order to keep batch order stable *)
     let top = List.sort (fun (r1, _, _) (r2, _, _) -> compare r1 r2) top in

@@ -26,27 +26,25 @@
 open Ansor_te
 open Ansor_sched
 
+(** Descent triggers once evolution has gone 6 rounds without
+    best-latency improvement, or once [budget_fraction] of the trial
+    budget is spent.  Each sweep walks a coordinate's line for at most 8
+    moves and measures at most 16 per-coordinate winners (the
+    top-scoring ones), which keeps sweeps cheap and re-anchoring
+    frequent. *)
 type config = {
-  stall_rounds : int;
-      (** evolution-plateau patience: descent triggers after this many
-          consecutive rounds without best-latency improvement *)
   budget_fraction : float;
       (** alternative trigger: start descending once this share of the
           trial budget is spent, plateau or not *)
   plateau_sweeps : int;
       (** stop after this many consecutive measured sweeps that fail to
           improve the incumbent *)
-  max_walk : int;  (** per-coordinate line-search move bound per sweep *)
-  max_probes : int;
-      (** measure at most this many per-coordinate winners per sweep
-          (the top-scoring ones), keeping sweeps cheap and re-anchoring
-          frequent *)
 }
 
 val default_config : config
-(** patience 6, budget fraction 0.75, plateau 2, walk bound 8, probe cap
-    16 — descent as a late-stage finisher: evolution explores most of
-    the budget, descent polishes the incumbent at the end. *)
+(** budget fraction 0.75, plateau 2 — descent as a late-stage finisher:
+    evolution explores most of the budget, descent polishes the
+    incumbent at the end. *)
 
 (** One editable step of the incumbent's history, addressed by index.
     All edits are same-index replacements, so coordinate addresses stay
@@ -89,7 +87,6 @@ val neighbors :
     [on_reject] fires once per statically-rejected proposal. *)
 
 val sweep :
-  config ->
   dag:Dag.t ->
   policy:Ansor_sketch.Policy.t ->
   scorer:Ansor_cost_model.Score_service.t ->
@@ -100,7 +97,7 @@ val sweep :
 (** One coordinate sweep from the cursor's incumbent: line-search every
     coordinate in order under the scorer and nominate, per coordinate,
     the best-scoring point on its explored line whose [Step.history_key]
-    is not yet [measured], keeping the top [max_probes] of them — the
+    is not yet [measured], keeping the top 16 of them — the
     only candidates that should reach the measurement service.  The model
     guides the walk; whether a winner actually improves the incumbent is
     decided by measurement, which is what makes the plateau stop a

@@ -24,25 +24,26 @@ type options = {
   batch_size : int;
   sample_size : int;
   evolution : Evolution.config;
-  eps_random : float;
-  keep_previous : int;
   template_annotation : bool;
       (* freeze the annotation policy the way manual templates do *)
   descent : Descent.config option;
       (* coordinate-descent exploitation finisher; None = disabled *)
 }
 
-let default_evolution =
-  { Evolution.default_config with population = 128; generations = 4 }
+(* Share of each measured batch drawn at random from the candidates
+   instead of by model rank. *)
+let eps_random = 0.1
+
+(* Best already-measured programs kept in [good] and re-seeded into the
+   evolution's initial population. *)
+let keep_previous = 12
 
 let ansor_options =
   {
     strategy = Sketch_search { rules = Rules.default; use_evolution = true };
     batch_size = 16;
     sample_size = 64;
-    evolution = default_evolution;
-    eps_random = 0.1;
-    keep_previous = 12;
+    evolution = Evolution.default_config;
     template_annotation = false;
     descent = None;
   }
@@ -59,7 +60,7 @@ let limited_options =
     strategy =
       Sketch_search { rules = Rules.limited ~fusion:true; use_evolution = true };
     template_annotation = true;
-    evolution = { default_evolution with mutate_annotations = false };
+    evolution = { Evolution.default_config with mutate_annotations = false };
   }
 
 let beam_options =
@@ -291,10 +292,9 @@ type t = {
          re-triggers the stage on the improved incumbent *)
 }
 
-let plateau_patience (options : options) =
-  match options.descent with
-  | Some (c : Descent.config) -> c.Descent.stall_rounds
-  | None -> Descent.default_config.Descent.stall_rounds
+(* Evolution-plateau patience: descent triggers after this many
+   consecutive rounds without best-latency improvement. *)
+let stall_rounds = 6
 
 let candidate_of_history dag steps =
   match State.replay_checked dag steps with
@@ -323,7 +323,7 @@ let create ?(seed = 0) ?(warm_start = []) options task =
     good = List.map (fun st -> (st, infinity)) seeds;
     curve_rev = [];
     rounds = 0;
-    plateau = Evolution.Plateau.create ~patience:(plateau_patience options);
+    plateau = Evolution.Plateau.create ~patience:stall_rounds;
     descent = None;
   }
 
@@ -378,8 +378,7 @@ let restore t (s : Snapshot.t) =
     t.curve_rev <- List.rev s.Snapshot.curve;
     t.descent <- s.Snapshot.descent;
     t.plateau <-
-      Evolution.Plateau.restore
-        ~patience:(plateau_patience t.options)
+      Evolution.Plateau.restore ~patience:stall_rounds
         ~best:(match t.best with Some (_, l) -> l | None -> infinity)
         ~stall:s.Snapshot.plateau_stall;
     Ok ()
@@ -498,7 +497,7 @@ let candidates t shared scorer tm =
     in
     if use_evolution && Cost_model.is_trained (Shared.model shared) then begin
       let seeds =
-        List.filteri (fun i _ -> i < t.options.keep_previous) t.good
+        List.filteri (fun i _ -> i < keep_previous) t.good
         |> List.map fst
       in
       Telemetry.time tm Telemetry.Evolve (fun () ->
@@ -574,7 +573,7 @@ let absorb_batch t shared service scorer tm (batch : Candidate.t list) =
              t.good <-
                List.sort (fun (_, a) (_, b) -> compare a b)
                  ((c, latency) :: t.good)
-               |> List.filteri (fun i _ -> i < t.options.keep_previous);
+               |> List.filteri (fun i _ -> i < keep_previous);
              if latency > 0.0 then Some (c, latency) else None)
          batch results)
   in
@@ -651,7 +650,7 @@ let evolution_round t shared service =
         |> List.sort (fun (_, a) (_, b) -> compare b a))
   in
   let n_eps =
-    int_of_float (t.options.eps_random *. float_of_int t.options.batch_size)
+    int_of_float (eps_random *. float_of_int t.options.batch_size)
   in
   let exploit = List.map (fun c -> (c, 0.0)) exploit in
   let n_greedy =
@@ -699,7 +698,7 @@ let descent_round t shared service (cfg : Descent.config)
   let before_best = best_latency t in
   let outcome =
     Telemetry.time tm Telemetry.Descent (fun () ->
-        Descent.sweep cfg ~dag ~policy:t.policy ~scorer
+        Descent.sweep ~dag ~policy:t.policy ~scorer
           ~on_reject:(fun () -> Telemetry.incr_statically_rejected tm)
           ~measured:(fun k -> Hashtbl.mem t.measured k)
           cursor)
@@ -709,8 +708,7 @@ let descent_round t shared service (cfg : Descent.config)
     if cursor'.Descent.finished then
       (* a restart needs a fresh plateau, counted from here *)
       t.plateau <-
-        Evolution.Plateau.restore
-          ~patience:(plateau_patience t.options)
+        Evolution.Plateau.restore ~patience:stall_rounds
           ~best:(best_latency t) ~stall:0
   in
   (match outcome with

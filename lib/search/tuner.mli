@@ -33,15 +33,13 @@ type strategy =
 
 type options = {
   strategy : strategy;
-  batch_size : int;  (** measurements per round *)
+  batch_size : int;
+      (** measurements per round; a tenth of them are drawn at random
+          from the candidates instead of by model rank *)
   sample_size : int;  (** fresh random samples per round *)
   evolution : Ansor_evolution.Evolution.config;
-  eps_random : float;
-      (** fraction of each measured batch drawn at random from the
-          candidates instead of by model rank *)
-  keep_previous : int;
-      (** best already-measured programs re-seeded into the evolution's
-          initial population *)
+      (** its initial population also holds the 12 best programs measured
+          so far *)
   template_annotation : bool;
       (** freeze the annotation choices (fixed vectorize/unroll policy, no
           computation-location changes), as manual templates do; set for
@@ -49,11 +47,12 @@ type options = {
           ablation *)
   descent : Descent.config option;
       (** enable the coordinate-descent exploitation finisher
-          ({!Descent}): once evolution plateaus (or the configured budget
-          fraction is spent), rounds switch to deterministic coordinate
-          sweeps on the incumbent until a measured plateau, then
-          evolution resumes from the descended winner.  [None] (the
-          default everywhere) disables the stage. *)
+          ({!Descent}): once evolution plateaus (6 rounds without
+          improvement) or the configured budget fraction is spent,
+          rounds switch to deterministic coordinate sweeps on the
+          incumbent until a measured plateau, then evolution resumes
+          from the descended winner.  [None] (the default everywhere)
+          disables the stage. *)
 }
 
 val ansor_options : options

@@ -30,7 +30,6 @@ type config = {
   shards : int;
   capacity : int;  (* per-shard compiled-program LRU capacity *)
   service_workers : int;  (* virtual in-flight request slots *)
-  pool_workers : int;  (* domains for the background tuner's measurements *)
   noise : float;
   seed : int;
   naive : bool;
@@ -45,7 +44,6 @@ let default_config =
     shards = 4;
     capacity = 64;
     service_workers = 2;
-    pool_workers = 1;
     noise = 0.03;
     seed = 0;
     naive = false;
@@ -134,7 +132,6 @@ let validate (c : config) =
   if c.shards < 1 then invalid_arg "Server.create: shards < 1";
   if c.capacity < 1 then invalid_arg "Server.create: capacity < 1";
   if c.service_workers < 1 then invalid_arg "Server.create: service_workers < 1";
-  if c.pool_workers < 1 then invalid_arg "Server.create: pool_workers < 1";
   if not (c.canary.fraction > 0.0 && c.canary.fraction < 1.0) then
     invalid_arg "Server.create: canary fraction must be in (0, 1)";
   if c.canary.min_samples < 1 then
@@ -182,11 +179,8 @@ let create ?(config = default_config) ?model_store ~registry ~machine net =
     match config.tuner with
     | None -> None
     | Some _ ->
-      Some
-        (Service.create
-           ~config:
-             { Service.default_config with num_workers = config.pool_workers }
-           ~seed:(config.seed + 77) machine)
+      (* one measurement domain for the background tuner *)
+      Some (Service.create ~seed:(config.seed + 77) machine)
   in
   let shared = Tuner.Shared.create () in
   (* attach the cross-task store up front so every background round's

@@ -65,7 +65,6 @@ type config = {
   shards : int;
   capacity : int;  (** per-shard compiled-program LRU capacity *)
   service_workers : int;  (** virtual in-flight request slots *)
-  pool_workers : int;  (** measurement domains for the background tuner *)
   noise : float;  (** execution-jitter stddev (0 = deterministic latencies) *)
   seed : int;
   naive : bool;  (** bypass the registry and serve naive default schedules *)
@@ -76,9 +75,9 @@ type config = {
 }
 
 val default_config : config
-(** 4 shards, capacity 64, 2 service workers, 1 pool worker, noise 0.03,
-    registry dispatch, default load/admission/canary, no background
-    tuner. *)
+(** 4 shards, capacity 64, 2 service workers, noise 0.03, registry
+    dispatch, default load/admission/canary, no background tuner (when
+    set, it measures on one domain). *)
 
 type t
 

@@ -257,15 +257,16 @@ let reduction_factorization =
         | Op.Compute c when c.reduce_axes <> [] ->
           (* factorize the longest reduction axis *)
           let stage = State.find_stage st (name_at st i) in
-          let best = ref None in
-          Array.iteri
-            (fun id (iv : State.ivar_info) ->
-              if iv.kind = State.Reduce then
-                match !best with
-                | Some (_, e) when e >= iv.extent -> ()
-                | _ -> best := Some (id, iv.extent))
-            stage.ivars;
-          (match !best with
+          let _, best =
+            Array.fold_left
+              (fun (id, best) (iv : State.ivar_info) ->
+                match best with
+                | Some (_, e) when e >= iv.extent -> (id + 1, best)
+                | _ when iv.kind = State.Reduce -> (id + 1, Some (id, iv.extent))
+                | _ -> (id + 1, best))
+              (0, None) stage.ivars
+          in
+          (match best with
           | Some (iv, extent) ->
             let st =
               State.apply st

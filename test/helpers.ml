@@ -32,6 +32,27 @@ let assert_state_correct ?(seed = 2024) (st : Ansor.State.t) =
 (* A small matmul + relu DAG used across suites. *)
 let small_matmul_relu () = Ansor.Nn.matmul_relu ~m:16 ~n:16 ~k:16 ()
 
+(* [small_matmul_relu] with C computed inside D's outer tile loops. *)
+let fused_steps =
+  Ansor.Step.
+    [
+      Split { stage = "D"; iv = 0; lengths = [ 4; 4 ]; tbd = false };
+      Split { stage = "D"; iv = 1; lengths = [ 4; 4 ]; tbd = false };
+      Reorder { stage = "D"; order = [ 2; 4; 3; 5 ] };
+      Split { stage = "C"; iv = 0; lengths = [ 4; 4 ]; tbd = false };
+      Split { stage = "C"; iv = 1; lengths = [ 4; 4 ]; tbd = false };
+      Reorder { stage = "C"; order = [ 3; 5; 2; 4; 6 ] };
+      Compute_at
+        { stage = "C"; target = "D"; target_iv = 4; bindings = [ (3, 2); (5, 4) ] };
+    ]
+
+(* [fused_steps] with D's loops fused beyond C's attach point: the history
+   replays, but [Lower.lower] raises [State.Illegal] (the fused loop would
+   re-invoke the reduction producer). *)
+let recomputation_guard_state () =
+  Ansor.State.replay (small_matmul_relu ())
+    (fused_steps @ Ansor.Step.[ Fuse { stage = "D"; ivs = [ 2; 4; 3; 5 ] } ])
+
 (* A batch scorer holding [model] (default: untrained). *)
 let scorer ?(workers = 1) ?(model = Ansor.Cost_model.empty) () =
   let sc = Ansor.Score_service.create ~num_workers:workers Ansor.Machine.intel_cpu in

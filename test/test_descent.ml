@@ -121,11 +121,7 @@ let test_cursor_snapshot_roundtrip () =
       Tuner.ansor_options with
       descent =
         Some
-          {
-            Descent.default_config with
-            Descent.budget_fraction = 0.05;
-            plateau_sweeps = 1000;
-          };
+          { Descent.budget_fraction = 0.05; plateau_sweeps = 1000 };
     }
   in
   let shared = Tuner.Shared.create () in

@@ -111,19 +111,6 @@ let test_inline_padding () =
 
 (* ---------- compute_at / fusion ---------- *)
 
-let fused_steps =
-  Step.
-    [
-      Split { stage = "D"; iv = 0; lengths = [ 4; 4 ]; tbd = false };
-      Split { stage = "D"; iv = 1; lengths = [ 4; 4 ]; tbd = false };
-      Reorder { stage = "D"; order = [ 2; 4; 3; 5 ] };
-      Split { stage = "C"; iv = 0; lengths = [ 4; 4 ]; tbd = false };
-      Split { stage = "C"; iv = 1; lengths = [ 4; 4 ]; tbd = false };
-      Reorder { stage = "C"; order = [ 3; 5; 2; 4; 6 ] };
-      Compute_at
-        { stage = "C"; target = "D"; target_iv = 4; bindings = [ (3, 2); (5, 4) ] };
-    ]
-
 let test_fusion_structure () =
   let dag = Nn.matmul_relu ~m:16 ~n:16 ~k:16 () in
   let st = State.replay dag fused_steps in
@@ -171,12 +158,7 @@ let test_fusion_detached () =
 let test_recomputation_guard () =
   (* fusing the target's loops beyond the attach point would re-invoke the
      reduction producer; lowering must reject it *)
-  let dag = Nn.matmul_relu ~m:16 ~n:16 ~k:16 () in
-  let steps =
-    fused_steps @ Step.[ Fuse { stage = "D"; ivs = [ 2; 4; 3; 5 ] } ]
-  in
-  let st = State.replay dag steps in
-  match Lower.lower st with
+  match Lower.lower (recomputation_guard_state ()) with
   | _ -> Alcotest.fail "expected the recomputation guard to fire"
   | exception State.Illegal _ -> ()
 

@@ -119,6 +119,29 @@ let test_transient_fault_retried () =
   check_int "trials include retries" 4 stats.Telemetry.trials;
   check_int "both measured" 2 stats.Telemetry.measured
 
+(* A state that does not lower comes back [Build_error] without a run,
+   in its place among measured requests. *)
+let test_unlowerable_is_build_error () =
+  let good m = Protocol.request (State.init (Nn.matmul ~m ~n:m ~k:m ())) in
+  let measure reqs =
+    let service = Service.create ~seed:9 Machine.intel_cpu in
+    let results = Service.measure_batch service reqs in
+    (results, Service.stats service)
+  in
+  let broken = Protocol.request (recomputation_guard_state ()) in
+  let results, stats = measure [ good 16; broken; good 24 ] in
+  let alone, _ = measure [ good 16; good 24 ] in
+  match results with
+  | [ a; b; c ] ->
+    (match b.Protocol.latency with
+    | Error (Protocol.Build_error _) -> ()
+    | _ -> Alcotest.fail "the unlowerable state is not a Build_error");
+    check_int "no attempt" 0 b.Protocol.attempts;
+    check_int "build_errors" 1 stats.Telemetry.build_errors;
+    check_int "trials of the good requests only" 2 stats.Telemetry.trials;
+    check_bool "good results in request order" true ([ a; c ] = alone)
+  | _ -> Alcotest.fail "one result per request"
+
 let test_persistent_fault_classified () =
   (* a parallel, fully-faulty batch: every candidate still comes back,
      classified, in order, with its retries exhausted *)
@@ -304,7 +327,7 @@ let test_telemetry_accounting_and_json () =
         (contains ~needle:("\"" ^ field ^ "\"") json))
     [
       "trials"; "measured"; "cache_hits"; "build_errors"; "run_errors";
-      "timeouts"; "retries"; "batches"; "backoff_seconds"; "phase_seconds";
+      "timeouts"; "retries"; "batches"; "phase_seconds";
     ];
   check_bool "summary non-empty" true
     (String.length (Telemetry.summary stats) > 0);
@@ -339,8 +362,6 @@ let test_telemetry_accounting_and_json () =
   Telemetry.add_descent_sweep t ~trials:2 ~improved:false;
   repeat 20 (fun () -> Telemetry.add_descent_sweep t ~trials:1 ~improved:true);
   repeat 23 (fun () -> Telemetry.incr_descent_plateau_stops t);
-  Telemetry.add_backoff t 0.125;
-  Telemetry.add_backoff t 0.125;
   Telemetry.add_score_batch t ~hits:26 ~misses:27 ~evictions:28 ~wall:0.5
     ~work:1.5;
   List.iteri
@@ -362,7 +383,7 @@ let test_telemetry_accounting_and_json () =
       ("native_compiles", 18.); ("native_kernels", 19.);
       ("descent_trials", 22.); ("descent_sweeps", 21.);
       ("descent_improvements", 20.); ("descent_plateau_stops", 23.);
-      ("backoff_seconds", 0.25); ("score_hits", 26.); ("score_misses", 27.);
+      ("score_hits", 26.); ("score_misses", 27.);
       ("score_evictions", 28.); ("score_batches", 1.);
       ("score_wall_seconds", 0.5); ("score_work_seconds", 1.5);
       ("score_parallel_speedup", 3.);
@@ -423,6 +444,8 @@ let () =
           case "persistent fault classified" test_persistent_fault_classified;
           case "mixed faults stay in order" test_mixed_faults_in_order;
           case "timeout classified" test_timeout_classified;
+          case "unlowerable state is a build error"
+            test_unlowerable_is_build_error;
         ] );
       ( "cache",
         [

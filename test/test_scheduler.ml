@@ -216,7 +216,6 @@ let check_one_task_session_is_tuner_loop ?(seed = 4)
         s with
         score_hits = 0;
         score_misses = 0;
-        backoff_seconds = 0.0;
         score_wall_seconds = 0.0;
         score_work_seconds = 0.0;
         phase_seconds = [];

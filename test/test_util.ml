@@ -283,15 +283,16 @@ let test_framed_failures () =
 (* ---------- No process-global tables ---------- *)
 
 (* A module-level [let] in [lib/**/*.ml] that binds a name, with no
-   parameters, to a new table, lock or cell: such a value lives as long
-   as the process and is shared by every session and domain in it.  The
-   right-hand side may start on the next line or behind a module path
-   ([Ansor_util.Lru.create]). *)
-let global_binding =
+   parameters, to a value that makes a new table, lock or cell anywhere
+   in its right-hand side (a record of tables, or a closure over one):
+   such a value lives as long as the process and is shared by every
+   session and domain in it. *)
+let parameterless =
+  Str.regexp "let +\\([a-z_][A-Za-z0-9_']*\\)[ \n]*\\(:[^=]*\\)?="
+
+let maker =
   Str.regexp
-    ("let +\\([a-z_][A-Za-z0-9_']*\\)[ \n]*\\(:[^=]*\\)?=[ \n(]*"
-    ^ "\\([A-Z][A-Za-z0-9_]*\\.\\)*"
-    ^ "\\(Hashtbl\\.create\\|Lru\\.create\\|Mutex\\.create\\|Atomic\\.make\\|ref\\)\\b")
+    "\\b\\(Hashtbl\\.create\\|Lru\\.create\\|Mutex\\.create\\|Atomic\\.make\\|ref\\)\\b"
 
 let nested_module = Str.regexp " *module \\([A-Z][A-Za-z0-9_']*\\) *=.* struct *$"
 
@@ -302,6 +303,18 @@ let indent line =
   let n = String.length line in
   let rec go i = if i < n && line.[i] = ' ' then go (i + 1) else i in
   go 0
+
+(* The lines of the item starting at line [l], column [col]: up to the
+   next non-blank line at that column or left of it. *)
+let binding_text lines l col =
+  let stop = ref (l + 1) in
+  while
+    !stop < Array.length lines
+    && (String.trim lines.(!stop) = "" || indent lines.(!stop) > col)
+  do
+    incr stop
+  done;
+  String.concat "\n" (Array.to_list (Array.sub lines l (!stop - l)))
 
 (* The module-level bindings of one file's [lines], as (line number,
    qualified name, maker).  A module's body is indented two columns past
@@ -318,15 +331,20 @@ let module_bindings ~file_module lines =
          let col = indent line in
          let body = match !stack with [] -> 0 | (c, _) :: _ -> c + 2 in
          let found =
-           let next = if l + 1 < Array.length lines then lines.(l + 1) else "" in
-           let text = line ^ "\n" ^ next in
-           if col = body && Str.string_match global_binding text col then
-             let path = file_module :: List.rev_map snd !stack in
-             Some
-               ( l + 1,
-                 String.concat "." (path @ [ Str.matched_group 1 text ]),
-                 Str.matched_group 4 text )
-           else None
+           if col <> body then None
+           else
+             let text = binding_text lines l col in
+             if not (Str.string_match parameterless text col) then None
+             else
+               let name = Str.matched_group 1 text in
+               match Str.search_forward maker text (Str.match_end ()) with
+               | exception Not_found -> None
+               | _ ->
+                 let path = file_module :: List.rev_map snd !stack in
+                 Some
+                   ( l + 1,
+                     String.concat "." (path @ [ name ]),
+                     Str.matched_group 1 text )
          in
          (match !stack with
          | (c, _) :: rest when col = c && String.trim line = "end" ->
@@ -375,6 +393,10 @@ let test_no_global_state () =
   check_bool "qualified maker on the next line" true
     (flags "let memo : (string, int) Lru.t =\n  Ansor_util.Lru.create 8");
   check_bool "a cell" true (flags "let flag = ref None");
+  check_bool "a record of tables" true
+    (flags "let session = {\n  h = Hashtbl.create 8;\n  n = 0;\n}");
+  check_bool "a closure over a table made once" true
+    (flags "let f =\n  let t = Hashtbl.create 8 in\n  fun k -> Hashtbl.find_opt t k");
   check_bool "a function makes a fresh table per call" false
     (flags "let fresh () = Hashtbl.create 8");
   check_bool "a longer name is not ref" false (flags "let x = refresh ()");
