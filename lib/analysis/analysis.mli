@@ -43,8 +43,10 @@ val defuse : Ansor_sched.Prog.t -> Ansor_sched.Diagnostic.t list
 
 val static_errors : Ansor_sched.Prog.t -> Ansor_sched.Diagnostic.t list
 (** The [Error]-severity diagnostics of the validator, race detector and
-    bounds certifier — the size-independent correctness oracle used to
-    gate search and serving. *)
+    bounds certifier — the size-independent correctness oracle that
+    gates serving (the registry) and [Ansor.verify].  Search splits
+    it: evolution rejects mutants on {!Races.errors}, and the tuner runs
+    the validator and the certifier on each program it measures. *)
 
 val analyze :
   ?config:config ->

@@ -230,21 +230,27 @@ let possible_read_race ctx ~reader ~writer buffer =
 
 (* ---- per-loop check ------------------------------------------------------- *)
 
-(* The write of one statement, checked against its own other iterations. *)
+(* The write of one statement, checked against its own other
+   iterations: [None] when no collision is proved, else the finding. *)
 let check_self ctx (s : Prog.stmt) =
   match analyze_offset ctx s.tensor s.indices with
-  | exception Unknown -> ([], `Unknown)
+  | exception Unknown -> None
   | digits, rest -> (
     match self_disjoint ctx digits rest with
-    | `Safe -> ([], `Safe)
-    | `Unknown -> ([], `Unknown)
+    | `Safe | `Unknown -> None
     | `Collides pair ->
-      if s.update <> None then ([ reduction_race ctx s pair ], `Collides)
+      if s.update <> None then Some (`Reduction pair)
       else (
         match value_dependence ctx digits s.rhs with
-        | `Independent | `Determined -> ([ redundant_writes ctx s ], `Collides)
-        | `Differs -> ([ write_race ctx s pair ], `Collides)
-        | `Opaque -> ([ possible_write_race ctx s ], `Collides)))
+        | `Independent | `Determined -> Some `Redundant
+        | `Differs -> Some (`Write pair)
+        | `Opaque -> Some `Possible))
+
+let self_diagnostic ctx s = function
+  | `Reduction pair -> reduction_race ctx s pair
+  | `Write pair -> write_race ctx s pair
+  | `Redundant -> redundant_writes ctx s
+  | `Possible -> possible_write_race ctx s
 
 (* Reads of buffers that other iterations write.  Only the clear-cut
    shape is reported (reader offset independent of p, writer dependent),
@@ -286,82 +292,103 @@ let check_reads ctx stmts writes =
         (Validate.reads_with_guard s.rhs))
     stmts
 
-let check_loop ~outer ~shapes (l : Prog.loop) =
-  let inner_stmts =
-    let acc = ref [] in
-    let rec go inner = function
-      | Prog.Stmt s -> acc := (List.rev inner, s) :: !acc
-      | Prog.Loop l' -> List.iter (go (l' :: inner)) l'.body
-    in
-    List.iter (go []) l.body;
-    List.rev !acc
+(* The statements of an annotated loop's body, each with the loops
+   between the annotated loop and it, outermost first. *)
+let body_stmts (l : Prog.loop) =
+  let acc = ref [] in
+  let rec go inner = function
+    | Prog.Stmt s -> acc := (List.rev inner, s) :: !acc
+    | Prog.Loop l' -> List.iter (go (l' :: inner)) l'.body
   in
-  let all_loops (inner : Prog.loop list) = outer @ (l :: inner) in
-  let diags = ref [] in
-  let writes = ref [] in
-  List.iter
-    (fun (inner, (s : Prog.stmt)) ->
-      let ctx =
-        {
-          p = l.lvar;
-          extent = l.extent;
-          ann = l.ann;
-          outer = List.map (fun (o : Prog.loop) -> o.lvar) outer;
-          env =
-            (fun v ->
-              List.find_map
-                (fun (lp : Prog.loop) ->
-                  if String.equal lp.lvar v then
-                    Some { I.lo = 0; hi = lp.extent - 1 }
-                  else None)
-                (all_loops inner));
-          shapes;
-        }
-      in
-      let ds, _verdict = check_self ctx s in
-      diags := !diags @ ds;
-      if not (List.mem_assoc s.tensor !writes) then
-        writes := (s.tensor, (ctx, s)) :: !writes)
-    inner_stmts;
+  List.iter (go []) l.body;
+  List.rev !acc
+
+(* The context of annotated loop [l] under its enclosing [outer] loops,
+   ranging every variable of [loops]. *)
+let loop_ctx ~outer ~shapes (l : Prog.loop) loops =
+  {
+    p = l.lvar;
+    extent = l.extent;
+    ann = l.ann;
+    outer = List.map (fun (o : Prog.loop) -> o.lvar) outer;
+    env =
+      (fun v ->
+        List.find_map
+          (fun (lp : Prog.loop) ->
+            if String.equal lp.lvar v then Some { I.lo = 0; hi = lp.extent - 1 }
+            else None)
+          loops);
+    shapes;
+  }
+
+(* Each statement's own write, in a context ranging the loops down to
+   it. *)
+let self_findings ~outer ~shapes (l : Prog.loop) stmts =
+  List.filter_map
+    (fun (inner, s) ->
+      let ctx = loop_ctx ~outer ~shapes l (outer @ (l :: inner)) in
+      Option.map (fun f -> (ctx, s, f)) (check_self ctx s))
+    stmts
+
+let check_loop ~outer ~shapes (l : Prog.loop) =
+  let inner_stmts = body_stmts l in
+  let self =
+    List.map
+      (fun (ctx, s, f) -> self_diagnostic ctx s f)
+      (self_findings ~outer ~shapes l inner_stmts)
+  in
   (* read/write pairs share one env conservatively covering every inner
-     loop of the annotated loop's body *)
-  (match inner_stmts with
-  | [] -> ()
+     loop of the annotated loop's body; the first write of each buffer
+     stands for it *)
+  match inner_stmts with
+  | [] -> self
   | _ ->
     let every_loop =
       outer @ (l :: List.concat_map (fun (inner, _) -> inner) inner_stmts)
     in
-    let ctx =
-      {
-        p = l.lvar;
-        extent = l.extent;
-        ann = l.ann;
-        outer = List.map (fun (o : Prog.loop) -> o.lvar) outer;
-        env =
-          (fun v ->
-            List.find_map
-              (fun (lp : Prog.loop) ->
-                if String.equal lp.lvar v then
-                  Some { I.lo = 0; hi = lp.extent - 1 }
-                else None)
-              every_loop);
-        shapes;
-      }
+    let writes =
+      List.fold_left
+        (fun acc (_, (s : Prog.stmt)) ->
+          if List.mem_assoc s.tensor acc then acc else (s.tensor, s) :: acc)
+        [] inner_stmts
     in
-    let writes = List.map (fun (t, (_, s)) -> (t, s)) !writes in
-    diags := !diags @ check_reads ctx (List.map snd inner_stmts) writes);
-  !diags
+    self
+    @ check_reads
+        (loop_ctx ~outer ~shapes l every_loop)
+        (List.map snd inner_stmts) writes
 
-let check (prog : Prog.t) =
-  let diags = ref [] in
+(* Annotated loops of extent >= 2 whose annotation satisfies [wanted], in
+   pre-order, each with its enclosing loops outermost first. *)
+let annotated_loops wanted (prog : Prog.t) =
+  let acc = ref [] in
   let rec go outer = function
     | Prog.Stmt _ -> ()
     | Prog.Loop l ->
-      (match l.ann with
-      | (Step.Parallel | Step.Vectorize) when l.extent >= 2 ->
-        diags := !diags @ check_loop ~outer:(List.rev outer) ~shapes:prog.buffers l
-      | _ -> ());
+      if l.extent >= 2 && wanted l.ann then acc := (List.rev outer, l) :: !acc;
       List.iter (go (l :: outer)) l.body
   in
   List.iter (go []) prog.items;
-  !diags
+  List.rev !acc
+
+let check (prog : Prog.t) =
+  List.concat_map
+    (fun (outer, l) -> check_loop ~outer ~shapes:prog.buffers l)
+    (annotated_loops
+       (function Step.Parallel | Step.Vectorize -> true | _ -> false)
+       prog)
+
+(* [Diagnostic.errors (check prog)], in the same order, for gates that
+   keep nothing else.  Only a constructive race on a [Parallel] loop's
+   own writes is an [Error]: [Vectorize] findings and read/write pairs
+   are capped at [Warn].  So this walks the [Parallel] loops only, skips
+   [check_reads], and renders no warning. *)
+let errors (prog : Prog.t) =
+  List.concat_map
+    (fun (outer, l) ->
+      List.filter_map
+        (fun (ctx, s, f) ->
+          match f with
+          | `Reduction _ | `Write _ -> Some (self_diagnostic ctx s f)
+          | `Redundant | `Possible -> None)
+        (self_findings ~outer ~shapes:prog.buffers l (body_stmts l)))
+    (annotated_loops (( = ) Step.Parallel) prog)

@@ -457,10 +457,12 @@ static double now_sec(void) {
     {|  if (argc < 2) return 2;
   int idx = atoi(argv[1]);
   int dump = argc > 2 && strcmp(argv[2], "dump") == 0;
-  int repeat = argc > 3 ? atoi(argv[3]) : 3;
-  int warmup = argc > 4 ? atoi(argv[4]) : 1;
-  if (repeat < 1) repeat = 1;
-  if (warmup < 0) warmup = 0;
+  int repeat = 0, warmup = 0;
+  if (!dump) {
+    if (argc < 5) return 2;
+    repeat = atoi(argv[3]);
+    warmup = atoi(argv[4]);
+  }
   double t;
   switch (idx) {
 |};

@@ -76,7 +76,9 @@ val emit_bench_tu : ?guard:bool -> Prog.t list -> string
     - [exe IDX time REPEAT WARMUP] allocates the kernel's buffers, fills
       the inputs deterministically, runs WARMUP untimed then REPEAT timed
       invocations ([clock_gettime(CLOCK_MONOTONIC)]) and prints the
-      minimum in seconds ([%.9e]);
+      minimum in seconds ([%.9e]); both counts are required (the native
+      backend passes its own constants), and a missing one exits with
+      status 2;
     - [exe IDX dump] runs the kernel once and prints every non-input
       buffer element ([%.9g], buffer order) — the equivalence hook:
       feeding {!bench_inputs} to the interpreter must reproduce exactly

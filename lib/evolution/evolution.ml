@@ -34,10 +34,9 @@ let node_of_stage name =
 type verdict = Dead | Rejected | Verified of Candidate.t
 
 (* Replays an edited history, lowers it into a candidate, and statically
-   rejects mutants the race detector or the bounds certifier proves
-   wrong — the verification step of §5.1 plus the pre-measurement
-   filter.  Replay/lowering failures are ordinary dead offspring.
-   [static_ok] runs the static checks on a lowered candidate. *)
+   rejects mutants the race detector proves wrong — the verification
+   step of §5.1.  Replay/lowering failures are ordinary dead offspring.
+   [static_ok] runs the static check on a lowered candidate. *)
 let judge ~static_ok dag steps =
   match Annotate.replay_constrained dag steps ~fill:Annotate.Keep with
   | Error _ -> Dead
@@ -55,8 +54,10 @@ let conclude ?on_reject = function
     Option.iter (fun f -> f ()) on_reject;
     None
 
-let static_ok (c : Candidate.t) =
-  Ansor_analysis.Analysis.static_errors c.prog = []
+(* Only a race rejects a mutant: the validator and the bounds certifier
+   never fired on one, so they run once per measured batch instead, at
+   the tuner's measurement boundary. *)
+let static_ok (c : Candidate.t) = Ansor_analysis.Races.errors c.prog = []
 
 let verify ?on_reject dag steps =
   conclude ?on_reject (judge ~static_ok dag steps)
@@ -85,9 +86,16 @@ let verify_in table ?on_reject dag steps =
   let static_ok (c : Candidate.t) =
     memo table.programs c.key (fun () -> static_ok c)
   in
-  conclude ?on_reject
-    (memo table.histories (Step.history_key steps) (fun () ->
-         judge ~static_ok dag steps))
+  let key = Step.history_key steps in
+  let verdict =
+    memo table.histories key (fun () -> judge ~static_ok dag steps)
+  in
+  (* the candidate with its history key, unless constrained replay
+     rewrote the history (split lengths): then the key is not its own *)
+  Option.map
+    (fun (c : Candidate.t) ->
+      (c, if c.state.history = steps then Some key else None))
+    (conclude ?on_reject verdict)
 
 let steps_of (st : State.t) = st.history
 
@@ -124,8 +132,9 @@ let other_unroll_steps (policy : Ansor_sketch.Policy.t) current =
 
 let replace_nth l n x = List.mapi (fun i y -> if i = n then x else y) l
 
-(* Each operator below sends its edited history through [check]: plain
-   [verify] when called on its own, the call's table inside [evolve]. *)
+(* Each operator below sends its edited history through [check] and
+   returns what it returns: plain [verify] when called on its own, the
+   call's table inside [evolve] (which also hands back the history key). *)
 let tile_sizes check rng st =
   let steps = steps_of st in
   let consumers = consumer_stages steps in
@@ -387,14 +396,18 @@ let evolve ?on_reject ~scorer rng config policy dag ~init ~out =
       ?on_reject dag
   in
   let best = Hashtbl.create 64 in
-  let remember s =
-    let key = Step.history_key s.cand.state.history in
+  (* a child is a candidate with the history key [check] looked it up
+     under, when that key is its own *)
+  let remember ((c : Candidate.t), key) s =
+    let key =
+      match key with Some key -> key | None -> Step.history_key c.state.history
+    in
     match Hashtbl.find_opt best key with
     | Some f0 when f0.fitness >= s.fitness -> ()
     | _ -> Hashtbl.replace best key s
   in
   let population = Array.of_list (with_fitness init) in
-  Array.iter remember population;
+  Array.iter (fun s -> remember (s.cand, None) s) population;
   let pop = ref population in
   for _gen = 1 to config.generations do
     let cur = !pop in
@@ -425,7 +438,7 @@ let evolve ?on_reject ~scorer rng config policy dag ~init ~out =
           else begin
             (* chain 1-3 mutations (geometric): multi-step moves escape
                plateaus that single-factor steps cannot *)
-            let mutate_once (c : Candidate.t) =
+            let mutate_once ((c : Candidate.t), _) =
               let st = c.state in
               if config.mutate_annotations then
                 match Rng.int rng 4 with
@@ -441,13 +454,15 @@ let evolve ?on_reject ~scorer rng config policy dag ~init ~out =
               | Some c' ->
                 if Rng.float rng 1.0 < 0.2 then chain c' true else Some c'
             in
-            chain parent false
+            chain (parent, None) false
           end
         in
-        children_rev := Option.value child ~default:parent :: !children_rev
+        children_rev :=
+          Option.value child ~default:(parent, None) :: !children_rev
       done;
-      let scored_children = with_fitness (List.rev !children_rev) in
-      List.iter remember scored_children;
+      let children = List.rev !children_rev in
+      let scored_children = with_fitness (List.map fst children) in
+      List.iter2 remember children scored_children;
       (* same array layout the incremental loop produced:
          [c_m .. c_1, elite_{e-1} .. elite_0] *)
       pop := Array.of_list (List.rev_append scored_children (List.rev elites))

@@ -10,12 +10,13 @@
     a {!Ansor_sched.Candidate.t}: lowered and keyed once, here, and
     carried as-is through the population, scoring and the tuner's
     measured batch.  Offspring that replay and lower but carry a
-    provable error (an [Error]-severity diagnostic from
-    {!Ansor_analysis.Analysis.static_errors}: a data race such as a
-    [Parallel] annotation on a reduction iterator, or an out-of-bounds
-    witness from the memory-safety certifier) are discarded before they
-    can reach the measurer; every such rejection fires the [on_reject]
-    callback, which telemetry counts as [statically_rejected].
+    constructive data race ({!Ansor_analysis.Races.errors}: e.g. a
+    [Parallel] annotation on a reduction iterator) are discarded before
+    they are scored; every such rejection fires the [on_reject]
+    callback, which telemetry counts as [statically_rejected].  The
+    validator and the bounds certifier never rejected an offspring, so
+    they do not run here: the tuner runs them once per measured program,
+    at its measurement boundary.
 
     Operators:
     - {e tile-size mutation}: moves a factor between two levels of one
@@ -80,7 +81,9 @@ val evolve :
     the verified candidate), and a second one from each lowered
     program's {!Ansor_sched.Candidate.key} to its static-check outcome,
     so a new history that lowers to a program already checked skips the
-    checks.  Both verdicts are pure functions of their key for a fixed
+    check.  A child it has just verified keeps the history key it was
+    looked up under, unless constrained replay rewrote its history, so
+    the call hashes each such child once.  Both verdicts are pure functions of their key for a fixed
     DAG, so a hit returns what verifying again would, and a rejected hit
     fires [on_reject] again: every rejected proposal is counted, as
     without the table.  The table is created when the call starts and
@@ -132,12 +135,12 @@ val node_of_stage : string -> string
 val verify :
   ?on_reject:(unit -> unit) -> Dag.t -> Step.t list -> Candidate.t option
 (** Replays an edited history ([fill:Keep]), lowers it into a candidate,
-    and statically rejects programs with an [Error] from
-    {!Ansor_analysis.Analysis.static_errors} — races, and the bounds
-    certifier's [Unsafe] witnesses — evolution's own offspring gate,
+    and statically rejects programs with a constructive race
+    ({!Ansor_analysis.Races.errors}) — evolution's own offspring gate,
     exposed so the coordinate-descent stage sends its neighbors through
-    the identical filter.  [on_reject] fires only for static-analysis
-    rejections. *)
+    the identical filter.  [on_reject] fires only for race rejections.
+    The validator and the bounds certifier run later, once per measured
+    program, at the tuner's measurement boundary. *)
 
 val consumer_stages : Step.t list -> string list
 (** Stages whose splits are re-derived from a producer ([Compute_at]

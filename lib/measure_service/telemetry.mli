@@ -37,10 +37,11 @@ type stats = {
   batches : int;  (** measure-batch calls *)
   statically_rejected : int;
       (** candidates dropped by the static checks before reaching the
-          measurement backend: every [Evolution.verify] rejection
-          (validation errors, races or bounds witnesses) of evolution
-          mutants, descent and exploit neighbours, plus fresh samples
-          the tuner drops for an [Unsafe] bounds witness *)
+          measurement backend: every [Evolution.verify] rejection (a
+          race) of evolution mutants, descent and exploit neighbours,
+          plus every batch member the tuner's measurement boundary
+          refuses for a validation error or an [Unsafe] bounds
+          witness *)
   bounds_rejected : int;
       (** candidates the memory-safety certifier refused to hand to the
           native backend ([Bounds_error]: an out-of-bounds witness, or an

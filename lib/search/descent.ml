@@ -100,10 +100,9 @@ let proposals ~(policy : Policy.t) (st : State.t) coord : Step.t list list =
   | _ -> []
 
 (* Every neighbor goes through exactly the gate evolution offspring do
-   ({!Evolution.verify}): constrained replay, lowering, and the static
-   errors of the race detector and the memory-safety certifier, so an
-   [Unsafe] program never reaches scoring.  [on_reject] fires for the
-   statically-rejected ones. *)
+   ({!Evolution.verify}): constrained replay, lowering, and the race
+   detector's errors, so a racy program never reaches scoring.
+   [on_reject] fires for the statically-rejected ones. *)
 let neighbors ?on_reject ~policy dag st coord =
   List.filter_map (Evolution.verify ?on_reject dag) (proposals ~policy st coord)
 

@@ -17,9 +17,11 @@
     it is bit-identical at any [--workers] count, like every other
     phase.  Every proposed neighbor flows through evolution's offspring
     gate unchanged ({!Ansor_evolution.Evolution.verify}: constrained
-    replay, lowering, and the static errors of the race detector and the
-    memory-safety certifier, so [Unsafe] programs are dropped before
-    scoring) and the tuner's dedup against already-measured programs.
+    replay, lowering, and the race detector's errors, so racy programs
+    are dropped before scoring) and the tuner's dedup against
+    already-measured programs; the winners then pass the tuner's
+    measurement boundary (validator and bounds certifier) like every
+    measured program.
     Neighbors are {!Ansor_sched.Candidate.t}s from that gate on: scored
     and, for the winners, measured without being lowered again. *)
 

@@ -476,25 +476,6 @@ let candidates t shared scorer tm =
           Sampler.sample_candidates t.rng t.policy dag ~sketches:t.sketches
             ~n:t.options.sample_size)
     in
-    (* Memory-safety pre-filter: a sample whose lowering carries a
-       constructive out-of-bounds witness never reaches scoring or
-       measurement.  Sketch sampling is safe-by-construction, so on a
-       healthy rule set this filter is a no-op (bit-identical search);
-       it exists to contain a buggy sketch/annotation rule the moment
-       one is introduced.  [Unknown] is kept: the certifier's witness
-       search is bounded, and the native gate re-decides with its own
-       policy.  Scoring and measurement take the surviving candidates
-       as they are: nothing downstream lowers or keys them again. *)
-    let fresh =
-      List.filter
-        (fun (c : Candidate.t) ->
-          match Bounds.certify c.prog with
-          | Bounds.Unsafe _ ->
-            Telemetry.incr_statically_rejected tm;
-            false
-          | Bounds.Certified | Bounds.Unknown -> true)
-        fresh
-    in
     if use_evolution && Cost_model.is_trained (Shared.model shared) then begin
       let seeds =
         List.filteri (fun i _ -> i < keep_previous) t.good
@@ -546,13 +527,38 @@ let scorer_of t service =
 
 let history_key (c : Candidate.t) = Step.history_key c.state.history
 
+(* The measurement boundary's static gate: a program with an [Error]
+   from the validator or a constructive out-of-bounds witness from the
+   bounds certifier is refused, counted in [statically_rejected], and
+   never measured nor remembered as measured.  Mutants were checked for
+   races when proposed; these two checks never rejected one, so they run
+   here, once per measured program, rather than on every proposal.  A
+   lowering bug that yields an unsafe program is caught here: it may
+   have been scored, but it is never measured.  Sketch sampling is safe
+   by construction, so on a healthy rule set nothing is refused and the
+   search is what it would be without the gate.  [Unknown] is kept: the
+   certifier's witness search is bounded, and the native gate re-decides
+   with its own policy. *)
+let measurable tm (c : Candidate.t) =
+  let ok =
+    Validate.check c.prog = []
+    &&
+    match Bounds.certify c.prog with
+    | Bounds.Unsafe _ -> false
+    | Bounds.Certified | Bounds.Unknown -> true
+  in
+  if not ok then Telemetry.incr_statically_rejected tm;
+  ok
+
 (* Measure a batch of candidates and absorb the classified results:
    remember every history in the dedup set, update best/good, persist the
    measured samples to the cross-task store, add the records to the
    shared training set and maybe retrain.  The tail of every round — both
    the evolutionary path and the descent sweeps feed their winners
-   through this single funnel. *)
+   through this single funnel, so [measurable] gates every measured
+   program. *)
 let absorb_batch t shared service scorer tm (batch : Candidate.t list) =
+  let batch = List.filter (measurable tm) batch in
   let results =
     Service.measure_batch service
       (List.map (fun (c : Candidate.t) -> Protocol.request ~prog:c.prog c.state) batch)

@@ -414,6 +414,88 @@ let test_evolve_rejection_golden () =
   check_int "rejected proposals" 17 !rejected;
   check_string "output" "6f6b00741096c73946bb68aa9e12a92f" digest
 
+(* ---- the error-only race check --------------------------------------------- *)
+
+module Races = Ansor_analysis.Races
+
+(* Every program that one more [Parallel] or [Vectorize] annotation on a
+   bare iterator of [st] lowers to, reduction axes included: most
+   [Parallel] ones on a reduction race, as evolution's annotation
+   mutation proposes them before its filter. *)
+let annotated_variants (st : State.t) =
+  List.concat_map
+    (fun name ->
+      let s = State.find_stage st name in
+      List.concat_map
+        (fun iv ->
+          if (State.ivar s iv).State.ann <> Step.No_ann then []
+          else
+            List.filter_map
+              (fun ann ->
+                let step = Step.Annotate { stage = name; iv; ann } in
+                match State.apply_checked st step with
+                | Error _ -> None
+                | Ok st' ->
+                  Option.map
+                    (fun (c : Ansor.Candidate.t) -> c.prog)
+                    (Ansor.Candidate.of_state st'))
+              [ Step.Parallel; Step.Vectorize ])
+        s.State.leaves)
+    (State.stage_names st)
+
+let race_dags =
+  lazy
+    (Ansor.Nn.matrix_norm ~m:16 ~n:16 ()
+    :: List.map snd (Lazy.force clean_dags))
+
+(* Sampled programs of [dag] and their annotated variants. *)
+let race_programs ~seed dag =
+  List.concat_map
+    (fun st -> Lower.lower st :: annotated_variants st)
+    (sample_programs ~seed ~n:2 dag)
+
+let errors_match p = Races.errors p = D.errors (Races.check p)
+
+let test_race_errors_on_corpora () =
+  let corpus = Lazy.force analysis_corpus in
+  List.iter
+    (fun (name, p) ->
+      check_bool (name ^ ": errors = errors of check") true (errors_match p))
+    corpus;
+  check_bool "the OOB corpus is in it" true
+    (List.for_all
+       (fun (name, _, _) -> List.mem_assoc name corpus)
+       (oob_corpus ()))
+
+let prop_race_errors_are_check_errors =
+  qcheck ~count:40 ~seed:26 "Races.errors = errors of Races.check"
+    ~print:(fun (which, seed) -> Printf.sprintf "dag %d, seed %d" which seed)
+    QCheck2.Gen.(pair (int_range 0 4) (int_range 0 1_000_000))
+    (fun (which, seed) ->
+      let dag = List.nth (Lazy.force race_dags) which in
+      List.for_all errors_match (race_programs ~seed dag))
+
+(* Captured at the parent of [Races.errors], before [Races.check] was
+   split into its loop walk and per-statement findings: every diagnostic
+   of the analysis corpus and of the annotated variants. *)
+let test_races_golden () =
+  let racy =
+    List.concat_map
+      (fun dag ->
+        List.map (fun p -> ("variant", p)) (race_programs ~seed:5 dag))
+      (Lazy.force race_dags)
+  in
+  let lines =
+    List.map
+      (fun (name, p) ->
+        String.concat " | " (name :: List.map D.to_string (Races.check p)))
+      (Lazy.force analysis_corpus @ racy)
+  in
+  check_bool "the variants race" true
+    (List.exists (fun (_, p) -> Races.errors p <> []) racy);
+  check_string "diagnostics" "b4308f2f59c4c6ef370166b800740843"
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
 (* registry serving bar: an entry whose replayed schedule carries a race
    must not resolve *)
 let test_registry_rejects_racy_entry () =
@@ -500,5 +582,11 @@ let () =
           case "evolve rejection count golden" test_evolve_rejection_golden;
           case "registry rejects racy entry" test_registry_rejects_racy_entry;
           case "verify_state catches race" test_verify_state_catches_race;
+        ] );
+      ( "error-only races",
+        [
+          case "analysis and OOB corpora" test_race_errors_on_corpora;
+          prop_race_errors_are_check_errors;
+          case "races golden" test_races_golden;
         ] );
     ]

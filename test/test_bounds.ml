@@ -135,8 +135,10 @@ let test_oob_corpus () =
           (D.has_errors diags && has_code "out-of-bounds-witness" diags);
         check_bool (name ^ ": interpreter oracle traps") true
           (interp_traps p inputs);
-        (* evolution's offspring gate rejects it, so no later stage (the
-           descent neighbor filter included) needs its own Unsafe check *)
+        (* the tuner's measurement boundary refuses it (validator and
+           certifier, once per measured program), so no search stage
+           needs its own Unsafe check; [static_errors] still gates the
+           registry and [Ansor.verify] *)
         check_bool (name ^ ": static_errors rejects it") true
           (Ansor.Analysis.static_errors p <> [])
       | v, _ ->
@@ -434,6 +436,51 @@ let test_sim_backend_has_no_gate () =
   | [ r ] -> check_bool "sim measures" true (Protocol.is_ok r)
   | _ -> Alcotest.fail "expected one result"
 
+(* ---- the measurement boundary --------------------------------------------- *)
+
+(* [B[i, j] = A[i, j + 1]] over an 8×8 [A]: every schedule of it lowers
+   to a program the validator and the bounds certifier both reject (the
+   last column reads past [A]), as a buggy lowering would produce. *)
+let off_by_one_dag () =
+  let a = Ansor.Op.placeholder ~name:"A" ~shape:[ 8; 8 ] in
+  let b =
+    Ansor.Op.compute ~name:"B"
+      ~axes:[ ("i", 8); ("j", 8) ]
+      (Expr.Access
+         ("A", [ Expr.Axis "i"; Expr.Iadd (Expr.Axis "j", Expr.Int 1) ]))
+  in
+  Ansor.Dag.create [ a; b ]
+
+(* One fresh sample per round and an untrained model, so each round's
+   batch is that one sample: the boundary refuses it, counts it once,
+   and neither measures nor remembers it. *)
+let test_boundary_refuses_unsafe_batch () =
+  let dag = off_by_one_dag () in
+  let p = Lower.lower (State.init dag) in
+  check_bool "the validator rejects it" true (D.has_errors (Validate.check p));
+  check_bool "the certifier rejects it" true
+    (match Bounds.certify p with Bounds.Unsafe _ -> true | _ -> false);
+  let task = Task.create ~name:"off-by-one" ~machine dag in
+  let options = { Ansor.Tuner.ansor_options with sample_size = 1 } in
+  let tuner = Ansor.Tuner.create ~seed:3 options task in
+  let shared = Ansor.Tuner.Shared.create () in
+  let service = Service.create ~seed:1 machine in
+  List.iter
+    (fun round ->
+      Ansor.Tuner.round tuner shared service;
+      let stats = Service.stats service in
+      check_int
+        (Printf.sprintf "round %d: each refusal counted once" round)
+        round stats.Ansor.Telemetry.statically_rejected;
+      check_int "nothing reached the measurement service" 0
+        (Ansor.Telemetry.results stats);
+      check_int "no trial" 0 (Service.trials service);
+      let snap = Ansor.Tuner.snapshot tuner in
+      check_int "not remembered as measured" 0
+        (List.length snap.Ansor.Tuner.Snapshot.measured_keys);
+      check_int "no training record" 0 (Ansor.Tuner.Shared.num_records shared))
+    [ 1; 2 ]
+
 (* ---- registry re-certification -------------------------------------------- *)
 
 let test_registry_adapted_entry_recertifies () =
@@ -637,6 +684,8 @@ let () =
           case "allow_unproven admits unknown only" test_native_gate_allow_unproven;
           case "sim backend ungated" test_sim_backend_has_no_gate;
         ] );
+      ( "measurement boundary",
+        [ case "refuses an unsafe batch" test_boundary_refuses_unsafe_batch ] );
       ( "registry",
         [ case "adapted entry re-certifies" test_registry_adapted_entry_recertifies ] );
       ( "guarded codegen",
