@@ -583,7 +583,7 @@ let () =
           case "registry rejects racy entry" test_registry_rejects_racy_entry;
           case "verify_state catches race" test_verify_state_catches_race;
         ] );
-      ( "error-only races",
+      ( "race errors",
         [
           case "analysis and OOB corpora" test_race_errors_on_corpora;
           prop_race_errors_are_check_errors;

@@ -684,7 +684,7 @@ let () =
           case "allow_unproven admits unknown only" test_native_gate_allow_unproven;
           case "sim backend ungated" test_sim_backend_has_no_gate;
         ] );
-      ( "measurement boundary",
+      ( "measure boundary",
         [ case "refuses an unsafe batch" test_boundary_refuses_unsafe_batch ] );
       ( "registry",
         [ case "adapted entry re-certifies" test_registry_adapted_entry_recertifies ] );
