@@ -1,36 +1,67 @@
+(* Samples live in blocks: the first block doubles from 64 up to [block]
+   samples, and from then on every [block] samples start a fresh block, so
+   storage grows without copying old samples.  Sample [i] is at
+   [i mod block] of block [i / block]. *)
+let block = 8192
+
 type t = {
-  mutable samples : float array;  (* growable buffer; first [n] are live *)
+  mutable head : float array;  (* newest block; allocated on the first add *)
+  mutable full : float array list;  (* full blocks of [block] samples, newest first *)
   mutable n : int;
   mutable sorted : float array option;  (* cache, invalidated by add *)
 }
 
-let create () = { samples = Array.make 64 0.0; n = 0; sorted = None }
+let create () = { head = [||]; full = []; n = 0; sorted = None }
 
 let add t x =
   if (not (Float.is_finite x)) || x < 0.0 then
     invalid_arg "Histogram.add: latency must be finite and non-negative";
-  if t.n = Array.length t.samples then begin
-    let bigger = Array.make (2 * t.n) 0.0 in
-    Array.blit t.samples 0 bigger 0 t.n;
-    t.samples <- bigger
+  let i = t.n land (block - 1) in
+  if i = 0 && t.n > 0 then begin
+    t.full <- t.head :: t.full;
+    t.head <- Array.create_float block
+  end
+  else if i = Array.length t.head then begin
+    let bigger = Array.create_float (max 64 (2 * i)) in
+    Array.blit t.head 0 bigger 0 i;
+    t.head <- bigger
   end;
-  t.samples.(t.n) <- x;
+  t.head.(i) <- x;
   t.n <- t.n + 1;
   t.sorted <- None
 
 let count t = t.n
 
+(* One exact-size array of the samples of [ts], histogram by histogram,
+   each in insertion order. *)
+let concat ts =
+  let dst = Array.create_float (List.fold_left (fun acc t -> acc + t.n) 0 ts) in
+  let pos = ref 0 in
+  let put b len =
+    Array.blit b 0 dst !pos len;
+    pos := !pos + len
+  in
+  List.iter
+    (fun t ->
+      List.iter (fun b -> put b block) (List.rev t.full);
+      put t.head (t.n - (block * List.length t.full)))
+    ts;
+  dst
+
+let sort_concat ts =
+  let s = concat ts in
+  Array.sort Float.compare s;
+  s
+
 let sorted t =
   match t.sorted with
   | Some s -> s
   | None ->
-    let s = Array.sub t.samples 0 t.n in
-    Array.sort Float.compare s;
+    let s = sort_concat [ t ] in
     t.sorted <- Some s;
     s
 
-let quantile t q =
-  let s = sorted t in
+let quantile_sorted s q =
   let n = Array.length s in
   if n = 0 then 0.0
   else begin
@@ -42,13 +73,7 @@ let quantile t q =
     (s.(lo) *. (1.0 -. frac)) +. (s.(hi) *. frac)
   end
 
-(* Merge retains every sample, so the quantiles of a merged histogram are
-   exactly the quantiles of the concatenated sample sets — the per-shard
-   histograms of the serving tier combine without approximation error. *)
-let merge ts =
-  let h = create () in
-  List.iter (fun t -> Array.iter (add h) (Array.sub t.samples 0 t.n)) ts;
-  h
+let quantile t q = quantile_sorted (sorted t) q
 
 type summary = {
   count : int;
@@ -61,24 +86,31 @@ type summary = {
   p999 : float;
 }
 
-let summary t =
-  if t.n = 0 then
+let summary_of_sorted s =
+  let n = Array.length s in
+  if n = 0 then
     { count = 0; mean = 0.0; min = 0.0; max = 0.0; p50 = 0.0; p95 = 0.0;
       p99 = 0.0; p999 = 0.0 }
   else begin
-    let s = sorted t in
     let sum = Array.fold_left ( +. ) 0.0 s in
     {
-      count = t.n;
-      mean = sum /. float_of_int t.n;
+      count = n;
+      mean = sum /. float_of_int n;
       min = s.(0);
-      max = s.(Array.length s - 1);
-      p50 = quantile t 0.5;
-      p95 = quantile t 0.95;
-      p99 = quantile t 0.99;
-      p999 = quantile t 0.999;
+      max = s.(n - 1);
+      p50 = quantile_sorted s 0.5;
+      p95 = quantile_sorted s 0.95;
+      p99 = quantile_sorted s 0.99;
+      p999 = quantile_sorted s 0.999;
     }
   end
+
+let summary t = summary_of_sorted (sorted t)
+
+(* Every sample is retained, so the summary of several histograms is
+   exactly the summary of their concatenated samples: the per-shard
+   histograms of the serving tier combine without approximation error. *)
+let merged_summary ts = summary_of_sorted (sort_concat ts)
 
 let summary_line s =
   Printf.sprintf "n=%d mean=%.4fms p50=%.4fms p95=%.4fms p99=%.4fms p99.9=%.4fms"

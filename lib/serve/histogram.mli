@@ -1,9 +1,15 @@
 (** Per-request latency histogram.
 
-    Retains every sample (serving batches are bounded, and exact
-    percentiles beat bucketed approximations for latency reports) plus
-    power-of-two bucket counts for a compact ASCII rendering.  Quantiles
-    use the same linear interpolation as {!Ansor_util.Stats.quantile}. *)
+    Retains every sample, because exact percentiles beat bucketed
+    approximations for latency reports.  Samples are kept in blocks: the
+    first block doubles from 64 to 8 192 samples, and after that every
+    8 192 samples get a fresh block.  Storage thus costs about one word per
+    sample, and growing it never copies a sample past the first block.
+    {!quantile}, {!summary} and {!render} sort one exact-size copy of the
+    samples, cached until the next {!add}; {!merged_summary} sorts one
+    exact-size concatenation of its inputs.  Quantiles use the same linear
+    interpolation as {!Ansor_util.Stats.quantile}; {!render} buckets the
+    sorted samples by powers of two. *)
 
 type t
 
@@ -12,13 +18,6 @@ val add : t -> float -> unit
 (** @raise Invalid_argument on negative or non-finite samples. *)
 
 val count : t -> int
-
-val merge : t list -> t
-(** A fresh histogram holding every sample of the inputs (which are left
-    untouched).  Because samples are retained exactly, quantiles of the
-    merged histogram equal quantiles of the concatenated sample sets —
-    how the serving tier combines per-shard histograms into a global
-    view. *)
 
 type summary = {
   count : int;
@@ -32,6 +31,13 @@ type summary = {
 }
 
 val summary : t -> summary
+
+val merged_summary : t list -> summary
+(** The summary of every sample of the inputs (which are left untouched),
+    bit for bit the {!summary} of one histogram fed their samples in list
+    order — how the serving tier combines per-shard histograms into a
+    global view.  Its one large allocation is that concatenation, one word
+    per sample, which it sorts in place. *)
 
 val quantile : t -> float -> float
 (** [quantile t q] with [q] in [0,1]; 0 when empty. *)

@@ -679,8 +679,8 @@ let stats t =
     store_samples = Tuner.Shared.store_added t.shared;
     sojourn = Histogram.summary t.sojourn;
     service =
-      Histogram.summary
-        (Histogram.merge (Array.to_list (Array.map (fun sh -> sh.hist) t.shards)));
+      Histogram.merged_summary
+        (Array.to_list (Array.map (fun sh -> sh.hist) t.shards));
     shards;
     tenants;
     events = List.rev t.events_rev;

@@ -18,8 +18,8 @@
     {b Sharding.}  Task keys hash across [config.shards] shards, each with
     its own compiled-program LRU and exact-quantile latency histogram — a
     hot key can evict within its shard but cannot evict the world, and
-    p99/p999 are tracked per shard ({!Histogram.merge} combines them into
-    the global service view).
+    p99/p999 are tracked per shard ({!Histogram.merged_summary} combines
+    them into the global service view).
 
     {b Admission.}  Every offered request is classified totally (served /
     shed with reason / quota-rejected); see {!Admission}.  Conservation

@@ -85,23 +85,25 @@ let test_histogram_merge_oracle () =
         h)
       samples
   in
-  let merged = Histogram.merge parts in
+  let merged = Histogram.merged_summary parts in
   let oracle = Histogram.create () in
   List.iter (List.iter (Histogram.add oracle)) samples;
-  check_int "merged count" (Histogram.count oracle) (Histogram.count merged);
+  check_int "merged count" (Histogram.count oracle) merged.Histogram.count;
   List.iter
-    (fun q ->
+    (fun (q, x) ->
       check_float
         (Printf.sprintf "q=%.3f matches oracle" q)
         (Histogram.quantile oracle q)
-        (Histogram.quantile merged q))
-    [ 0.0; 0.25; 0.5; 0.9; 0.95; 0.99; 0.999; 1.0 ];
-  let s = Histogram.summary merged in
+        x)
+    [ (0.0, merged.Histogram.min); (0.5, merged.Histogram.p50);
+      (0.95, merged.Histogram.p95); (0.99, merged.Histogram.p99);
+      (0.999, merged.Histogram.p999); (1.0, merged.Histogram.max) ];
   check_bool "p999 between p99 and max" true
-    (s.Histogram.p99 <= s.Histogram.p999 && s.Histogram.p999 <= s.Histogram.max);
-  (* inputs untouched; merge of nothing is empty *)
+    (merged.Histogram.p99 <= merged.Histogram.p999
+    && merged.Histogram.p999 <= merged.Histogram.max);
+  (* inputs untouched; the summary of nothing is empty *)
   check_int "parts untouched" 40 (Histogram.count (List.hd parts));
-  check_int "empty merge" 0 (Histogram.count (Histogram.merge []))
+  check_int "empty merge" 0 (Histogram.merged_summary []).Histogram.count
 
 let test_histogram_rejects_bad_samples () =
   let h = Histogram.create () in
@@ -111,6 +113,48 @@ let test_histogram_rejects_bad_samples () =
   match Histogram.add h Float.nan with
   | _ -> Alcotest.fail "nan accepted"
   | exception Invalid_argument _ -> ()
+
+(* Sample sets split over 0-5 histograms, with empty parts, parts that
+   cross the 8 192-sample block boundary of the storage, and signed zeros:
+   the global summary of the parts is bit for bit the summary of one
+   histogram fed their concatenation. *)
+let prop_histogram_parts_summary =
+  let size =
+    QCheck2.Gen.(
+      frequency
+        [ (2, return 0); (3, int_range 1 100); (2, int_range 8150 8250);
+          (1, int_range 16350 16450) ])
+  in
+  qcheck ~count:40 ~seed:27 "parts summary"
+    QCheck2.Gen.(pair (int_range 0 1_000_000) (list_size (int_range 0 5) size))
+    (fun (seed, sizes) ->
+      let rng = Ansor.Rng.create seed in
+      let draw () =
+        match Ansor.Rng.int rng 8 with
+        | 0 -> 0.0
+        | 1 -> -0.0
+        | 2 -> float_of_int (Ansor.Rng.int rng 4) *. 1e-3
+        | _ -> Ansor.Rng.float rng 5e-3
+      in
+      let samples = List.map (fun n -> List.init n (fun _ -> draw ())) sizes in
+      let parts =
+        List.map
+          (fun xs ->
+            let h = Histogram.create () in
+            List.iter (Histogram.add h) xs;
+            h)
+          samples
+      in
+      let oracle = Histogram.create () in
+      List.iter (List.iter (Histogram.add oracle)) samples;
+      let bits (s : Histogram.summary) =
+        Int64.of_int s.Histogram.count
+        :: List.map Int64.bits_of_float
+             [ s.Histogram.mean; s.Histogram.min; s.Histogram.max; s.Histogram.p50;
+               s.Histogram.p95; s.Histogram.p99; s.Histogram.p999 ]
+      in
+      bits (Histogram.merged_summary parts)
+      = bits (Histogram.summary oracle))
 
 (* ---- closed-loop serving --------------------------------------------------------- *)
 
@@ -184,6 +228,8 @@ let test_serve_counts_and_stats () =
   Server.run s ~requests:5;
   let st = Server.stats s in
   check_int "offered across runs" 25 st.Server.offered;
+  check_int "sojourn samples across runs" 25 st.Server.sojourn.Histogram.count;
+  check_int "layer samples across runs" 50 st.Server.service.Histogram.count;
   check_int "still one compile per layer" 2
     (shard_sum (fun sh -> sh.Server.misses) st);
   let json = Server.stats_json st in
@@ -286,6 +332,52 @@ let test_create_validation () =
   | _ -> Alcotest.fail "empty net accepted"
   | exception Invalid_argument _ -> ()
 
+(* MobileNet-V2 served closed loop from an empty registry (every layer on
+   its default schedule) at a fixed seed: 100 000 requests leave 1.1 M layer
+   samples, enough to cross every growth step of the histogram storage.
+   Built once, with the major-heap words that [Server.run] and the first
+   [Server.stats] allocate. *)
+let mobilenet_served =
+  lazy
+    (let config =
+       { closed_config with seed = 3; load = { closed_config.load with seed = 3 } }
+     in
+     let s =
+       Server.create ~config ~registry:(Registry.create ()) ~machine
+         (Ansor.Workloads.mobilenet_v2 ~batch:1)
+     in
+     let major () = (Gc.quick_stat ()).Gc.major_words in
+     let w0 = major () in
+     Server.run s ~requests:100_000;
+     let w1 = major () in
+     let st = Server.stats s in
+     let w2 = major () in
+     (s, st, w1 -. w0, w2 -. w1))
+
+let test_mobilenet_golden () =
+  let s, st, _, _ = Lazy.force mobilenet_served in
+  check_int "layer samples" 1_100_000 st.Server.layer_runs;
+  let digest str = Digest.to_hex (Digest.string str) in
+  check_string "stats json" "67a98b7940328eb7d4449f389ee6743c"
+    (digest (Server.stats_json { st with Server.wall_seconds = 0.0 }));
+  check_string "report" "f51d553099a91aee1dcbc4696ea0ffb6" (digest (Server.report s))
+
+(* Exact statistics cost about one copy of their samples: storage grows
+   without copying old samples, and the global view sorts one exact-size
+   concatenation.  The run is single-domain at a fixed seed, so the counts
+   repeat. *)
+let test_mobilenet_major_words () =
+  let _, st, run_words, stats_words = Lazy.force mobilenet_served in
+  let per words = words /. float_of_int st.Server.layer_runs in
+  let bounded what words bound =
+    check_bool
+      (Printf.sprintf "%s: %.2f major words per sample <= %.1f" what (per words) bound)
+      true
+      (per words <= bound)
+  in
+  bounded "Server.run" run_words 2.0;
+  bounded "Server.stats" stats_words 2.5
+
 let () =
   Alcotest.run "serve"
     [
@@ -301,6 +393,7 @@ let () =
           case "quantiles" test_histogram_quantiles;
           case "merge against concatenation oracle" test_histogram_merge_oracle;
           case "bad samples rejected" test_histogram_rejects_bad_samples;
+          prop_histogram_parts_summary;
         ] );
       ( "closed-loop",
         [
@@ -312,5 +405,7 @@ let () =
           case "worker-count invariance" test_worker_count_invariance;
           case "LRU eviction under pressure" test_lru_eviction_under_pressure;
           case "creation validation" test_create_validation;
+          case "MobileNet-V2 stats golden" test_mobilenet_golden;
+          case "MobileNet-V2 major words" test_mobilenet_major_words;
         ] );
     ]
