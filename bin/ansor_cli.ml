@@ -187,17 +187,22 @@ let emit_stats stats_json (stats : Ansor.Telemetry.stats) =
 
 (* Resuming an interrupted session re-logs its best on the first improved
    round, and long sessions accumulate an improvement trail: compact the
-   log (best per key) when picking a session back up so it stops growing
-   unboundedly. *)
+   log when picking a session back up so it stops growing unboundedly.
+   The registry keeps the per-key best (earliest on a tie), so the
+   compacted log is exactly what [registry build] would serve, sorted by
+   key; malformed lines are dropped. *)
 let compact_record_log ~resume save =
   match save with
   | Some path when resume && Sys.file_exists path -> (
-    match Ansor.Record.compact ~path with
-    | Ok 0 -> ()
-    | Ok removed ->
-      Printf.printf "record log %s compacted: %d stale entr%s removed\n" path
-        removed
-        (if removed = 1 then "y" else "ies")
+    match Ansor.Record.load_salvage ~path with
+    | Ok (entries, skipped) ->
+      let kept = Ansor.Registry.entries (Ansor.Registry.of_entries entries) in
+      Ansor.Record.save ~path kept;
+      let removed = List.length entries - List.length kept + skipped in
+      if removed > 0 then
+        Printf.printf "record log %s compacted: %d stale entr%s removed\n"
+          path removed
+          (if removed = 1 then "y" else "ies")
     | Error msg ->
       Printf.eprintf "warning: cannot compact record log %s: %s\n" path msg)
   | _ -> ()
@@ -451,23 +456,34 @@ let replay_cmd =
         e
       | Error m -> or_die (Error m)
     in
-    match Ansor.Record.best_for entries ~task_key:(Ansor.Task.key task) with
-    | None ->
-      Printf.printf "no record for this task in %s\n" path;
-      exit 1
-    | Some entry -> (
-      match Ansor.Record.best_state entry case.dag with
-      | Error m -> or_die (Error m)
-      | Ok st ->
-        let lat = Ansor.Simulator.estimate machine (Ansor.Lower.lower st) in
-        Printf.printf
-          "replayed record (recorded %.4f ms, simulated now %.4f ms)\n"
-          (entry.latency *. 1e3) (lat *. 1e3);
-        print_endline (Ansor.Prog.to_string (Ansor.Lower.lower st)))
+    (* the same database and ladder as [serve]: what is printed here is
+       what would be served *)
+    let registry = Ansor.Registry.of_entries entries in
+    let st, outcome = Ansor.Registry.resolve registry task in
+    let source =
+      match outcome with
+      | Ansor.Registry.Exact -> Ansor.Task.key task
+      | Ansor.Registry.Adapted { source_key; _ } -> source_key
+      | Ansor.Registry.Defaulted reason ->
+        Printf.printf "no record replays for this task in %s (%s)\n" path
+          reason;
+        exit 1
+    in
+    let entry = Option.get (Ansor.Registry.find registry ~task_key:source) in
+    let prog = Ansor.Lower.lower st in
+    Printf.printf
+      "replayed record (%s; recorded %.4f ms, simulated now %.4f ms)\n"
+      (Ansor.Registry.outcome_to_string outcome)
+      (entry.latency *. 1e3)
+      (Ansor.Simulator.estimate machine prog *. 1e3);
+    print_endline (Ansor.Prog.to_string prog)
   in
   Cmd.v
     (Cmd.info "replay"
-       ~doc:"Apply the best recorded schedule without searching.")
+       ~doc:
+         "Resolve a task against a tuning log without searching: the \
+          schedule $(b,serve) would run (exact record, else adapted from a \
+          similar task); exits 1 when neither applies.")
     Term.(const run $ op_arg $ index_arg $ batch_arg $ machine_arg $ from_arg)
 
 let net_of_name name batch =
@@ -760,9 +776,9 @@ let serve_cmd =
     let model_store = open_model_store model_store in
     let s = Ansor.Server.create ~config ?model_store ~registry ~machine net in
     Ansor.Server.run s ~requests;
-    print_string (Ansor.Server.report s);
-    emit_json ~what:"serving stats" stats_json
-      (Ansor.Server.stats_json (Ansor.Server.stats s))
+    let stats = Ansor.Server.stats s in
+    print_string (Ansor.Server.report s stats);
+    emit_json ~what:"serving stats" stats_json (Ansor.Server.stats_json stats)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -857,16 +873,14 @@ let lint_cmd =
         fmt
     in
     let lint_prog ~label config prog =
-      let verdict = if bounds then Some (Ansor.Bounds.certify prog) else None in
-      targets :=
-        (label, verdict, Ansor.Analysis.analyze ~config ~bounds prog)
-        :: !targets
+      let verdict, ds = Ansor.Analysis.analyze ~config ~bounds prog in
+      targets := (label, verdict, ds) :: !targets
     in
     let lint_entry ~what (e : Ansor.Record.entry) =
       match Hashtbl.find_opt (Lazy.force index_tbl) e.task_key with
       | None -> skip ~what "unknown task key %s (not a built-in workload)" e.task_key
       | Some (m, dag) -> (
-        match Ansor.Record.best_state e dag with
+        match Ansor.State.replay_checked dag e.steps with
         | Error msg -> skip ~what "%s: %s" e.task_key msg
         | Ok st -> (
           match Ansor.Lower.lower st with
@@ -1049,7 +1063,7 @@ let import_record_log store ~index_tbl ~path =
           incr skipped;
           None
         | Some (machine, dag) -> (
-          match Ansor.Record.best_state e dag with
+          match Ansor.State.replay_checked dag e.steps with
           | Error _ ->
             incr skipped;
             None

@@ -20,7 +20,7 @@ let static_errors prog =
 
 let analyze ?(config = default_config) ?(bounds = true) prog =
   let base = Validate.check prog @ Races.check prog @ Lint.check config prog in
-  let extra =
-    if bounds then Bounds.diagnostics prog @ Defuse.check prog else []
-  in
-  Diagnostic.sort (base @ extra)
+  if bounds then
+    let verdict, diags = Bounds.check prog in
+    (Some verdict, Diagnostic.sort (base @ diags @ Defuse.check prog))
+  else (None, Diagnostic.sort base)

@@ -52,7 +52,8 @@ val analyze :
   ?config:config ->
   ?bounds:bool ->
   Ansor_sched.Prog.t ->
-  Ansor_sched.Diagnostic.t list
+  Bounds.verdict option * Ansor_sched.Diagnostic.t list
 (** Everything: validator, race detector, linter, and (unless
     [~bounds:false]) bounds certifier plus def-use pass, sorted worst
-    severity first. *)
+    severity first.  The certifier runs once; its verdict is returned
+    beside the diagnostics ([None] with [~bounds:false]). *)

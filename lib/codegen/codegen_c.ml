@@ -219,8 +219,6 @@ let emit_items ctx buf items =
   in
   List.iter (go ~in_simd:false 1) items
 
-let buffer_size shape = List.fold_left ( * ) 1 shape
-
 let make_ctx ?(guard = false) (prog : Prog.t) =
   let buf_names = params prog in
   let var_names = make_names (loop_vars prog) in
@@ -260,7 +258,7 @@ let emit_kernel_fn ?(static_fn = false) ?(guard = false) ~name (prog : Prog.t) =
       match List.assoc_opt tensor prog.buffers with
       | None -> ()
       | Some shape ->
-        let n = buffer_size shape in
+        let n = Prog.buffer_size shape in
         let id = ctx.buf_id tensor in
         let init =
           if Float.is_finite v then Printf.sprintf "%hf" v
@@ -297,10 +295,10 @@ let emit_test_main (prog : Prog.t) ~inputs =
       let id = List.assoc tensor names in
       match List.assoc_opt tensor inputs with
       | Some data ->
-        if Array.length data <> buffer_size shape then
+        if Array.length data <> Prog.buffer_size shape then
           invalid_arg
             (Printf.sprintf "Codegen_c.emit_test_main: input %s has %d elements, expected %d"
-               tensor (Array.length data) (buffer_size shape));
+               tensor (Array.length data) (Prog.buffer_size shape));
         Buffer.add_string buf
           (Printf.sprintf "static float %s_data[%d] = {" id (Array.length data));
         Array.iteri
@@ -311,7 +309,7 @@ let emit_test_main (prog : Prog.t) ~inputs =
         Buffer.add_string buf "};\n"
       | None ->
         Buffer.add_string buf
-          (Printf.sprintf "static float %s_data[%d];\n" id (buffer_size shape)))
+          (Printf.sprintf "static float %s_data[%d];\n" id (Prog.buffer_size shape)))
     prog.buffers;
   Buffer.add_string buf "\nint main(void) {\n";
   Buffer.add_string buf
@@ -326,7 +324,7 @@ let emit_test_main (prog : Prog.t) ~inputs =
         Buffer.add_string buf
           (Printf.sprintf
              "  for (int i = 0; i < %d; i++) printf(\"%%.9g\\n\", (double)%s_data[i]);\n"
-             (buffer_size shape) id)
+             (Prog.buffer_size shape) id)
       end)
     prog.buffers;
   Buffer.add_string buf "  return 0;\n}\n";
@@ -366,7 +364,7 @@ let bench_inputs (prog : Prog.t) =
   List.mapi (fun bi (name, shape) -> (bi, name, shape)) prog.buffers
   |> List.filter_map (fun (bi, name, shape) ->
          if List.mem name inputs then
-           Some (name, lcg_fill ~seed:(fill_seed bi) (buffer_size shape))
+           Some (name, lcg_fill ~seed:(fill_seed bi) (Prog.buffer_size shape))
          else None)
 
 let bench_main_help =
@@ -412,7 +410,7 @@ static double now_sec(void) {
            ki);
       List.iteri
         (fun bi (name, shape) ->
-          let n = buffer_size shape in
+          let n = Prog.buffer_size shape in
           if List.mem name inputs then begin
             Buffer.add_string buf
               (Printf.sprintf "  float *b%d = malloc(%d * sizeof(float));\n" bi n);
@@ -436,7 +434,7 @@ static double now_sec(void) {
               (Printf.sprintf
                  "    for (int i = 0; i < %d; i++) printf(\"%%.9g\\n\", \
                   (double)b%d[i]);\n"
-                 (buffer_size shape) bi))
+                 (Prog.buffer_size shape) bi))
         prog.buffers;
       Buffer.add_string buf "    best = 0.0;\n  } else {\n";
       Buffer.add_string buf

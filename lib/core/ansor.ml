@@ -20,7 +20,7 @@ module Bounds = Ansor_analysis.Bounds
 module Defuse = Ansor_analysis.Defuse
 module Interp = Ansor_interp.Interp
 module Codegen_c = Ansor_codegen.Codegen_c
-module Deploy = Ansor_codegen.Deploy
+module Deploy = Ansor_registry.Deploy
 module Toolchain = Ansor_codegen.Toolchain
 module Machine = Ansor_machine.Machine
 module Simulator = Ansor_machine.Simulator

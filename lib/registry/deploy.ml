@@ -1,15 +1,15 @@
 open Ansor_sched
-module Record = Ansor_search.Record
+module Codegen_c = Ansor_codegen.Codegen_c
 module Task = Ansor_search.Task
 
 type kernel = {
   kernel_name : string;
   task_name : string;
   params : (string * string) list;
-  tuned : bool;
+  outcome : Registry.outcome;
 }
 
-let plan ~machine ~records subgraphs =
+let plan ~machine ~registry subgraphs =
   let used = Hashtbl.create 16 in
   let unique base =
     let rec go candidate k =
@@ -24,15 +24,8 @@ let plan ~machine ~records subgraphs =
   in
   List.map
     (fun (name, dag) ->
-      let task = Task.create ~name ~machine dag in
-      let key = Task.key task in
-      let state, tuned =
-        match Record.best_for records ~task_key:key with
-        | Some entry -> (
-          match Record.best_state entry dag with
-          | Ok st -> (st, true)
-          | Error _ -> (State.init dag, false))
-        | None -> (State.init dag, false)
+      let state, outcome =
+        Registry.resolve registry (Task.create ~name ~machine dag)
       in
       let prog = Lower.lower state in
       let kernel =
@@ -40,14 +33,14 @@ let plan ~machine ~records subgraphs =
           kernel_name = unique (Codegen_c.sanitize name);
           task_name = name;
           params = Codegen_c.params prog;
-          tuned;
+          outcome;
         }
       in
       (kernel, prog))
     subgraphs
 
-let emit ~machine ~records subgraphs =
-  let kernels = plan ~machine ~records subgraphs in
+let emit ~machine ~registry subgraphs =
+  let kernels = plan ~machine ~registry subgraphs in
   let buf = Buffer.create 16384 in
   Buffer.add_string buf
     "/* Generated by the Ansor reproduction: one kernel per tuned subgraph.\n";
@@ -60,7 +53,7 @@ let emit ~machine ~records subgraphs =
       Buffer.add_string buf
         (Printf.sprintf " *   %-28s -> %s (%s, %.4f ms simulated)\n" k.task_name
            k.kernel_name
-           (if k.tuned then "tuned" else "naive fallback")
+           (Registry.outcome_to_string k.outcome)
            (latency *. 1e3)))
     kernels;
   Buffer.add_string buf " */\n\n";

@@ -2,7 +2,6 @@ open Ansor_search
 module State = Ansor_sched.State
 module Step = Ansor_sched.Step
 module Lower = Ansor_sched.Lower
-module Validate = Ansor_sched.Validate
 module Factorize = Ansor_util.Factorize
 module Task_key = Ansor_util.Task_key
 

@@ -19,15 +19,21 @@ ansor-registry-v1
     schedule, never an exception:
 
     + {e exact}: the task key is registered and its steps replay on the
-      query DAG (validated statically);
+      query DAG;
     + {e adapted}: an {e untuned} workload is answered by the nearest
       tuned task of the same structure class (op kinds with concrete
       sizes blanked, the scheduler's Appendix-A similarity notion),
       ranked by log-scale shape distance; split/rfactor tile sizes are
-      re-fit to the query's extents, and the adapted program is
-      re-validated with {!Ansor_sched.Validate};
+      re-fit to the query's extents;
     + {e default}: when nothing replays, the naive unscheduled program
-      ({!Ansor_sched.State.init}). *)
+      ({!Ansor_sched.State.init}).
+
+    A replayed or adapted program is served only when it passes
+    {!Ansor_analysis.Analysis.static_errors} (validator, race detector,
+    bounds certifier).  The registry is the only place that picks a
+    task's best record and walks this ladder: [ansor serve], [ansor
+    replay], {!Deploy} and the record-log compaction on [--resume] all
+    go through {!of_entries}/{!entries} and {!resolve}. *)
 
 open Ansor_search
 
@@ -41,13 +47,16 @@ val keys : t -> string list
 (** Registered task keys, sorted. *)
 
 val entries : t -> Record.entry list
-(** One best entry per key, sorted by key (deterministic). *)
+(** One best entry per key, sorted by key (deterministic).
+    [Record.save ~path (entries (of_entries es))] is the compacted form
+    of the log [es]. *)
 
 val find : t -> task_key:string -> Record.entry option
 
 val add : t -> Record.entry -> [ `Added | `Improved | `Kept ]
 (** Keeps the per-key best: [`Added] for a new key, [`Improved] when the
-    entry beats the stored latency, [`Kept] when the stored entry stays. *)
+    entry beats the stored latency, [`Kept] when the stored entry stays
+    (so on a tie the earliest entry wins). *)
 
 val add_all : t -> Record.entry list -> int
 (** Folds {!add}; returns how many entries changed the registry. *)
@@ -102,9 +111,9 @@ val outcome_to_string : outcome -> string
 
 val resolve : t -> Task.t -> Ansor_sched.State.t * outcome
 (** Walks the resolution ladder for a task; total — never raises.  The
-    returned state lowers and passes {!Ansor_sched.Validate.check} except
-    in the [Defaulted] case, where it is the naive program (always
-    legal). *)
+    returned state lowers with no
+    {!Ansor_analysis.Analysis.static_errors} except in the [Defaulted]
+    case, where it is the naive program (always legal). *)
 
 val similar_keys : t -> task_key:string -> (string * float) list
 (** Registered keys of the query's structure class (excluding the query

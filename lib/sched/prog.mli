@@ -55,9 +55,10 @@ val canonical_payload : t -> string
 
 val canonical_hash : t -> string
 (** Hex digest of {!canonical_payload}; the machine-independent program
-    key used by the memory-safety certifier's memo table.  The
-    measurement cache's key ({!Ansor_measure_service.Cache.key_of_prog})
-    is the same payload prefixed with backend and machine. *)
+    key carried by every {!Candidate.t} (scoring, dedup and the search's
+    per-call verdict table key on it).  The measurement cache's key
+    ({!Ansor_measure_service.Cache.key_of_prog}) is the same payload
+    prefixed with backend and machine. *)
 
 val pp : Format.formatter -> t -> unit
 (** Paper-style pretty printing ("parallel i.0@j.0 in range(256): ..."). *)

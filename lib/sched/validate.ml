@@ -68,8 +68,6 @@ module Interval = struct
     match (a, b) with Some a, Some b -> Some (f a b) | _ -> None
 end
 
-let buffer_size shape = List.fold_left ( * ) 1 shape
-
 (* interval of the flattened row-major offset *)
 let offset_interval env shape indices =
   let rec go dims idx acc =
@@ -145,30 +143,25 @@ let check (prog : Prog.t) =
       | None -> None
     in
     let shape_of t = List.assoc_opt t shapes in
-    let check_access what t idx =
-      match shape_of t with
-      | None -> report ~code:"unknown-buffer" ~loc "%s unknown buffer %s" what t
-      | Some shape -> (
-        match offset_interval env shape idx with
-        | None -> () (* non-affine beyond the analysis: no claim *)
-        | Some iv ->
-          let size = buffer_size shape in
-          if iv.lo < 0 || iv.hi >= size then
-            report ~code:"out-of-bounds" ~loc
-              "%s of %s may be out of bounds: offset in [%d, %d], size %d" what
-              t iv.lo iv.hi size;
-          if what = "write" then
-            let cur =
-              Option.value
-                (Hashtbl.find_opt write_hull t)
-                ~default:{ Interval.lo = max_int; hi = min_int }
-            in
-            Hashtbl.replace write_hull t
-              { Interval.lo = min cur.lo iv.lo; hi = max cur.hi iv.hi })
+    let unknown what t =
+      report ~code:"unknown-buffer" ~loc "%s unknown buffer %s" what t
     in
-    check_access "write" stmt.tensor stmt.indices;
+    (match shape_of stmt.tensor with
+    | None -> unknown "write" stmt.tensor
+    | Some shape -> (
+      match offset_interval env shape stmt.indices with
+      | None -> () (* non-affine beyond the analysis: no claim *)
+      | Some iv ->
+        let cur =
+          Option.value
+            (Hashtbl.find_opt write_hull stmt.tensor)
+            ~default:{ Interval.lo = max_int; hi = min_int }
+        in
+        Hashtbl.replace write_hull stmt.tensor
+          { Interval.lo = min cur.lo iv.lo; hi = max cur.hi iv.hi }));
     List.iter
-      (fun (t, idx, guarded) -> if not guarded then check_access "read" t idx)
+      (fun (t, _, guarded) ->
+        if (not guarded) && shape_of t = None then unknown "read" t)
       (reads_with_guard stmt.rhs);
     (* reduction discipline *)
     if stmt.update <> None && not (List.mem_assoc stmt.tensor prog.inits) then
@@ -182,7 +175,7 @@ let check (prog : Prog.t) =
       match List.assoc_opt t shapes with
       | None -> ()
       | Some shape ->
-        let size = buffer_size shape in
+        let size = Prog.buffer_size shape in
         if hull.lo > 0 || hull.hi < size - 1 then
           report ~code:"write-coverage" ~loc:(Diagnostic.Buffer t)
             "writes only span offsets [%d, %d] of size %d" hull.lo hull.hi

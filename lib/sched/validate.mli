@@ -1,19 +1,22 @@
 (** Static validation of lowered programs.
 
     A third correctness oracle besides the interpreter and the C backend:
-    purely static, so it works at any problem size.  Interval analysis of
-    the index expressions under the loop bounds checks that
+    purely static, so it works at any problem size.  It checks that
 
     - every loop has a positive extent and loop variables never shadow;
-    - every {e write} lands inside its buffer, and the writes of each
-      non-input buffer can reach its first and last element (a cheap
-      coverage proxy: splits/fuses that lose or duplicate iterations
-      shift the write hull);
-    - every {e unguarded} read is in bounds.  Reads inside [select]
-      branches are skipped: the guard may be exactly what makes them safe
-      (the padding and transposed-convolution idioms), and deciding that
-      statically would need relational reasoning;
+    - every accessed buffer is declared (unguarded reads and all writes);
+    - the writes of each non-input buffer can reach its first and last
+      element: interval analysis of the write offsets under the loop
+      bounds gives a cheap coverage proxy (splits/fuses that lose or
+      duplicate iterations shift the write hull);
     - every reduction-updated buffer is initialized.
+
+    Out-of-bounds accesses are not judged here: the affine bounds
+    certifier in lib/analysis ([Bounds]) decides them exactly, per buffer
+    dimension, with a constructive witness.  Its [out-of-bounds-witness]
+    [Error] sits beside these findings wherever programs are gated (the
+    tuner's measurement boundary, [Analysis.static_errors], [ansor
+    lint]).
 
     Findings are reported as {!Diagnostic.t} values (all at severity
     [Error]; the schedule linter in lib/analysis adds the [Warn]/[Info]
@@ -45,8 +48,6 @@ module Interval : sig
       constant (tightened when the argument fits one block), and
       [min]/[max] of known intervals all stay defined. *)
 end
-
-val buffer_size : int list -> int
 
 val offset_interval :
   (string -> Interval.t option) ->

@@ -182,41 +182,3 @@ let append_batch ~path entries =
   Ansor_util.Line_file.append ~path (List.map to_line entries)
 
 let load_salvage ~path = Ansor_util.Line_file.read ~path ~strict:false of_line
-
-(* Keep the best (lowest-latency) entry of every task key, preserving the
-   file order of the survivors.  Ties keep the earliest entry, so a log of
-   identical entries compacts to its first line. *)
-let compact_entries entries =
-  let best = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      match Hashtbl.find_opt best e.task_key with
-      | Some b when b.latency <= e.latency -> ()
-      | _ -> Hashtbl.replace best e.task_key e)
-    entries;
-  List.filter
-    (fun e ->
-      match Hashtbl.find_opt best e.task_key with
-      | Some b -> b == e
-      | None -> false)
-    entries
-
-let compact ~path =
-  match load_salvage ~path with
-  | Error msg -> Error msg
-  | Ok (entries, skipped) ->
-    let kept = compact_entries entries in
-    save ~path kept;
-    Ok (List.length entries - List.length kept + skipped)
-
-let best_for entries ~task_key =
-  List.fold_left
-    (fun acc e ->
-      if not (String.equal e.task_key task_key) then acc
-      else
-        match acc with
-        | Some b when b.latency <= e.latency -> acc
-        | _ -> Some e)
-    None entries
-
-let best_state entry dag = State.replay_checked dag entry.steps

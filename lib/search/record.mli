@@ -10,11 +10,13 @@
 ansor-v1 <task-key> <latency-seconds> <step>;<step>;...
     v}
 
-    Steps serialize losslessly; a record's steps can be replayed on the
-    task's DAG with {!Ansor_sched.State.replay} (or applied through
-    {!best_state}).  This module owns the line codec ({!to_line} /
-    {!of_line}); reading and writing the file is {!Ansor_util.Line_file}'s
-    job. *)
+    Steps serialize losslessly; a record's steps replay on the task's
+    DAG with {!Ansor_sched.State.replay_checked}.  This module is the
+    line codec ({!to_line} / {!of_line}) and the file I/O on top of
+    {!Ansor_util.Line_file}, nothing more: choosing the best record of a
+    task, replaying it and falling back when it does not apply is the
+    schedule registry's job ([Ansor_registry.Registry.resolve]), for the
+    server, [ansor replay], deployment and log compaction alike. *)
 
 open Ansor_sched
 
@@ -44,17 +46,3 @@ val load_salvage : path:string -> (entry list * int, string) result
 (** Every well-formed entry in file order, plus the number of malformed
     lines skipped (e.g. the partial final line left by a killed writer).
     [Error] only when the file cannot be opened. *)
-
-val compact : path:string -> (int, string) result
-(** Rewrites the log keeping only the best (lowest-latency) entry of each
-    task key, preserving the file order of the survivors; ties keep the
-    earliest entry.  Malformed lines are dropped (salvage semantics).
-    Returns the number of lines removed; [Error] only when the file cannot
-    be opened.  Long sessions call this on resume so improvement logs stop
-    growing unboundedly. *)
-
-val best_for : entry list -> task_key:string -> entry option
-(** Lowest-latency entry for a task. *)
-
-val best_state : entry -> Ansor_te.Dag.t -> (State.t, string) result
-(** Replays the entry's steps on the DAG it was tuned for. *)

@@ -251,6 +251,9 @@ let warm t = Array.iter (fun live -> ignore (fetch t live)) t.layers
 let incumbent_latency t ~key =
   Option.map (fun live -> (fetch t live).base) (find_live t key)
 
+let incumbent t ~key =
+  Option.map (fun live -> ((fetch t live).prog, live.outcome)) (find_live t key)
+
 let nominal_latency t =
   Array.fold_left
     (fun acc live -> acc +. (float_of_int live.weight *. (fetch t live).base))
@@ -692,22 +695,7 @@ let conserved (s : stats) = s.offered = s.served + s.shed + s.quota_rejected
 
 (* ---- JSON ---------------------------------------------------------------- *)
 
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
+let json_string s = "\"" ^ Ansor_sched.Diagnostic.json_escape s ^ "\""
 
 let summary_json (s : Histogram.summary) =
   Printf.sprintf
@@ -763,8 +751,7 @@ let stats_json (s : stats) =
     s.tuner_rounds s.warm_starts s.store_samples (summary_json s.sojourn)
     (summary_json s.service) shards tenants events s.vtime s.wall_seconds
 
-let report t =
-  let s = stats t in
+let report t s =
   let b = Buffer.create 1024 in
   Buffer.add_string b
     (Printf.sprintf

@@ -143,6 +143,11 @@ val candidate_active : t -> key:string -> bool
 val incumbent_latency : t -> key:string -> float option
 (** The incumbent compiled program's noise-free simulator estimate. *)
 
+val incumbent :
+  t -> key:string -> (Ansor_sched.Prog.t * Ansor_registry.Registry.outcome) option
+(** The incumbent compiled program and the rung of the registry ladder
+    its layer was resolved through at {!create}. *)
+
 val nominal_latency : t -> float
 (** One request's noise-free end-to-end service time (sum of weighted
     incumbent layer estimates) — the capacity anchor for choosing arrival
@@ -223,6 +228,8 @@ val stats_json : stats -> string
     sojourn/service latency summaries (with p999), per-shard and
     per-tenant breakdowns, and the rollout event log. *)
 
-val report : t -> string
-(** Human report: conservation line, latency summaries, per-shard and
-    per-tenant tables, rollout events, sojourn histogram. *)
+val report : t -> stats -> string
+(** Human report of [stats t] (computed once by the caller, who may also
+    want {!stats_json} of it): conservation line, latency summaries,
+    per-shard and per-tenant tables, rollout events, sojourn
+    histogram. *)

@@ -77,6 +77,8 @@ let test_tune_and_replay () =
       in
       check_int "replay exit 0" 0 code;
       check_bool "replay reports" true (contains out "replayed record");
+      check_bool "on the exact rung" true
+        (contains out "replayed record (exact;");
       (* replaying a different task from the same log fails cleanly *)
       let code, out =
         run_cli (Printf.sprintf "replay -o NRM -i 1 --from %s" log)

@@ -174,20 +174,28 @@ let test_deploy_plan_and_emit () =
       ("layer.b", Ansor.Nn.matmul ~m:16 ~n:32 ~k:16 ());
     ]
   in
-  (* tune the first subgraph and record it; leave the second untuned *)
-  let records =
-    Option.to_list
+  (* tune the first subgraph and record it; leave its sibling (same
+     structure class, other shape) untuned *)
+  let entry =
+    Option.get
       (tuned_entry ~seed:31 ~trials:48 machine (List.assoc "layer.a" subgraphs))
   in
-  let plan = Ansor.Deploy.plan ~machine ~records subgraphs in
+  let registry = Ansor.Registry.of_entries [ entry ] in
+  let plan = Ansor.Deploy.plan ~machine ~registry subgraphs in
   check_int "two kernels" 2 (List.length plan);
   (match plan with
   | [ (a, _); (b, _) ] ->
-    check_bool "first tuned" true a.Ansor.Deploy.tuned;
-    check_bool "second is a fallback" false b.Ansor.Deploy.tuned;
+    check_string "first is exact" "exact"
+      (Ansor.Registry.outcome_to_string a.Ansor.Deploy.outcome);
+    (match b.Ansor.Deploy.outcome with
+    | Ansor.Registry.Adapted { source_key; _ } ->
+      check_string "second adapted from the first" entry.task_key source_key
+    | o ->
+      Alcotest.failf "second: expected adapted, got %s"
+        (Ansor.Registry.outcome_to_string o));
     check_bool "names distinct" true (a.kernel_name <> b.kernel_name)
   | _ -> Alcotest.fail "unexpected plan");
-  let src = Ansor.Deploy.emit ~machine ~records subgraphs in
+  let src = Ansor.Deploy.emit ~machine ~registry subgraphs in
   check_bool "one helper block only" true
     (let count_marker marker =
        let rec go i acc =
@@ -211,7 +219,9 @@ let test_deploy_compiles () =
       ("dense", Ansor.Nn.matmul ~m:8 ~n:8 ~k:8 ());
     ]
   in
-  let src = Ansor.Deploy.emit ~machine ~records:[] subgraphs in
+  let src =
+    Ansor.Deploy.emit ~machine ~registry:(Ansor.Registry.create ()) subgraphs
+  in
   (* a stub main makes the library TU a complete program, so one
      Toolchain.compile_string both compiles and links it *)
   let src = src ^ "\nint main(void) { return 0; }\n" in

@@ -205,13 +205,18 @@ let test_detects_out_of_bounds_write () =
       inits = [];
     }
   in
-  let issues = V.check prog in
+  (* out of bounds is the bounds certifier's call: a witness-backed
+     Error *)
+  let verdict, issues = Ansor.Bounds.check prog in
   check_bool "flags OOB write" true
-    (List.exists
-       (fun (d : D.t) ->
-         d.D.code = "out-of-bounds" && d.D.severity = D.Error
-         && d.D.loc = D.Stage "X")
-       issues)
+    ((match verdict with
+     | Ansor.Bounds.Unsafe w -> w.Ansor.Bounds.w_kind = Ansor.Bounds.Write
+     | _ -> false)
+    && List.exists
+         (fun (d : D.t) ->
+           d.D.code = "out-of-bounds-witness" && d.D.severity = D.Error
+           && d.D.loc = D.Stage "X")
+         issues)
 
 let test_detects_uncovered_buffer () =
   (* writes touch only half the buffer *)

@@ -2,6 +2,7 @@
 
 open Helpers
 module Record = Ansor.Record
+module Registry = Ansor.Registry
 module Step = Ansor.Step
 module State = Ansor.State
 
@@ -100,12 +101,12 @@ let test_file_roundtrip () =
       | Ok (entries, skipped) ->
         check_int "nothing skipped" 0 skipped;
         check_int "two entries" 2 (List.length entries);
-        (* best_for picks the lowest latency for the shared key *)
-        (match Record.best_for entries ~task_key:e1.task_key with
+        (* the registry keeps the lowest latency of the shared key *)
+        let reg = Registry.of_entries entries in
+        (match Registry.find reg ~task_key:e1.task_key with
         | Some best -> check_bool "lowest latency" true (best.latency < 1.0)
         | None -> Alcotest.fail "key not found");
-        check_bool "missing key" true
-          (Record.best_for entries ~task_key:"nope" = None))
+        check_bool "missing key" true (Registry.find reg ~task_key:"nope" = None))
 
 let test_append_batch () =
   let path = Filename.temp_file "ansor_records" ".log" in
@@ -127,6 +128,16 @@ let test_append_batch () =
         check_bool "order preserved" true
           ((List.nth entries 1).task_key = "k2"))
 
+(* The --resume compaction: the log rewritten as the registry's per-key
+   bests, sorted by key.  Returns the number of lines removed. *)
+let compact_log ~path =
+  match Record.load_salvage ~path with
+  | Error m -> Alcotest.failf "compact failed: %s" m
+  | Ok (entries, skipped) ->
+    let kept = Registry.entries (Registry.of_entries entries) in
+    Record.save ~path kept;
+    List.length entries - List.length kept + skipped
+
 let test_compact () =
   let path = Filename.temp_file "ansor_records" ".log" in
   Fun.protect
@@ -135,28 +146,29 @@ let test_compact () =
       let e = sample_entry 1 in
       Record.save ~path
         [
-          { e with task_key = "a"; latency = 3.0 };
           { e with task_key = "b"; latency = 1.0 };
+          { e with task_key = "a"; latency = 3.0 };
           { e with task_key = "a"; latency = 1.0 };
           { e with task_key = "a"; latency = 2.0 };
+          (* a tie keeps the earliest entry *)
+          { Record.task_key = "a"; latency = 1.0; steps = [] };
         ];
-      (match Record.compact ~path with
-      | Error m -> Alcotest.failf "compact failed: %s" m
-      | Ok removed -> check_int "two stale entries removed" 2 removed);
+      check_int "three stale entries removed" 3 (compact_log ~path);
       match Record.load_salvage ~path with
       | Error e -> Alcotest.failf "reload failed: %s" e
-      | Ok (entries, skipped) ->
+      | Ok (entries, skipped) -> (
         check_int "nothing skipped" 0 skipped;
-        check_int "best per key" 2 (List.length entries);
-        (* file order is preserved: "b" was recorded before the best "a" *)
-        check_string "first key" "b" (List.hd entries).task_key;
-        (match Record.best_for entries ~task_key:"a" with
-        | Some best -> check_float "best a" 1.0 best.latency
-        | None -> Alcotest.fail "key a lost");
-        (* compacting a compact log is a no-op *)
-        match Record.compact ~path with
-        | Ok removed -> check_int "idempotent" 0 removed
-        | Error m -> Alcotest.failf "second compact failed: %s" m)
+        match entries with
+        | [ a; b ] ->
+          (* key order, not file order: "b" was recorded first *)
+          check_string "first key" "a" a.task_key;
+          check_string "second key" "b" b.task_key;
+          check_float "best a" 1.0 a.latency;
+          check_bool "earliest of the tie" true (a.steps <> []);
+          (* compacting a compact log is a no-op *)
+          check_int "idempotent" 0 (compact_log ~path)
+        | _ -> Alcotest.failf "expected 2 entries, got %d" (List.length entries))
+    )
 
 let test_load_reports_bad_line () =
   let path = Filename.temp_file "ansor_records" ".log" in
@@ -193,8 +205,13 @@ let test_replay_recorded_schedule () =
         let result = Ansor.tune ~seed:4 ~trials:48 ~record_log:path machine dag in
         (result, Record.load_salvage ~path))
   in
-  let task_key = Ansor.Task.key (Ansor.Task.create ~name:"t" ~machine dag) in
-  match Result.map (fun (es, _) -> Record.best_for es ~task_key) logged with
+  let task = Ansor.Task.create ~name:"t" ~machine dag in
+  let task_key = Ansor.Task.key task in
+  match
+    Result.map
+      (fun (es, _) -> Registry.find (Registry.of_entries es) ~task_key)
+      logged
+  with
   | Error e -> Alcotest.failf "log unreadable: %s" e
   | Ok None -> Alcotest.fail "no entry"
   | Ok (Some entry) -> (
@@ -208,9 +225,12 @@ let test_replay_recorded_schedule () =
     match Record.of_line line with
     | Error e -> Alcotest.failf "round-trip failed: %s" e
     | Ok entry' -> (
-      match Record.best_state entry' dag with
-      | Error e -> Alcotest.failf "replay failed: %s" e
-      | Ok st ->
+      match Registry.resolve (Registry.of_entries [ entry' ]) task with
+      | _, (Registry.Adapted _ | Registry.Defaulted _ as o) ->
+        Alcotest.failf "replay failed: %s" (Registry.outcome_to_string o)
+      | st, Registry.Exact ->
+        check_bool "replays the logged steps" true
+          (st.State.history = entry.steps);
         assert_state_correct st;
         let lat = Ansor.Simulator.estimate machine (Ansor.Lower.lower st) in
         (* recorded latency carries measurement noise; simulated truth is
@@ -230,7 +250,7 @@ let () =
         ] );
       ( "files",
         [
-          case "save/append/load/best_for" test_file_roundtrip;
+          case "save/append/load/registry best" test_file_roundtrip;
           case "append_batch" test_append_batch;
           case "compact keeps per-key best" test_compact;
           case "malformed line reported" test_load_reports_bad_line;

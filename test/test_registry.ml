@@ -207,6 +207,101 @@ let test_prune () =
   check_bool "fast kept" true (Registry.find r ~task_key:"fast" <> None);
   check_bool "slow gone" true (Registry.find r ~task_key:"slow" = None)
 
+(* ---- one serving path ------------------------------------------------- *)
+
+(* [ansor replay], [Deploy.plan] and [Server] answer "which program runs
+   for this task?" from one registry through one ladder, so they agree
+   on the rung and on the program itself.  The log has three tuned tasks
+   (two matmuls of one structure class, with two entries for one key)
+   and is queried for them, an untuned matmul sibling and a task of no
+   tuned class. *)
+let test_one_path () =
+  let mm16 = Ansor.Nn.matmul ~m:16 ~n:16 ~k:16 () in
+  let tuned =
+    [
+      ("mm16", mm16);
+      ("mm32", Ansor.Nn.matmul ~m:32 ~n:32 ~k:32 ());
+      ("nrm", Ansor.Nn.matrix_norm ~m:8 ~n:32 ());
+    ]
+  in
+  let queries =
+    tuned
+    @ [
+        ("mm16x32", Ansor.Nn.matmul ~m:16 ~n:32 ~k:16 ());
+        ("softmax", Ansor.Nn.softmax ~m:4 ~n:8 ());
+      ]
+  in
+  let log =
+    entry_for ~seed:2 ~latency:2e-3 mm16
+    :: List.mapi (fun i (_, dag) -> entry_for ~seed:(i + 1) dag) tuned
+  in
+  let path = Filename.temp_file "ansor_one_path" ".log" in
+  let entries =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Record.save ~path log;
+        match Record.load_salvage ~path with
+        | Ok (es, 0) -> es
+        | _ -> Alcotest.fail "log unreadable")
+  in
+  let registry = Registry.of_entries entries in
+  let task (name, dag) = Task.create ~name ~machine dag in
+  (* replay: what [ansor replay] prints for one task of the log *)
+  let replayed =
+    List.map
+      (fun q ->
+        let st, o = Registry.resolve registry (task q) in
+        (Ansor.Lower.lower st, o))
+      queries
+  in
+  let deployed =
+    List.map
+      (fun ((k : Ansor.Deploy.kernel), prog) -> (prog, k.outcome))
+      (Ansor.Deploy.plan ~machine ~registry queries)
+  in
+  let server =
+    Ansor.Server.create ~registry ~machine
+      {
+        Ansor.Workloads.net_name = "one-path";
+        layers =
+          List.map
+            (fun (case_name, dag) -> ({ Ansor.Workloads.case_name; dag }, 1))
+            queries;
+      }
+  in
+  let served =
+    List.map
+      (fun q ->
+        Option.get (Ansor.Server.incumbent server ~key:(Task.key (task q))))
+      queries
+  in
+  let rung (_, o) = Registry.outcome_to_string o in
+  let hash (p, _) = Ansor.Prog.canonical_hash p in
+  List.iteri
+    (fun i (name, _) ->
+      let r = List.nth replayed i in
+      List.iter
+        (fun (path, x) ->
+          check_string (Printf.sprintf "%s: %s rung" name path) (rung r) (rung x);
+          check_string (Printf.sprintf "%s: %s program" name path) (hash r) (hash x))
+        [ ("deploy", List.nth deployed i); ("serve", List.nth served i) ])
+    queries;
+  let mm16_key = Task.key (task ("mm16", mm16)) in
+  check_string "tuned tasks are exact"
+    "exact exact exact"
+    (String.concat " " (List.map rung (List.filteri (fun i _ -> i < 3) replayed)));
+  (match snd (List.nth replayed 3) with
+  | Registry.Adapted { source_key; _ } ->
+    check_string "sibling adapted from the nearest" mm16_key source_key
+  | o -> Alcotest.failf "sibling: %s" (Registry.outcome_to_string o));
+  (match snd (List.nth replayed 4) with
+  | Registry.Defaulted _ -> ()
+  | o -> Alcotest.failf "softmax: %s" (Registry.outcome_to_string o));
+  (* the per-key best: the lower-latency mm16 entry is the one replayed *)
+  check_float "best of two entries" 1e-3
+    (Option.get (Registry.find registry ~task_key:mm16_key)).latency
+
 let () =
   Alcotest.run "registry"
     [
@@ -229,4 +324,5 @@ let () =
           case "no cross-class adaptation" test_similarity_needs_same_class;
           test_resolve_is_total;
         ] );
+      ("one path", [ case "replay, deploy and serve agree" test_one_path ]);
     ]

@@ -360,7 +360,7 @@ let test_mobilenet_golden () =
   let digest str = Digest.to_hex (Digest.string str) in
   check_string "stats json" "67a98b7940328eb7d4449f389ee6743c"
     (digest (Server.stats_json { st with Server.wall_seconds = 0.0 }));
-  check_string "report" "f51d553099a91aee1dcbc4696ea0ffb6" (digest (Server.report s))
+  check_string "report" "f51d553099a91aee1dcbc4696ea0ffb6" (digest (Server.report s st))
 
 (* Exact statistics cost about one copy of their samples: storage grows
    without copying old samples, and the global view sorts one exact-size
