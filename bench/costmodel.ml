@@ -2,10 +2,11 @@
    scoring pipelines on an evolution-shaped candidate stream —
 
      sequential    per-candidate lower + featurize + score (the old path)
-     pooled        Score_service with a 1-entry cache: batched fan-out and
-                   in-batch dedup, but no cross-generation reuse
-     pooled+cache  Score_service with its real LRU: candidates surviving
-                   into the next generation skip featurization entirely
+     pooled        a fresh Score_service per generation: batched fan-out
+                   and in-batch dedup, but no cross-generation reuse
+     pooled+cache  one Score_service for the whole stream, as in one
+                   tuner round under one model: candidates surviving into
+                   the next generation skip featurization entirely
 
    The stream mimics an evolutionary search: consecutive generations
    share ~60% of their candidates (elites and re-selected parents) and
@@ -71,9 +72,18 @@ let sequential model stream =
          | prog -> Ansor.Cost_model.score_prog model prog))
     stream
 
-let pooled ~capacity ~num_workers model stream =
-  let sc = Ansor.Score_service.create ~capacity ~num_workers machine in
+let service ~num_workers model =
+  let sc = Ansor.Score_service.create ~num_workers machine in
   Ansor.Score_service.set_model sc model;
+  sc
+
+let pooled ~num_workers model stream =
+  List.map
+    (fun g -> Ansor.Score_service.score_states (service ~num_workers model) g)
+    stream
+
+let pooled_cache ~num_workers model stream =
+  let sc = service ~num_workers model in
   let scores = List.map (Ansor.Score_service.score_states sc) stream in
   (scores, Ansor.Score_service.stats sc)
 
@@ -85,12 +95,11 @@ let run () =
   let n = List.fold_left (fun acc g -> acc + List.length g) 0 stream in
   let workers = Domain.recommended_domain_count () in
   let seq_scores, seq_t = time_of (fun () -> sequential model stream) in
-  let (pooled_scores, _), pooled_t =
-    time_of (fun () -> pooled ~capacity:1 ~num_workers:workers model stream)
+  let pooled_scores, pooled_t =
+    time_of (fun () -> pooled ~num_workers:workers model stream)
   in
   let (cached_scores, stats), cached_t =
-    time_of (fun () ->
-        pooled ~capacity:4096 ~num_workers:workers model stream)
+    time_of (fun () -> pooled_cache ~num_workers:workers model stream)
   in
   let identical l = List.for_all2 (List.for_all2 Float.equal) seq_scores l in
   let bit_identical = identical pooled_scores && identical cached_scores in

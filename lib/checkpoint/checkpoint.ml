@@ -20,9 +20,12 @@ type image = { meta : meta; session : Ansor_scheduler.Scheduler.Snapshot.t }
    itself; every native-gate certification is in [certified].
    v7: Telemetry.stats lost backoff_seconds with the retry backoff,
    whose delay was always zero.
+   v8: Shared.snapshot lost rounds_since_train (the model retrains on
+   every measured batch, so the counter decided nothing) and
+   Telemetry.stats lost score_evictions with the score service's LRU.
    The version lives in the magic line, so a snapshot from an older
    binary is rejected cleanly instead of misparsed by Marshal. *)
-let version = 7
+let version = 8
 
 let magic = Printf.sprintf "ansor-snapshot-v%d" version
 

@@ -10,12 +10,13 @@
     - its input is {!Ansor_sched.Candidate.t}: programs the caller has
       already lowered and keyed, so the service neither lowers nor hashes
       them again;
-    - feature vectors are memoized in an LRU keyed by the candidate's
-      canonical program hash (its [key] field), so candidates that
-      survive across generations (elites, re-sampled mutants) are
-      featurized once per session, not once per round, and the tuner
-      builds its training records from the same vectors ({!features});
-    - featurization of the batch's unique cache misses fans out over the
+    - feature vectors and scores are memoized in a table keyed by the
+      candidate's canonical program hash (its [key] field), valid for the
+      one model the service holds: candidates that survive across
+      evolution generations (elites, re-selected parents) are featurized
+      once per round, and the tuner builds its training records from the
+      same vectors ({!features});
+    - featurization of the batch's unique table misses fans out over the
       measure service's domain pool in {e fixed-size chunks}, so the work
       partition — and therefore every float produced — is independent of
       [num_workers] ({!score_states} fans its lowering out the same way);
@@ -23,9 +24,9 @@
       pass per tree over a flat row matrix instead of one tree walk per
       statement.
 
-    Cached {e scores} are stamped with a model generation and invalidated
-    by {!set_model} (retrains); cached {e features} are a pure function of
-    the program and survive retrains.
+    A service lives for one model: {!set_model} (a retrain) empties the
+    table, so the tuner builds one per round and drops it when the round
+    returns — no idle tuner holds features.
 
     Bit-identity contract: for any batch and any worker count, the score
     of each candidate is bitwise equal to the sequential
@@ -39,28 +40,21 @@ open Ansor_sched
 type t
 
 val create :
-  ?capacity:int ->
   ?telemetry:Ansor_measure_service.Telemetry.t ->
   num_workers:int ->
   Ansor_machine.Machine.t ->
   t
-(** One service per tuner, for the tuner's target machine (features and
-    keys do not depend on it).  [capacity] bounds the LRU entry count
-    (default 4096 programs); [telemetry] receives one [score_batches]
-    tick per call plus cache hit/miss and fan-out timing counters;
-    [num_workers] is the domain-pool width (clamped to >= 1), normally
+(** A service with the untrained model and an empty table, for the
+    caller's target machine (features and keys do not depend on it).
+    [telemetry] receives one [score_batches] tick per call plus table
+    hit/miss and fan-out timing counters; [num_workers] is the
+    domain-pool width (clamped to >= 1), normally
     {!Ansor_measure_service.Service.num_workers} so [--workers] governs
     both fan-outs. *)
 
 val set_model : t -> Cost_model.t -> unit
-(** Installs a (re)trained model and bumps the generation stamp: every
-    cached score is now stale and will be recomputed on next access.
-    Cached feature vectors are kept. *)
-
-val sync : t -> generation:int -> Cost_model.t -> unit
-(** Idempotent [set_model]: installs the model only if [generation]
-    differs from the last synced one.  Lets per-round callers pass the
-    tuner's retrain counter without spuriously invalidating the cache. *)
+(** Installs a (re)trained model and empties the table: every entry was
+    scored under the previous model. *)
 
 val score : t -> Candidate.t list -> float list
 (** Scores each candidate, in order.  Duplicates in the batch (same
@@ -71,21 +65,21 @@ val stmt_scores : t -> Candidate.t list -> float list list
     (node-based crossover picks the better parent per DAG node). *)
 
 val features : t -> Candidate.t list -> float array list list
-(** Per-statement feature vectors of each candidate — cache hits for
-    anything scored this session — for building training records.  The
-    vectors are the cache's own: copy them before keeping or mutating
-    them. *)
+(** Per-statement feature vectors of each candidate — table hits for
+    anything scored under the current model — for building training
+    records.  The vectors are the table's own: copy them before keeping
+    or mutating them. *)
 
 val score_states : t -> State.t list -> float list
 (** {!score} for bare states: lowers and keys them on the pool first.
     States that fail to lower score [Float.neg_infinity]. *)
 
-val generation : t -> int
-(** Bumped by every {!set_model}; 0 for a fresh (untrained) service. *)
-
 val cache_size : t -> int
+(** Programs in the table. *)
 
-type stats = { hits : int; misses : int; evictions : int }
+type stats = { hits : int; misses : int }
 
 val stats : t -> stats
-(** Lifetime LRU counters (also mirrored into [telemetry] if given). *)
+(** Table lookups since {!create} that found / did not find their
+    program (in-batch duplicates excluded; [telemetry] counts them as
+    hits). *)

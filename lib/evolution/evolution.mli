@@ -66,11 +66,11 @@ val evolve :
 (** Runs the configured number of generations starting from [init]
     (sampled programs plus previously-measured good ones) and returns the
     [out] best {e distinct} programs seen (by step history), best first.
-    Fitness is the [scorer]'s current model (the caller installs it with
-    {!Ansor_cost_model.Score_service.sync}); each generation is scored in
-    one batched {!Ansor_cost_model.Score_service.score} call.  With an
-    untrained model all fitnesses are 0 and selection degenerates to
-    uniform, as in the paper's first iteration.  Scoring consumes no RNG,
+    Fitness is the [scorer]'s model (the caller installs it with
+    {!Ansor_cost_model.Score_service.set_model}); each generation is
+    scored in one batched {!Ansor_cost_model.Score_service.score} call.
+    With an untrained model all fitnesses are 0 and selection degenerates
+    to uniform, as in the paper's first iteration.  Scoring consumes no RNG,
     and the scorer's results do not depend on its worker count, so the
     output — RNG stream included — is bit-identical at any worker
     count.
@@ -126,7 +126,7 @@ val crossover :
 (** Per DAG node, inherits from the parent whose statements the
     [scorer] scores higher (both parents in one batched
     {!Ansor_cost_model.Score_service.stmt_scores} call, served from its
-    cache for population members). *)
+    table for population members). *)
 
 val node_of_stage : string -> string
 (** Maps derived stage names (["C.local"], ["C.rf"]) back to their DAG

@@ -42,7 +42,6 @@ type stats = {
   descent_plateau_stops : int;
   score_hits : int;
   score_misses : int;
-  score_evictions : int;
   score_batches : int;
   score_wall_seconds : float;
   score_work_seconds : float;
@@ -74,7 +73,6 @@ let empty_stats =
     descent_plateau_stops = 0;
     score_hits = 0;
     score_misses = 0;
-    score_evictions = 0;
     score_batches = 0;
     score_wall_seconds = 0.0;
     score_work_seconds = 0.0;
@@ -130,8 +128,6 @@ let fields =
     Int ("score_hits", (fun s -> s.score_hits), fun s v -> { s with score_hits = v });
     Int ("score_misses", (fun s -> s.score_misses),
       fun s v -> { s with score_misses = v });
-    Int ("score_evictions", (fun s -> s.score_evictions),
-      fun s v -> { s with score_evictions = v });
     Int ("score_batches", (fun s -> s.score_batches),
       fun s v -> { s with score_batches = v });
     Float ("score_wall_seconds", (fun s -> s.score_wall_seconds),
@@ -265,13 +261,12 @@ let add_descent_sweep t ~trials ~improved =
 let incr_descent_plateau_stops t =
   update t (fun s -> { s with descent_plateau_stops = s.descent_plateau_stops + 1 })
 
-let add_score_batch t ~hits ~misses ~evictions ~wall ~work =
+let add_score_batch t ~hits ~misses ~wall ~work =
   update t (fun s ->
       {
         s with
         score_hits = s.score_hits + hits;
         score_misses = s.score_misses + misses;
-        score_evictions = s.score_evictions + evictions;
         score_batches = s.score_batches + 1;
         score_wall_seconds = s.score_wall_seconds +. wall;
         score_work_seconds = s.score_work_seconds +. work;

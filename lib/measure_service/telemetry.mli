@@ -72,10 +72,9 @@ type stats = {
       (** descent stages terminated by the measured-plateau rule (k
           non-improving sweeps) *)
   score_hits : int;
-      (** batch-scoring candidates served from the feature/score cache
-          (featurization skipped) *)
+      (** batch-scoring candidates served from the round's feature/score
+          table (featurization skipped) *)
   score_misses : int;  (** candidates featurized from scratch *)
-  score_evictions : int;  (** score-cache LRU evictions *)
   score_batches : int;  (** scoring-service calls *)
   score_wall_seconds : float;
       (** wall-clock time spent in the scoring service's parallel
@@ -163,9 +162,8 @@ val incr_descent_plateau_stops : t -> unit
 (** One descent stage terminated by the measured-plateau stop rule. *)
 
 val add_score_batch :
-  t -> hits:int -> misses:int -> evictions:int -> wall:float -> work:float ->
-  unit
+  t -> hits:int -> misses:int -> wall:float -> work:float -> unit
 (** Accounts one call into the cost model's scoring service (every
-    scoring caller goes through its batch core): cache hit/miss/eviction
-    deltas plus wall-clock and summed per-chunk work seconds of its
-    parallel fan-out. *)
+    scoring caller goes through its batch core): table hit/miss deltas
+    plus wall-clock and summed per-chunk work seconds of its parallel
+    fan-out. *)

@@ -94,7 +94,6 @@ module Shared = struct
   type t = {
     mutable model : Cost_model.t;
     mutable records : Cost_model.record list;  (* newest first *)
-    mutable rounds_since_train : int;
     mutable generation : int;  (* bumped whenever [model] is replaced *)
     (* cross-task warm start (model store) *)
     mutable warm : Gbdt.t option;
@@ -114,14 +113,12 @@ module Shared = struct
 
   (* retrain on every measured batch, as in the paper, on at most the
      [max_records] newest records *)
-  let train_every = 1
   let max_records = 3000
 
   let create () =
     {
       model = Cost_model.empty;
       records = [];
-      rounds_since_train = 0;
       generation = 0;
       warm = None;
       provenance = "cold";
@@ -156,18 +153,13 @@ module Shared = struct
 
   let add_records t recs =
     t.records <- recs @ t.records;
-    t.rounds_since_train <- t.rounds_since_train + 1;
-    if t.rounds_since_train >= train_every && t.records <> [] then begin
-      retrain t;
-      t.rounds_since_train <- 0
-    end
+    if t.records <> [] then retrain t
 
   (* Adopt what one --model-store flag resolved to: a warm pretrained
      model (kept only while still cold — a restored fine-tuned session
      keeps its provenance) and the store's sibling samples, with this
      session's own contributions filtered out.  Bumps the generation at
-     most once, so the scoring service invalidates cached scores exactly
-     once; a no-op (empty store, no model) leaves the generation — and
+     most once; a no-op (empty store, no model) leaves the generation — and
      therefore all downstream behavior — untouched.  Returns whether a
      warm start happened. *)
   let adopt_store t ~warm ~aux =
@@ -226,7 +218,6 @@ module Shared = struct
 
   type snapshot = {
     snap_records : Cost_model.record list;
-    snap_rounds_since_train : int;
     snap_trained : bool;
     (* v2 fields: cross-task warm-start state, so a resumed session
        retrains exactly the model the interrupted one had *)
@@ -240,7 +231,6 @@ module Shared = struct
   let snapshot t =
     {
       snap_records = t.records;
-      snap_rounds_since_train = t.rounds_since_train;
       snap_trained = Cost_model.is_trained t.model;
       snap_warm = t.warm;
       snap_provenance = t.provenance;
@@ -253,7 +243,6 @@ module Shared = struct
 
   let restore t s =
     t.records <- s.snap_records;
-    t.rounds_since_train <- s.snap_rounds_since_train;
     t.warm <- s.snap_warm;
     t.provenance <- s.snap_provenance;
     t.aux <- s.snap_aux;
@@ -276,10 +265,6 @@ type t = {
   policy : Ansor_sketch.Policy.t;
   sketches : State.t list;  (* empty for beam search *)
   measured : (string, unit) Hashtbl.t;
-  mutable scorer : Score_service.t option;
-      (* created on the first round from the measure service's
-         configuration; lives as long as the tuner so the feature cache
-         spans rounds *)
   mutable best : (Candidate.t * float) option;
   mutable good : (Candidate.t * float) list;  (* ascending latency *)
   mutable curve_rev : (int * float) list;
@@ -318,7 +303,6 @@ let create ?(seed = 0) ?(warm_start = []) options task =
        else p);
     sketches = Gen.generate ~rules task.Task.dag;
     measured = Hashtbl.create 64;
-    scorer = None;
     best = None;
     good = List.map (fun st -> (st, infinity)) seeds;
     curve_rev = [];
@@ -512,18 +496,18 @@ let neighbors_of_best ?on_reject t =
         | _ -> Evolution.mutate_location ?on_reject t.rng dag best)
       (List.init (max 1 (t.options.batch_size / 4)) Fun.id)
 
-let scorer_of t service =
-  match t.scorer with
-  | Some sc -> sc
-  | None ->
-    let sc =
-      Score_service.create
-        ~telemetry:(Service.telemetry service)
-        ~num_workers:(Service.num_workers service)
-        t.task.Task.machine
-    in
-    t.scorer <- Some sc;
-    sc
+(* A round's scorer: the shared model as the round starts, configured
+   like the measure service.  The round drops it when it returns, so its
+   features live for one model and no idle tuner holds any. *)
+let round_scorer t shared service =
+  let sc =
+    Score_service.create
+      ~telemetry:(Service.telemetry service)
+      ~num_workers:(Service.num_workers service)
+      t.task.Task.machine
+  in
+  Score_service.set_model sc (Shared.model shared);
+  sc
 
 let history_key (c : Candidate.t) = Step.history_key c.state.history
 
@@ -583,9 +567,10 @@ let absorb_batch t shared service scorer tm (batch : Candidate.t list) =
              if latency > 0.0 then Some (c, latency) else None)
          batch results)
   in
-  (* training features come from the scorer: cache hits for every
-     candidate the model ranked.  Copies, so records never alias the
-     cache (and a checkpoint marshals them as it always did). *)
+  (* training features come from the round's scorer, read before the
+     retrain below: table hits for every candidate the model ranked.
+     Copies, so records never alias the table (and a checkpoint marshals
+     them as it always did). *)
   let records =
     List.map2
       (fun (_, latency) features ->
@@ -622,9 +607,7 @@ let absorb_batch t shared service scorer tm (batch : Candidate.t list) =
 
 let evolution_round t shared service =
   let tm = Service.telemetry service in
-  let scorer = scorer_of t service in
-  Score_service.sync scorer ~generation:(Shared.generation shared)
-    (Shared.model shared);
+  let scorer = round_scorer t shared service in
   let seen = Hashtbl.create 64 in
   let prepare cands =
     (* skip already-measured programs and dedupe *)
@@ -697,9 +680,7 @@ let evolution_round t shared service =
 let descent_round t shared service (cfg : Descent.config)
     (cursor : Descent.cursor) =
   let tm = Service.telemetry service in
-  let scorer = scorer_of t service in
-  Score_service.sync scorer ~generation:(Shared.generation shared)
-    (Shared.model shared);
+  let scorer = round_scorer t shared service in
   let dag = t.task.Task.dag in
   let before_best = best_latency t in
   let outcome =

@@ -78,10 +78,8 @@ module Shared : sig
   val num_records : t -> int
 
   val generation : t -> int
-  (** Retrain counter: bumped every time {!model} is replaced (periodic
-      retrains, {!restore}, {!adopt_store}).  The batch scoring service
-      syncs on it to invalidate cached scores exactly once per new model
-      ({!Ansor_cost_model.Score_service.sync}). *)
+  (** Retrain counter: bumped every time {!model} is replaced (retrains,
+      {!restore}, {!adopt_store}). *)
 
   val attach_store : ?path:string -> t -> Ansor_model_store.Model_store.t -> unit
   (** Attach a cross-task model store: every measured batch is appended
@@ -99,10 +97,10 @@ module Shared : sig
       later retrain fine-tunes from it; [aux] sibling samples from the
       store join the training corpus (the session's own past
       contributions are filtered out by hash, so a resumed session never
-      trains on a record twice).  The generation is bumped at most once —
-      cached scores invalidate exactly once, cached features survive —
-      and not at all when there is nothing to adopt, keeping the
-      empty-store session bit-identical to a storeless one.  Returns
+      trains on a record twice).  The model is replaced (and the
+      generation bumped) at most once, and not at all when there is
+      nothing to adopt, keeping the empty-store session bit-identical to
+      a storeless one.  Returns
       whether a warm start happened. *)
 
   val provenance : t -> string
@@ -188,7 +186,8 @@ val round :
     service, record, maybe retrain.  Each program is lowered and keyed
     once, when it is proposed, and carried as a
     {!Ansor_sched.Candidate.t} through scoring, measurement and the
-    training records (built from the scorer's cached features).  Phase
+    training records (built from the features the round's scorer
+    computed; the scorer lives for this one round and model).  Phase
     timings (sample / evolve / model-rank / measure / retrain / descent)
     land in the service's telemetry.
 

@@ -234,8 +234,7 @@ let compile_live t live =
   { prog; base = Simulator.estimate t.machine prog; stamp = live.generation }
 
 (* Per-shard LRU, stamped with the key's promotion generation: a stale hit
-   (entry compiled before the last promotion) recompiles in place — the
-   same invalidation pattern as Score_service's model generations. *)
+   (entry compiled before the last promotion) recompiles in place. *)
 let fetch t live =
   let sh = t.shards.(live.shard_id) in
   match Lru.find sh.lru live.key with

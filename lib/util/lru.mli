@@ -1,14 +1,12 @@
 (** A bounded least-recently-used cache (string keys).
 
-    Two subsystems build on it: the server's shards hold compiled
-    programs keyed by task key (a cold or evicted subgraph is simply
-    recompiled on the next request), and the cost model's batch scoring
-    service memoizes per-program feature vectors and scores keyed by the
-    canonical lowered-program hash.  Hit / miss / eviction counters feed
-    each owner's telemetry.
+    The server's shards build on it: they hold compiled programs keyed by
+    task key (a cold or evicted subgraph is simply recompiled on the next
+    request).  Hit / miss / eviction counters feed the server's
+    statistics.
 
-    Not domain-safe: owners only touch the cache from the calling domain
-    (worker domains receive immutable per-batch inputs). *)
+    Not domain-safe: the owner only touches the cache from the calling
+    domain. *)
 
 type 'a t
 

@@ -362,8 +362,7 @@ let test_telemetry_accounting_and_json () =
   Telemetry.add_descent_sweep t ~trials:2 ~improved:false;
   repeat 20 (fun () -> Telemetry.add_descent_sweep t ~trials:1 ~improved:true);
   repeat 23 (fun () -> Telemetry.incr_descent_plateau_stops t);
-  Telemetry.add_score_batch t ~hits:26 ~misses:27 ~evictions:28 ~wall:0.5
-    ~work:1.5;
+  Telemetry.add_score_batch t ~hits:26 ~misses:27 ~wall:0.5 ~work:1.5;
   List.iteri
     (fun i p -> Telemetry.add_phase t p (2.0 +. float_of_int i))
     Telemetry.
@@ -383,8 +382,7 @@ let test_telemetry_accounting_and_json () =
       ("native_compiles", 18.); ("native_kernels", 19.);
       ("descent_trials", 22.); ("descent_sweeps", 21.);
       ("descent_improvements", 20.); ("descent_plateau_stops", 23.);
-      ("score_hits", 26.); ("score_misses", 27.);
-      ("score_evictions", 28.); ("score_batches", 1.);
+      ("score_hits", 26.); ("score_misses", 27.); ("score_batches", 1.);
       ("score_wall_seconds", 0.5); ("score_work_seconds", 1.5);
       ("score_parallel_speedup", 3.);
     ]
