@@ -23,9 +23,12 @@ type image = { meta : meta; session : Ansor_scheduler.Scheduler.Snapshot.t }
    v8: Shared.snapshot lost rounds_since_train (the model retrains on
    every measured batch, so the counter decided nothing) and
    Telemetry.stats lost score_evictions with the score service's LRU.
+   v9: Tuner.Snapshot.measured_keys holds canonical lowered-program
+   hashes (Candidate.key), no longer step-history keys; the type is the
+   same, so only the version tells a v8 set from a v9 one.
    The version lives in the magic line, so a snapshot from an older
    binary is rejected cleanly instead of misparsed by Marshal. *)
-let version = 8
+let version = 9
 
 let magic = Printf.sprintf "ansor-snapshot-v%d" version
 

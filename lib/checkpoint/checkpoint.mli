@@ -8,7 +8,7 @@
     versioned, digest-footed image:
 
     {v
-ansor-snapshot-v8\n
+ansor-snapshot-v9\n
 <payload byte length>\n
 <payload bytes (marshalled image)>
 md5:<hex digest of payload>\n

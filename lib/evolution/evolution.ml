@@ -86,16 +86,9 @@ let verify_in table ?on_reject dag steps =
   let static_ok (c : Candidate.t) =
     memo table.programs c.key (fun () -> static_ok c)
   in
-  let key = Step.history_key steps in
-  let verdict =
-    memo table.histories key (fun () -> judge ~static_ok dag steps)
-  in
-  (* the candidate with its history key, unless constrained replay
-     rewrote the history (split lengths): then the key is not its own *)
-  Option.map
-    (fun (c : Candidate.t) ->
-      (c, if c.state.history = steps then Some key else None))
-    (conclude ?on_reject verdict)
+  conclude ?on_reject
+    (memo table.histories (Step.history_key steps) (fun () ->
+         judge ~static_ok dag steps))
 
 let steps_of (st : State.t) = st.history
 
@@ -134,7 +127,7 @@ let replace_nth l n x = List.mapi (fun i y -> if i = n then x else y) l
 
 (* Each operator below sends its edited history through [check] and
    returns what it returns: plain [verify] when called on its own, the
-   call's table inside [evolve] (which also hands back the history key). *)
+   call's table inside [evolve]. *)
 let tile_sizes check rng st =
   let steps = steps_of st in
   let consumers = consumer_stages steps in
@@ -395,19 +388,14 @@ let evolve ?on_reject ~scorer rng config policy dag ~init ~out =
       { histories = Hashtbl.create 1024; programs = Hashtbl.create 1024 }
       ?on_reject dag
   in
+  (* every distinct program seen, under the first history that reached
+     it; its fitness is a function of the program alone *)
   let best = Hashtbl.create 64 in
-  (* a child is a candidate with the history key [check] looked it up
-     under, when that key is its own *)
-  let remember ((c : Candidate.t), key) s =
-    let key =
-      match key with Some key -> key | None -> Step.history_key c.state.history
-    in
-    match Hashtbl.find_opt best key with
-    | Some f0 when f0.fitness >= s.fitness -> ()
-    | _ -> Hashtbl.replace best key s
+  let remember s =
+    if not (Hashtbl.mem best s.cand.key) then Hashtbl.add best s.cand.key s
   in
   let population = Array.of_list (with_fitness init) in
-  Array.iter (fun s -> remember (s.cand, None) s) population;
+  Array.iter remember population;
   let pop = ref population in
   for _gen = 1 to config.generations do
     let cur = !pop in
@@ -438,7 +426,7 @@ let evolve ?on_reject ~scorer rng config policy dag ~init ~out =
           else begin
             (* chain 1-3 mutations (geometric): multi-step moves escape
                plateaus that single-factor steps cannot *)
-            let mutate_once ((c : Candidate.t), _) =
+            let mutate_once (c : Candidate.t) =
               let st = c.state in
               if config.mutate_annotations then
                 match Rng.int rng 4 with
@@ -454,15 +442,13 @@ let evolve ?on_reject ~scorer rng config policy dag ~init ~out =
               | Some c' ->
                 if Rng.float rng 1.0 < 0.2 then chain c' true else Some c'
             in
-            chain (parent, None) false
+            chain parent false
           end
         in
-        children_rev :=
-          Option.value child ~default:(parent, None) :: !children_rev
+        children_rev := Option.value child ~default:parent :: !children_rev
       done;
-      let children = List.rev !children_rev in
-      let scored_children = with_fitness (List.map fst children) in
-      List.iter2 remember children scored_children;
+      let scored_children = with_fitness (List.rev !children_rev) in
+      List.iter remember scored_children;
       (* same array layout the incremental loop produced:
          [c_m .. c_1, elite_{e-1} .. elite_0] *)
       pop := Array.of_list (List.rev_append scored_children (List.rev elites))

@@ -65,8 +65,11 @@ val evolve :
   scored list
 (** Runs the configured number of generations starting from [init]
     (sampled programs plus previously-measured good ones) and returns the
-    [out] best {e distinct} programs seen (by step history), best first.
-    Fitness is the [scorer]'s model (the caller installs it with
+    [out] best {e distinct} programs seen, best first.  Programs are told
+    apart by {!Ansor_sched.Candidate.key}, the canonical lowered-program
+    hash, so two histories that lower to one program count once (under
+    the first history that reached it).  Fitness is the [scorer]'s model
+    (the caller installs it with
     {!Ansor_cost_model.Score_service.set_model}); each generation is
     scored in one batched {!Ansor_cost_model.Score_service.score} call.
     With an untrained model all fitnesses are 0 and selection degenerates
@@ -81,13 +84,13 @@ val evolve :
     the verified candidate), and a second one from each lowered
     program's {!Ansor_sched.Candidate.key} to its static-check outcome,
     so a new history that lowers to a program already checked skips the
-    check.  A child it has just verified keeps the history key it was
-    looked up under, unless constrained replay rewrote its history, so
-    the call hashes each such child once.  Both verdicts are pure functions of their key for a fixed
-    DAG, so a hit returns what verifying again would, and a rejected hit
-    fires [on_reject] again: every rejected proposal is counted, as
-    without the table.  The table is created when the call starts and
-    dropped when it returns.  Kept longer, it grows with the session
+    check.  The first table is keyed by history because it memoises
+    replay, which runs before there is a program to key.  Both verdicts
+    are pure functions of their key for a fixed DAG, so a hit returns
+    what verifying again would, and a rejected hit fires [on_reject]
+    again: every rejected proposal is counted, as without the table.
+    The table is created when the call starts and dropped when it
+    returns.  Kept longer, it grows with the session
     (kept across perfbench's three sessions in one process, it raised
     the peak heap from about 200 to 600 MB), and a candidate
     it handed out to a later consumer (descent, the tuner's neighbor

@@ -16,3 +16,7 @@ type t = private {
 val of_state : State.t -> t option
 (** Lowers and keys a state; [None] if lowering raises
     {!State.Illegal}. *)
+
+val first_seen : (string, unit) Hashtbl.t -> t -> bool
+(** [true] the first time the set meets the candidate's program (by
+    [key]), which it then holds: the one dedup the search uses. *)

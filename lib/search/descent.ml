@@ -106,8 +106,6 @@ let proposals ~(policy : Policy.t) (st : State.t) coord : Step.t list list =
 let neighbors ?on_reject ~policy dag st coord =
   List.filter_map (Evolution.verify ?on_reject dag) (proposals ~policy st coord)
 
-let history_key (c : Candidate.t) = Step.history_key c.state.history
-
 let argmax scores =
   List.fold_left
     (fun (bi, bs) (i, s) -> if s > bs then (i, s) else (bi, bs))
@@ -117,32 +115,32 @@ let argmax scores =
 (* Greedy line search along one coordinate: from the anchor, keep taking
    the best-scoring unvisited lattice move (first index wins ties, so
    the walk is deterministic) while the model keeps strictly improving,
-   up to [max_walk] moves.  Returns every (candidate, score) pair the
-   walk scored — the explored stretch of the line — so the caller can
-   pick the most promising *unmeasured* point on it.  Scoring is one
-   batched call per step, so it stays pooled and feature-cached in the
-   scoring service. *)
-let line_search ~scorer ?on_reject ~policy dag (w : State.t) coord =
+   up to [max_walk] moves.  Points are programs: a move that lowers to a
+   program already visited is not taken.  Returns every (candidate,
+   score) pair the walk scored — the explored stretch of the line — so
+   the caller can pick the most promising *unmeasured* point on it.
+   Scoring is one batched call per step, so it stays pooled and
+   feature-cached in the scoring service. *)
+let line_search ~scorer ?on_reject ~policy dag (w : Candidate.t) coord =
   let visited = Hashtbl.create 8 in
-  Hashtbl.replace visited (Step.history_key w.history) ();
+  Hashtbl.replace visited w.key ();
   let acc = ref [] in
   let rec go (w : State.t) prev_score steps_left =
     if steps_left > 0 then
       let vars =
         neighbors ?on_reject ~policy dag w coord
-        |> List.filter (fun c -> not (Hashtbl.mem visited (history_key c)))
+        |> List.filter (Candidate.first_seen visited)
       in
       match vars with
       | [] -> ()
       | _ ->
-        List.iter (fun c -> Hashtbl.replace visited (history_key c) ()) vars;
         let scores = Score_service.score scorer vars in
         acc := !acc @ List.combine vars scores;
         let best_i, best_s = argmax scores in
         if best_i >= 0 && best_s > prev_score then
           go (List.nth vars best_i).state best_s (steps_left - 1)
   in
-  go w neg_infinity max_walk;
+  go w.state neg_infinity max_walk;
   !acc
 
 (* One coordinate sweep from the cursor's incumbent: line-search every
@@ -153,25 +151,27 @@ let line_search ~scorer ?on_reject ~policy dag (w : State.t) coord =
    ([advance]'s [improved]), not by the model, which is what makes the
    plateau stop a *measured* plateau. *)
 let sweep ~dag ~policy ~scorer ?on_reject ~measured cursor =
-  match State.replay_checked dag cursor.current with
+  match
+    Result.map Candidate.of_state (State.replay_checked dag cursor.current)
+  with
   | Error e -> Error e
-  | Ok start_st ->
-    let coords = coordinates start_st in
+  | Ok None -> Error "the incumbent no longer lowers"
+  | Ok (Some start) ->
+    let coords = coordinates start.state in
     let seen = Hashtbl.create 16 in
-    Hashtbl.replace seen (Step.history_key start_st.history) ();
-    let fresh c =
-      let k = history_key c in
-      not (Hashtbl.mem seen k) && not (measured k)
+    Hashtbl.replace seen start.key ();
+    let fresh (c : Candidate.t) =
+      not (Hashtbl.mem seen c.key) && not (measured c.key)
     in
     let winners = ref [] in
     List.iteri
       (fun rank coord ->
-        let line = line_search ~scorer ?on_reject ~policy dag start_st coord in
+        let line = line_search ~scorer ?on_reject ~policy dag start coord in
         let cands = List.filter (fun (c, _) -> fresh c) line in
         let best_i, best_s = argmax (List.map snd cands) in
         if best_i >= 0 then begin
-          let c, _ = List.nth cands best_i in
-          Hashtbl.replace seen (history_key c) ();
+          let (c : Candidate.t), _ = List.nth cands best_i in
+          Hashtbl.replace seen c.key ();
           winners := (rank, best_s, c) :: !winners
         end)
       coords;

@@ -98,13 +98,16 @@ val sweep :
   (Candidate.t list, string) result
 (** One coordinate sweep from the cursor's incumbent: line-search every
     coordinate in order under the scorer and nominate, per coordinate,
-    the best-scoring point on its explored line whose [Step.history_key]
-    is not yet [measured], keeping the top 16 of them — the
-    only candidates that should reach the measurement service.  The model
+    the best-scoring point on its explored line whose program
+    ({!Ansor_sched.Candidate.key}, the canonical lowered-program hash) is
+    not yet [measured], keeping the top 16 of them — the only candidates
+    that should reach the measurement service.  The walk and the winners
+    are distinct programs too, so two edits that lower to one program
+    count once.  The model
     guides the walk; whether a winner actually improves the incumbent is
     decided by measurement, which is what makes the plateau stop a
     measured plateau.  [Error] if the cursor's history no longer
-    replays. *)
+    replays or lowers. *)
 
 val advance : config -> cursor -> improved:bool -> best:Step.t list -> cursor
 (** Fold one sweep's measured outcome into the cursor: [improved] resets

@@ -264,7 +264,7 @@ type t = {
   rng : Rng.t;
   policy : Ansor_sketch.Policy.t;
   sketches : State.t list;  (* empty for beam search *)
-  measured : (string, unit) Hashtbl.t;
+  measured : (string, unit) Hashtbl.t;  (* [Candidate.key]s *)
   mutable best : (Candidate.t * float) option;
   mutable good : (Candidate.t * float) list;  (* ascending latency *)
   mutable curve_rev : (int * float) list;
@@ -509,8 +509,6 @@ let round_scorer t shared service =
   Score_service.set_model sc (Shared.model shared);
   sc
 
-let history_key (c : Candidate.t) = Step.history_key c.state.history
-
 (* The measurement boundary's static gate: a program with an [Error]
    from the validator or a constructive out-of-bounds witness from the
    bounds certifier is refused, counted in [statically_rejected], and
@@ -535,7 +533,7 @@ let measurable tm (c : Candidate.t) =
   ok
 
 (* Measure a batch of candidates and absorb the classified results:
-   remember every history in the dedup set, update best/good, persist the
+   remember every program in the dedup set, update best/good, persist the
    measured samples to the cross-task store, add the records to the
    shared training set and maybe retrain.  The tail of every round — both
    the evolutionary path and the descent sweeps feed their winners
@@ -553,16 +551,18 @@ let absorb_batch t shared service scorer tm (batch : Candidate.t list) =
          (fun (c : Candidate.t) (res : Protocol.result) ->
            (* every candidate got a classified result; failed ones are
               remembered so the tuner never re-proposes them *)
-           Hashtbl.replace t.measured (history_key c) ();
+           Hashtbl.replace t.measured c.key ();
            match res.Protocol.latency with
            | Error _ -> None
            | Ok latency ->
              (match t.best with
              | Some (_, l) when l <= latency -> ()
              | _ -> t.best <- Some (c, latency));
+             (* a warm-start seed is in [good] unmeasured: replace it *)
              t.good <-
-               List.sort (fun (_, a) (_, b) -> compare a b)
-                 ((c, latency) :: t.good)
+               List.filter (fun ((g : Candidate.t), _) -> g.key <> c.key) t.good
+               |> List.cons (c, latency)
+               |> List.sort (fun (_, a) (_, b) -> compare a b)
                |> List.filteri (fun i _ -> i < keep_previous);
              if latency > 0.0 then Some (c, latency) else None)
          batch results)
@@ -612,13 +612,8 @@ let evolution_round t shared service =
   let prepare cands =
     (* skip already-measured programs and dedupe *)
     List.filter
-      (fun c ->
-        let key = history_key c in
-        if Hashtbl.mem t.measured key || Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.replace seen key ();
-          true
-        end)
+      (fun (c : Candidate.t) ->
+        (not (Hashtbl.mem t.measured c.key)) && Candidate.first_seen seen c)
       cands
   in
   let exploit =
@@ -655,16 +650,8 @@ let evolution_round t shared service =
   in
   let batch =
     (* a random pick may duplicate; filter again *)
-    let seen = Hashtbl.create 32 in
-    List.filter_map
-      (fun (c, _) ->
-        let key = history_key c in
-        if Hashtbl.mem seen key then None
-        else begin
-          Hashtbl.replace seen key ();
-          Some c
-        end)
-      (greedy @ eps_pick)
+    List.map fst (greedy @ eps_pick)
+    |> List.filter (Candidate.first_seen (Hashtbl.create 32))
   in
   absorb_batch t shared service scorer tm batch;
   t.rounds <- t.rounds + 1;
@@ -687,7 +674,7 @@ let descent_round t shared service (cfg : Descent.config)
     Telemetry.time tm Telemetry.Descent (fun () ->
         Descent.sweep ~dag ~policy:t.policy ~scorer
           ~on_reject:(fun () -> Telemetry.incr_statically_rejected tm)
-          ~measured:(fun k -> Hashtbl.mem t.measured k)
+          ~measured:(Hashtbl.mem t.measured)
           cursor)
   in
   let finish_stage cursor' =
@@ -724,7 +711,8 @@ let descent_round t shared service (cfg : Descent.config)
    improvement) or — when the trial [budget] is known — once
    [budget_fraction] of it is spent.  After a stage finishes the
    detector is reset, and a later plateau restarts the stage, but only
-   on a *new* incumbent: re-walking the same program would propose only
+   on a *new* incumbent, a program other than the one the finished stage
+   walked from: re-walking the same program would propose only
    already-measured neighbors. *)
 let maybe_start_descent ?budget t service (cfg : Descent.config) =
   let start () =
@@ -744,12 +732,14 @@ let maybe_start_descent ?budget t service (cfg : Descent.config) =
     in
     if stalled || fraction_spent then start ()
   | Some cur when cur.Descent.finished ->
-    let new_incumbent =
-      match t.best with
-      | Some (c, _) -> history_key c <> Step.history_key cur.Descent.current
-      | None -> false
+    let new_incumbent () =
+      let walked = candidate_of_history t.task.Task.dag cur.Descent.current in
+      match (t.best, walked) with
+      | Some (c, _), Some walked -> c.key <> walked.key
+      | Some _, None -> true
+      | None, _ -> false
     in
-    if stalled && new_incumbent then start ()
+    if stalled && new_incumbent () then start ()
   | Some _ -> ()
 
 let round ?budget t shared service =

@@ -162,7 +162,9 @@ module Snapshot : sig
     rounds : int;
     best : (Ansor_sched.Step.t list * float) option;
     good : (Ansor_sched.Step.t list * float) list;  (** ascending latency *)
-    measured_keys : string list;  (** dedup set of measured histories *)
+    measured_keys : string list;
+        (** dedup set: the {!Ansor_sched.Candidate.key} of every program
+            measured *)
     curve : (int * float) list;  (** oldest first *)
     descent : Descent.cursor option;
         (** exploitation-descent position, so a resume replays
@@ -187,7 +189,10 @@ val round :
     once, when it is proposed, and carried as a
     {!Ansor_sched.Candidate.t} through scoring, measurement and the
     training records (built from the features the round's scorer
-    computed; the scorer lives for this one round and model).  Phase
+    computed; the scorer lives for this one round and model).  Its key
+    is the program's one identity: a batch holds distinct programs that
+    this tuner has not measured before, so no slot goes to a program
+    already measured and no program enters the training set twice.  Phase
     timings (sample / evolve / model-rank / measure / retrain / descent)
     land in the service's telemetry.
 

@@ -385,7 +385,10 @@ let test_evolve_rejects_and_survives () =
 (* Captured before [evolve] remembered the verdicts it had reached: the
    rejection count is telemetry's [statically_rejected] for this run, so
    a proposal rejected again must count again, and the output must keep
-   its histories and fitness bits. *)
+   its histories and fitness bits.  The output digest was re-captured
+   when [evolve] began telling programs apart by [Candidate.key] (which
+   program's history is kept, and which programs are distinct, moved);
+   the count did not move. *)
 let test_evolve_rejection_golden () =
   (* a full reduction: [Parallel] on its reduction axis is a race, so
      annotation mutants are often rejected, some more than once *)
@@ -412,7 +415,7 @@ let test_evolve_rejection_golden () =
     |> String.concat "\n" |> Digest.string |> Digest.to_hex
   in
   check_int "rejected proposals" 17 !rejected;
-  check_string "output" "6f6b00741096c73946bb68aa9e12a92f" digest
+  check_string "output" "b166c84470938cb42af7543dce03c51e" digest
 
 (* ---- the error-only race check --------------------------------------------- *)
 

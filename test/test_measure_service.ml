@@ -82,18 +82,56 @@ let test_tune_workers_identical () =
   Alcotest.(check (list (pair int (float 1e-12))))
     "identical tuning curve" r1.Ansor.curve r4.Ansor.curve
 
-let test_session_cache_hits () =
-  (* evolution occasionally proposes a new step history that lowers to an
-     already-measured program; over a full-length session the dedup cache
-     must catch some of those (the acceptance criterion: hit rate > 0) *)
-  let r =
-    Ansor.tune ~seed:123 ~trials:384 Machine.intel_cpu
-      (Nn.matmul ~m:16 ~n:16 ~k:16 ())
+(* One program identity: the tuner dedups, remembers and trains by the
+   canonical program key, as the measurement cache does, so no batch
+   slot goes to a program already measured and no program is trained on
+   twice.  Checked on a one-task session (what [Ansor.tune] runs) and on
+   two tasks sharing one training set. *)
+let test_no_program_twice () =
+  let session ~trials dags =
+    let tasks =
+      Array.of_list
+        (List.mapi
+           (fun i dag ->
+             Ansor.Task.create ~name:(string_of_int i)
+               ~machine:Machine.intel_cpu dag)
+           dags)
+    in
+    let sched =
+      Ansor.Scheduler.create
+        { Ansor.Scheduler.default_options with seed = 123 }
+        ~tasks
+        ~networks:
+          [
+            {
+              Ansor.Scheduler.net_name = "n";
+              task_weights = List.mapi (fun i _ -> (i, 1)) dags;
+            };
+          ]
+    in
+    Ansor.Scheduler.run sched ~trial_budget:trials;
+    let stats = Ansor.Scheduler.stats sched in
+    let name = Printf.sprintf "%d task(s)" (List.length dags) in
+    check_int (name ^ ": no cache hit") 0 stats.Telemetry.cache_hits;
+    check_int
+      (name ^ ": one training record per successful measurement")
+      stats.Telemetry.measured
+      (Ansor.Tuner.Shared.num_records (Ansor.Scheduler.shared sched));
+    (* perfbench's slot conservation: every result is one distinct
+       remembered program *)
+    check_int
+      (name ^ ": one remembered program per result")
+      (Telemetry.results stats)
+      (Array.fold_left
+         (fun acc (ts : Ansor.Tuner.Snapshot.t) ->
+           acc + List.length ts.Ansor.Tuner.Snapshot.measured_keys)
+         0 (Ansor.Scheduler.snapshot sched).Ansor.Scheduler.Snapshot.tuners);
+    check_bool (name ^ ": measured something") true
+      (stats.Telemetry.measured > 0)
   in
-  check_bool "cache hits occur in a standard session" true
-    (r.Ansor.stats.Telemetry.cache_hits > 0);
-  check_bool "hits are free, budget still respected" true
-    (r.Ansor.trials_used >= 384)
+  let mm n = Nn.matmul ~m:n ~n ~k:n () in
+  session ~trials:384 [ mm 16 ];
+  session ~trials:128 [ mm 16; Nn.matrix_norm ~m:16 ~n:16 () ]
 
 (* ---------- failure classification and retries ---------- *)
 
@@ -434,7 +472,7 @@ let () =
           case "1 vs 4 workers byte-identical" test_workers_deterministic;
           case "whole session identical across workers"
             test_tune_workers_identical;
-          case "long session produces cache hits" test_session_cache_hits;
+          case "no program measured or trained twice" test_no_program_twice;
         ] );
       ( "faults",
         [
