@@ -6,9 +6,10 @@ module I = Validate.Interval
 
    For every load and store the certifier tries to prove, per buffer
    dimension, that the index stays inside [0, extent).  The proof
-   machinery is shared with the race detector ({!Linform}): each index
-   expression decomposes into a constant plus per-loop-variable groups of
-   [(p / stride) mod len] digits, whose exact value range (and the
+   machinery is shared with the race detector and the cost model
+   ({!Access.linear}): each index expression decomposes into a constant
+   plus per-loop-variable groups of [(p / stride) mod len] digits
+   ({!Access.digits}), whose exact value range (and the
    iterations attaining it) is computed in closed form when the digits
    form a nested mixed radix and by a bounded scan otherwise; guarded
    accesses (the padding [select] idiom — C ternaries evaluate only the
@@ -90,11 +91,11 @@ type var_range = {
 (* The reference: scan every [p] in [0, extent), keeping the first
    iteration attaining each extreme.  Allocation-free in the loop. *)
 let scan_digits ~extent digits =
-  let strides = Array.of_list (List.map (fun ((d : Linform.digit), _) -> d.stride) digits)
-  and lens = Array.of_list (List.map (fun ((d : Linform.digit), _) -> d.len) digits)
+  let strides = Array.of_list (List.map (fun ((d : Access.digit), _) -> d.stride) digits)
+  and lens = Array.of_list (List.map (fun ((d : Access.digit), _) -> d.len) digits)
   and coefs = Array.of_list (List.map snd digits) in
   let value p =
-    (* [Linform.digit_value], inlined *)
+    (* [(p / stride) mod len], summed *)
     let acc = ref 0 in
     for j = 0 to Array.length coefs - 1 do
       acc := !acc + (coefs.(j) * (p / strides.(j) mod lens.(j)))
@@ -121,11 +122,11 @@ let scan_digits ~extent digits =
    it cannot overflow), and [extent] a multiple of the top stride or at
    least [stride·len] of the top digit. *)
 let rec nested ~extent = function
-  | ((a : Linform.digit), _) :: ((((b : Linform.digit), _) :: _) as rest) ->
+  | ((a : Access.digit), _) :: ((((b : Access.digit), _) :: _) as rest) ->
     b.stride mod a.stride = 0
     && b.stride / a.stride mod a.len = 0
     && nested ~extent rest
-  | [ ((top : Linform.digit), _) ] ->
+  | [ ((top : Access.digit), _) ] ->
     extent mod top.stride = 0 || extent / top.stride >= top.len
   | [] -> false
 
@@ -133,15 +134,15 @@ let rec nested ~extent = function
    sum of [c·m] terms overflows. *)
 let rec fits ~bound = function
   | [] -> true
-  | ((d : Linform.digit), c) :: rest ->
+  | ((d : Access.digit), c) :: rest ->
     d.stride > 0 && d.len > 0 && c > -bound && c < bound && fits ~bound rest
 
-let by_stride ((a : Linform.digit), _) ((b : Linform.digit), _) =
+let by_stride ((a : Access.digit), _) ((b : Access.digit), _) =
   Int.compare a.stride b.stride
 
 let rec closed_range ~extent lo argmin hi argmax = function
   | [] -> { vr_var = ""; vr_min = lo; vr_argmin = argmin; vr_max = hi; vr_argmax = argmax }
-  | ((d : Linform.digit), c) :: rest ->
+  | ((d : Access.digit), c) :: rest ->
     let m = min ((extent - 1) / d.stride) (d.len - 1) in
     if c > 0 then closed_range ~extent lo argmin (hi + (c * m)) (argmax + (d.stride * m)) rest
     else if c < 0 then
@@ -169,52 +170,33 @@ exception Inexact
 (* Exact hull of an index expression: constant plus independent per-var
    digit groups, each ranged over its full extent by [digits_range].
    Raises [Inexact] when a term is beyond the digit grammar, mixes
-   variables, or a variable's extent is over the scan budget. *)
+   variables, or a variable is not a loop's or its extent is over the scan
+   budget. *)
 let exact_hull env e =
-  let lf = Linform.of_iexpr e in
-  (* group p-mentioning terms by their (single) variable; an index
-     mentions a handful of variables, so an association list beats a
-     hash table *)
-  let rec add v t = function
-    | [] -> [ (v, [ t ]) ]
-    | (v', ts) :: rest when String.equal v v' -> (v', t :: ts) :: rest
-    | g :: rest -> g :: add v t rest
-  in
-  let groups = ref [] in
-  let const = ref lf.Linform.const in
-  List.iter
-    (fun (atom, c) ->
-      match Expr.iexpr_axes atom with
-      | [] ->
-        (* constant atom (e.g. Imin of literals): evaluate it outright *)
-        let v =
-          try Expr.eval_iexpr (fun _ -> raise Inexact) atom
-          with Division_by_zero -> raise Inexact
-        in
-        const := !const + (c * v)
-      | [ v ] -> groups := add v (atom, c) !groups
-      | _ -> raise Inexact)
-    lf.Linform.terms;
-  let ranges =
-    List.fold_left
-      (fun acc (v, terms) ->
+  let ((vars, d) as lin) = Access.linear e in
+  let one_var (t : Access.atom) = List.compare_length_with t.vars 1 = 0 in
+  if d.raises || not (List.for_all one_var d.atoms) then raise Inexact;
+  let ranges = ref [] in
+  Array.iteri
+    (fun l v ->
+      let on_v (t : Access.atom) = t.vars = [ l ] in
+      if d.coefs.(l) <> 0 || List.exists on_v d.atoms then begin
         let extent =
           match env v with
           | Some { I.lo = 0; hi } -> hi + 1
           | _ -> raise Inexact
         in
         if extent > scan_cap then raise Inexact;
-        match Linform.digits_of ~p:v ~extent terms with
+        match Access.digits lin v ~extent with
         | None -> raise Inexact
-        | Some ds -> (
-          match Linform.merge_digits ds with
-          | [] -> acc
-          | digits -> { (digits_range ~extent digits) with vr_var = v } :: acc))
-      [] !groups
-  in
-  let lo = List.fold_left (fun acc r -> acc + r.vr_min) !const ranges in
-  let hi = List.fold_left (fun acc r -> acc + r.vr_max) !const ranges in
-  (lo, hi, ranges)
+        | Some [] -> ()
+        | Some digits ->
+          ranges := { (digits_range ~extent digits) with vr_var = v } :: !ranges
+      end)
+    vars;
+  let lo = List.fold_left (fun acc r -> acc + r.vr_min) d.const !ranges in
+  let hi = List.fold_left (fun acc r -> acc + r.vr_max) d.const !ranges in
+  (lo, hi, !ranges)
 
 (* ---- guard-implied bounds ------------------------------------------------ *)
 
@@ -239,8 +221,9 @@ let rec conjuncts acc (c, taken) =
     | Expr.Band _ | Expr.Beq _ -> acc
 
 let const_diff a b =
-  let d = Linform.combine (-1) (Linform.of_iexpr a) (Linform.of_iexpr b) in
-  if d.Linform.terms = [] then Some d.Linform.const else None
+  let _, (d : Access.dim) = Access.linear (Expr.Isub (a, b)) in
+  if d.raises || d.atoms <> [] || Array.exists (( <> ) 0) d.coefs then None
+  else Some d.const
 
 let opt_max a b =
   match (a, b) with Some x, Some y -> Some (max x y) | x, None | None, x -> x

@@ -1,4 +1,3 @@
-open Ansor_te
 open Ansor_sched
 
 (* Schedule lints over the lowered IR: structural anti-patterns
@@ -22,16 +21,16 @@ let info ~code ~loc fmt = Diagnostic.makef ~severity:Diagnostic.Info ~code ~loc 
 (* stride (in elements) of an access along a loop variable; [None] when
    the dependence is not affine in [v] *)
 let access_stride v ~shape ~indices =
-  match Linform.of_access ~shape ~indices with
-  | exception Linform.Unanalyzable -> None
-  | lf ->
-    let on_v, _ = Linform.partition v lf in
-    let rec go acc = function
-      | [] -> Some acc
-      | (Expr.Axis _, c) :: rest -> go (acc + c) rest
-      | _ -> None (* v hidden inside div/mod: gather/scatter *)
-    in
-    go 0 on_v
+  match Access.offset shape indices with
+  | None -> None
+  | Some e -> (
+    let vars, d = Access.linear e in
+    match Array.find_index (String.equal v) vars with
+    | None -> Some 0
+    | Some l ->
+      if List.exists (fun (t : Access.atom) -> List.mem l t.vars) d.atoms then
+        None (* v hidden inside div/mod: gather/scatter *)
+      else Some d.coefs.(l))
 
 let check config (prog : Prog.t) =
   let diags = ref [] in

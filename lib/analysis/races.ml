@@ -4,13 +4,13 @@ module I = Validate.Interval
 
 (* Cross-iteration dependence analysis of [Parallel]/[Vectorize] loops.
 
-   For every annotated loop the detector tries to prove that two distinct
-   iterations never touch the same buffer element with at least one write.
-   The proof machinery is affine-over-atoms ({!Linform}): each access
-   offset decomposes into mixed-radix "digits" of the annotated loop
-   variable (the [(p / stride) mod len] components lowering emits for
-   split/fused iterators), inner-loop terms, and outer-loop terms that
-   are fixed across iterations.
+   For every annotated loop the detector looks for two distinct
+   iterations that touch the same buffer element with at least one
+   write.  Each access offset is read through {!Access.linear}: its terms
+   that mention the annotated loop variable must be mixed-radix "digits"
+   of it ({!Access.digits}: the [(p / stride) mod len] components lowering
+   emits for split/fused iterators); every other term is the same in two
+   iterations that run the inner loops alike.
 
    Soundness policy: an [Error] is only emitted for a {e constructive}
    race — a concrete pair of iterations provably hitting the same
@@ -27,79 +27,62 @@ type ctx = {
   p : string;  (** annotated loop variable *)
   extent : int;
   ann : Step.annotation;
-  outer : string list;  (** loop vars enclosing the annotated loop *)
   env : string -> I.t option;  (** ranges of every loop var in scope *)
   shapes : (string * int list) list;
 }
 
-let interval ctx atom =
-  match I.of_iexpr ctx.env atom with Some iv -> iv | None -> raise Unknown
-
-let is_outer_only ctx atom =
-  match Expr.iexpr_axes atom with
-  | [] -> true
-  | axes -> List.for_all (fun v -> List.mem v ctx.outer) axes
-
-(* |coeff| * value-range of every term that can differ between two
-   iterations of the annotated loop (outer-only terms are fixed). *)
-let rest_width ctx (rest : Linform.t) =
-  List.fold_left
-    (fun acc (atom, c) ->
-      if is_outer_only ctx atom then acc
-      else
-        let iv = interval ctx atom in
-        acc + (abs c * (iv.I.hi - iv.I.lo)))
-    0 rest.Linform.terms
-
-(* Positional-system injectivity over digits and varying inner terms
-   jointly: sorted by |coeff|, each coefficient must exceed the combined
-   reach of all smaller terms.  When it holds, distinct digit vectors
-   give distinct offsets no matter what the inner loops do. *)
-let joint_injective ctx digits (rest : Linform.t) =
-  let terms =
-    List.map (fun (d, c) -> (abs c, d.Linform.len - 1)) digits
-    @ List.filter_map
-        (fun (atom, c) ->
-          if is_outer_only ctx atom then None
-          else
-            let iv = interval ctx atom in
-            Some (abs c, iv.I.hi - iv.I.lo))
-        rest.Linform.terms
-  in
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) terms in
-  let rec go reach = function
-    | [] -> true
-    | (c, w) :: rest -> c > reach && go (reach + (c * w)) rest
-  in
-  go 0 sorted
-
-(* Offset of an access as (digits of p, rest linear form). *)
-let analyze_offset ctx tensor indices =
-  let shape =
-    match List.assoc_opt tensor ctx.shapes with
-    | Some s -> s
-    | None -> raise Unknown
-  in
-  let lf = Linform.of_access ~shape ~indices in
-  let p_terms, rest = Linform.partition ctx.p lf in
-  match Linform.digits_of ~p:ctx.p ~extent:ctx.extent p_terms with
+(* The digits of [p] in [e]; [Unknown] when a term mentioning [p] is
+   beyond the digit grammar. *)
+let p_digits ctx e =
+  match Access.digits (Access.linear e) ctx.p ~extent:ctx.extent with
+  | Some ds -> ds
   | None -> raise Unknown
-  | Some ds -> (Linform.merge_digits ds, rest)
 
-(* Can two distinct iterations reach the same offset?  [`Safe] is a
-   proof they cannot; [`Collides (0, q)] is a constructive pair sharing
-   every digit; [`Unknown] makes no claim. *)
-let self_disjoint ctx digits rest =
-  if digits = [] then `Collides (0, 1)
-  else if not (Linform.covers ~extent:ctx.extent digits) then
-    match Linform.collision ~extent:ctx.extent digits with
-    | Some pair -> `Collides pair
-    | None -> `Unknown
-  else if joint_injective ctx digits rest then `Safe
+(* The digits of [p] in an access's row-major offset. *)
+let offset_digits ctx tensor indices =
+  match List.assoc_opt tensor ctx.shapes with
+  | None -> raise Unknown
+  | Some shape -> (
+    match Access.offset shape indices with
+    | Some e -> p_digits ctx e
+    | None -> raise Unknown)
+
+(* Do the digits jointly determine p over [0, extent)?  Walk strides in
+   ascending order, growing the determined prefix [0, upto). *)
+let covers ~extent digits =
+  let sorted =
+    List.sort
+      (fun ((a : Access.digit), _) ((b : Access.digit), _) ->
+        compare a.stride b.stride)
+      digits
+  in
+  let upto =
+    List.fold_left
+      (fun upto ((d : Access.digit), _) ->
+        if d.stride <= upto then max upto (d.stride * d.len) else upto)
+      1 sorted
+  in
+  upto >= extent
+
+(* Two iterations writing the same element: when the digits do not
+   determine p, iteration 0 and the first q in [1, extent) (capped) that
+   agrees with it on every digit.  Iterations that run the inner loops
+   alike then reach the same offset.  [None] makes no claim; when the
+   digits do determine p, telling the offsets apart would need the other
+   terms too, and no finding rests on that proof. *)
+let collision ~extent digits =
+  if covers ~extent digits then None
   else
-    match Linform.min_gap digits with
-    | Some g when g > rest_width ctx rest -> `Safe
-    | _ -> `Unknown
+    let cap = min (extent - 1) 65535 in
+    let agree q =
+      List.for_all
+        (fun ((d : Access.digit), _) -> q / d.stride mod d.len = 0)
+        digits
+    in
+    let rec go q =
+      if q > cap then None else if agree q then Some (0, q) else go (q + 1)
+    in
+    go 1
 
 (* Every index expression the rhs value can depend on: read indices
    (guarded ones included — a select may still take that branch), select
@@ -142,21 +125,16 @@ let iexprs_of_expr e =
 let value_dependence ctx write_digits rhs =
   if not (List.mem ctx.p (Expr.axes_of rhs)) then `Independent
   else
-    let write_ds = List.map fst write_digits in
     let classify acc e =
       if not (List.mem ctx.p (Expr.iexpr_axes e)) then acc
       else
         match acc with
         | `Opaque | `Differs -> acc
         | _ -> (
-          let p_terms, _ = Linform.partition ctx.p (Linform.of_iexpr e) in
-          match Linform.digits_of ~p:ctx.p ~extent:ctx.extent p_terms with
-          | None -> `Opaque
-          | Some ds ->
-            if
-              List.for_all
-                (fun (d, _) -> List.mem d write_ds)
-                (Linform.merge_digits ds)
+          match p_digits ctx e with
+          | exception Unknown -> `Opaque
+          | ds ->
+            if List.for_all (fun (d, _) -> List.mem_assoc d write_digits) ds
             then acc
             else `Differs)
     in
@@ -233,12 +211,12 @@ let possible_read_race ctx ~reader ~writer buffer =
 (* The write of one statement, checked against its own other
    iterations: [None] when no collision is proved, else the finding. *)
 let check_self ctx (s : Prog.stmt) =
-  match analyze_offset ctx s.tensor s.indices with
+  match offset_digits ctx s.tensor s.indices with
   | exception Unknown -> None
-  | digits, rest -> (
-    match self_disjoint ctx digits rest with
-    | `Safe | `Unknown -> None
-    | `Collides pair ->
+  | digits -> (
+    match collision ~extent:ctx.extent digits with
+    | None -> None
+    | Some pair ->
       if s.update <> None then Some (`Reduction pair)
       else (
         match value_dependence ctx digits s.rhs with
@@ -277,8 +255,8 @@ let check_reads ctx stmts writes =
             else if ctx.ann <> Step.Parallel then None
             else (
               try
-                let rdigits, _ = analyze_offset ctx tensor indices in
-                let wdigits, _ = analyze_offset ctx w.tensor w.indices in
+                let rdigits = offset_digits ctx tensor indices in
+                let wdigits = offset_digits ctx w.tensor w.indices in
                 if rdigits = [] && wdigits <> [] then (
                   let rh = hull tensor indices
                   and wh = hull w.tensor w.indices in
@@ -303,14 +281,13 @@ let body_stmts (l : Prog.loop) =
   List.iter (go []) l.body;
   List.rev !acc
 
-(* The context of annotated loop [l] under its enclosing [outer] loops,
-   ranging every variable of [loops]. *)
-let loop_ctx ~outer ~shapes (l : Prog.loop) loops =
+(* The context of annotated loop [l], ranging every variable of
+   [loops]. *)
+let loop_ctx ~shapes (l : Prog.loop) loops =
   {
     p = l.lvar;
     extent = l.extent;
     ann = l.ann;
-    outer = List.map (fun (o : Prog.loop) -> o.lvar) outer;
     env =
       (fun v ->
         List.find_map
@@ -326,7 +303,7 @@ let loop_ctx ~outer ~shapes (l : Prog.loop) loops =
 let self_findings ~outer ~shapes (l : Prog.loop) stmts =
   List.filter_map
     (fun (inner, s) ->
-      let ctx = loop_ctx ~outer ~shapes l (outer @ (l :: inner)) in
+      let ctx = loop_ctx ~shapes l (outer @ (l :: inner)) in
       Option.map (fun f -> (ctx, s, f)) (check_self ctx s))
     stmts
 
@@ -354,7 +331,7 @@ let check_loop ~outer ~shapes (l : Prog.loop) =
     in
     self
     @ check_reads
-        (loop_ctx ~outer ~shapes l every_loop)
+        (loop_ctx ~shapes l every_loop)
         (List.map snd inner_stmts) writes
 
 (* Annotated loops of extent >= 2 whose annotation satisfies [wanted], in

@@ -25,15 +25,17 @@ type stmt_info = {
 let max_sweep = 256
 
 (* An index expression, decomposed once per access: [const] plus
-   [coefs.(l)] times the variable of loop [l], plus each atom's [coef]
-   times its subterm.  Atoms are the divisions, remainders, minima,
-   maxima and products of two variables that mention a loop; subterms
-   that mention none are folded into [const].  The sum is exact in the
-   wrapping [int] ring, so it is the plain evaluation term by term. *)
+   [coefs.(l)] times the variable at position [l] (loop [l] in
+   [analyze]), plus each atom's [coef] times its subterm.  Atoms are the
+   divisions, remainders, minima, maxima and products (of two variables,
+   or by a constant that divides by zero) that mention a variable;
+   subterms that mention none are folded into [const].  The sum is exact
+   in the wrapping [int] ring, so it is the plain evaluation term by
+   term. *)
 type atom = {
   coef : int;
   term : Expr.iexpr;
-  vars : int list;  (** loops whose variable [term] mentions *)
+  vars : int list;  (** positions of the variables [term] mentions *)
   at_zero : int option;  (** [term] with every variable at 0; [None]: divides by zero *)
 }
 
@@ -41,7 +43,7 @@ type dim = {
   const : int;
   coefs : int array;
   atoms : atom list;
-  mentions : bool array;  (** loops whose variable occurs in the expression *)
+  mentions : bool array;  (** positions whose variable occurs *)
   raises : bool;  (** a subterm without variables divides by zero *)
   divides : bool;  (** a division or remainder occurs somewhere *)
 }
@@ -85,27 +87,28 @@ let decompose pos n (e : Expr.iexpr) =
     | Isub (a, b) ->
       add scale a;
       add (-scale) b
-    | Imul (a, b) when vars [] a = [] -> scaled scale a b
-    | Imul (a, b) when vars [] b = [] -> scaled scale b a
-    | Imul _ | Idiv _ | Imod _ | Imin _ | Imax _ -> (
-      match vars [] e with
-      | [] -> (
-        match Expr.eval_iexpr zero_env e with
-        | x -> const := !const + (scale * x)
-        | exception Division_by_zero -> raises := true)
-      | vs ->
-        List.iter (fun p -> mentions.(p) <- true) vs;
-        let at_zero =
-          try Some (Expr.eval_iexpr zero_env e) with Division_by_zero -> None
-        in
-        atoms := { coef = scale; term = e; vars = vs; at_zero } :: !atoms)
-  (* [scale * k * e], [k] free of loop variables *)
-  and scaled scale k e =
+    | Imul (a, b) when vars [] a = [] -> scaled scale e a b
+    | Imul (a, b) when vars [] b = [] -> scaled scale e b a
+    | Imul _ | Idiv _ | Imod _ | Imin _ | Imax _ -> opaque scale e
+  (* [e] as one atom, or folded into [const] when free of loop variables *)
+  and opaque scale e =
+    match vars [] e with
+    | [] -> (
+      match Expr.eval_iexpr zero_env e with
+      | x -> const := !const + (scale * x)
+      | exception Division_by_zero -> raises := true)
+    | vs ->
+      List.iter (fun p -> mentions.(p) <- true) vs;
+      let at_zero =
+        try Some (Expr.eval_iexpr zero_env e) with Division_by_zero -> None
+      in
+      atoms := { coef = scale; term = e; vars = vs; at_zero } :: !atoms
+  (* [e = k * x], [k] free of loop variables: [scale * k] times [x]; a [k]
+     that divides by zero leaves [e] opaque *)
+  and scaled scale e k x =
     match Expr.eval_iexpr zero_env k with
-    | k -> add (scale * k) e
-    | exception Division_by_zero ->
-      raises := true;
-      add 0 e
+    | k -> add (scale * k) x
+    | exception Division_by_zero -> opaque scale e
   in
   add 1 e;
   {
@@ -170,6 +173,81 @@ and fold op f p q =
   | _, Lin (0, 0) when op = Div || op = Mod -> raise Division_by_zero
   | Lin (c, 0), Lin (d, 0) -> Lin (f c d, 0)
   | p, q -> Op (op, p, q)
+
+(* ---- the analyses' view ----------------------------------------------- *)
+
+(* Sum the coefficients of equal keys, in order of first occurrence, and
+   drop the keys whose sum is 0. *)
+let merge pairs =
+  let rec add (k, c) = function
+    | [] -> [ (k, c) ]
+    | (k', c') :: rest when k' = k -> (k', c' + c) :: rest
+    | x :: rest -> x :: add (k, c) rest
+  in
+  List.filter (fun (_, c) -> c <> 0)
+    (List.fold_left (fun acc x -> add x acc) [] pairs)
+
+let index vars v =
+  let rec go l =
+    if l >= Array.length vars then -1
+    else if String.equal vars.(l) v then l
+    else go (l + 1)
+  in
+  go 0
+
+let linear e =
+  let vars = Array.of_list (Expr.iexpr_axes e) in
+  let d = decompose (index vars) (Array.length vars) e in
+  let atoms =
+    merge (List.rev_map (fun t -> ({ t with coef = 0 }, t.coef)) d.atoms)
+  in
+  (vars, { d with atoms = List.map (fun (t, coef) -> { t with coef }) atoms })
+
+let offset shape indices =
+  match List.combine shape indices with
+  | exception Invalid_argument _ -> None
+  | [] -> Some (Expr.Int 0)
+  | (_, i) :: rest ->
+    Some
+      (List.fold_left
+         (fun acc (d, i) -> Expr.Iadd (Expr.Imul (acc, Expr.Int d), i))
+         i rest)
+
+type digit = { stride : int; len : int }
+
+(* A term of the one variable [v] is a digit when its projection divides
+   [v] itself by a positive constant, takes it modulo one, or both (the
+   modulus first only when the divisor divides it); [plan]'s closed forms
+   accept any [c + a*v] in place of [v]. *)
+let digit_of v ~extent term =
+  match project v term with
+  | Op (Mod, Lin (0, 1), Lin (m, 0)) when m > 0 -> Some { stride = 1; len = m }
+  | Op (Div, Lin (0, 1), Lin (s, 0)) when s > 0 ->
+    Some { stride = s; len = ((extent - 1) / s) + 1 }
+  | Op (Mod, Op (Div, Lin (0, 1), Lin (s, 0)), Lin (l, 0))
+    when s > 0 && l > 0 ->
+    Some { stride = s; len = l }
+  | Op (Div, Op (Mod, Lin (0, 1), Lin (m, 0)), Lin (s, 0))
+    when s > 0 && m > 0 && m mod s = 0 ->
+    Some { stride = s; len = m / s }
+  | _ -> None
+  | exception Division_by_zero -> None
+
+let digits (vars, d) v ~extent =
+  match index vars v with
+  | -1 -> Some []
+  | l ->
+    let rec go acc = function
+      | [] ->
+        Some (merge (({ stride = 1; len = extent }, d.coefs.(l)) :: List.rev acc))
+      | t :: rest when not (List.mem l t.vars) -> go acc rest
+      | { vars = [ _ ]; term; coef; _ } :: rest -> (
+        match digit_of v ~extent term with
+        | Some g -> go ((g, coef) :: acc) rest
+        | None -> None)
+      | _ -> None
+    in
+    go [] d.atoms
 
 (* A closure over the point; a zero divisor raises [Division_by_zero] as
    {!Expr.eval_iexpr} does.  A digit of an affine form is one closure. *)

@@ -5,7 +5,14 @@
     hardware simulator and the cost-model feature extraction (Appendix B of
     the paper: bytes, unique bytes, lines, unique lines, reuse type and
     distance, stride) are built on this analysis, so the learned model sees
-    the same program properties that determine the simulated cost. *)
+    the same program properties that determine the simulated cost.
+
+    The one decomposition of an index expression into a constant, per-loop
+    coefficients and opaque atoms lives here.  {!analyze} reads it with the
+    enclosing loops' variables (any other variable held at 0); the static
+    analyses read it through {!linear} and {!digits}: the race detector
+    ([Ansor_analysis.Races]), the bounds certifier ([Ansor_analysis.Bounds])
+    and the linter's vector strides ([Ansor_analysis.Lint]). *)
 
 open Ansor_te
 
@@ -72,6 +79,59 @@ val sweep_path : Expr.iexpr -> string -> int -> string
 (** [sweep_path e v extent]: how {!distinct_values} counts: ["affine"],
     ["digit"] or ["zero"] for the closed forms, ["sweep"] point by
     point. *)
+
+(** {1 The analyses' view} *)
+
+type atom = {
+  coef : int;
+  term : Expr.iexpr;
+      (** a division, remainder, minimum, maximum or product (of two
+          variables, or by a constant that divides by zero) that mentions
+          a variable *)
+  vars : int list;  (** positions of the variables [term] mentions *)
+  at_zero : int option;
+      (** [term] with every variable at 0; [None]: divides by zero *)
+}
+
+type dim = {
+  const : int;
+  coefs : int array;  (** coefficient of the variable at each position *)
+  atoms : atom list;
+  mentions : bool array;  (** positions whose variable occurs *)
+  raises : bool;  (** a subterm without variables divides by zero *)
+  divides : bool;  (** a division or remainder occurs somewhere *)
+}
+(** An index expression as [const + sum_l coefs.(l) * x_l + sum coef * term]
+    over the variables [x_l] at each position.  Products with a side free
+    of variables are scaled out and subterms free of variables folded into
+    [const], so the sum equals {!Expr.eval_iexpr} at every point where
+    that does not divide by zero (in the wrapping [int] ring). *)
+
+val linear : Expr.iexpr -> string array * dim
+(** [linear e]: [e] decomposed over its own variables, the array giving
+    the variable at each position, equal atoms merged and zero atoms
+    dropped.  No variable is held at 0, so the sum is exact in all of
+    them. *)
+
+val offset : int list -> Expr.iexpr list -> Expr.iexpr option
+(** [offset shape indices]: the row-major element offset of an access;
+    [None] when the access has more or fewer indices than the buffer has
+    dimensions. *)
+
+type digit = { stride : int; len : int }
+(** The component [(p / stride) mod len] of a loop variable [p]: how
+    lowering writes a split or fused iterator (the mod elided on the top
+    component, the division when [stride = 1]). *)
+
+val digits :
+  string array * dim -> string -> extent:int -> (digit * int) list option
+(** [digits (linear e) p ~extent]: the terms of [e] that mention [p], as
+    digits of [p] over [[0, extent)] with their coefficients, equal digits
+    merged and zero coefficients dropped.  The coefficient of [p] itself
+    is the digit [(1, extent)]; an atom is a digit when it mentions [p]
+    alone and divides [p] by a positive constant, takes it modulo one, or
+    both.  [None] when a term mentioning [p] is anything else, a quotient
+    of [p] and another variable included. *)
 
 val working_set : stmt_info -> int -> float
 (** [working_set info d]: bytes touched by one execution of the loops at

@@ -254,6 +254,119 @@ let prop_distinct_index_forms =
     QCheck2.Gen.(pair (gen_index [ "v"; "u" ]) gen_extent)
     (fun (e, extent) -> Access.distinct_values e "v" extent = plain_distinct e extent)
 
+(* ---- the analyses' view ----------------------------------------------- *)
+
+(* Index expressions of lowering's grammar over [v] and [u], and the edge
+   shapes the analyses must read exactly: a literal-only subterm, a
+   product with a literal side, a variable [w] of no enclosing loop, an
+   atom repeated with opposite signs, and quotients of several
+   variables. *)
+let gen_linear =
+  let open QCheck2.Gen in
+  let module E = Ansor.Expr in
+  let base = gen_index [ "v"; "u" ] in
+  let v = E.Axis "v" in
+  let edge =
+    oneof
+      [
+        map (fun e -> E.Iadd (e, E.Imin (E.Int 3, E.Int 5))) base;
+        map2 (fun e k -> E.Imul (E.Imin (E.Int k, E.Int 5), e)) base (int_range (-3) 6);
+        map2 (fun e k -> E.Imul (e, E.Int k)) base (int_range (-3) 6);
+        map (fun e -> E.Iadd (e, E.Axis "w")) base;
+        map2 (fun e s -> E.Iadd (e, E.Idiv (E.Iadd (v, E.Axis "w"), E.Int s))) base (int_range 1 8);
+        map2
+          (fun e s -> E.Isub (E.Iadd (E.Idiv (v, E.Int s), e), E.Idiv (v, E.Int s)))
+          base (int_range 1 8);
+        map2
+          (fun e (s, l) ->
+            E.Iadd (e, E.Imod (E.Idiv (E.Iadd (v, E.Axis "u"), E.Int s), E.Int l)))
+          base
+          (pair (int_range 1 8) (int_range 1 8));
+      ]
+  in
+  frequency [ (3, base); (2, edge); (1, map2 (fun a b -> E.Iadd (a, b)) edge edge) ]
+
+let lin_eval (vars, (d : Access.dim)) env =
+  if d.raises then raise Division_by_zero;
+  let acc = ref d.const in
+  Array.iteri (fun l c -> acc := !acc + (c * env vars.(l))) d.coefs;
+  List.fold_left
+    (fun acc (t : Access.atom) -> acc + (t.coef * Ansor.Expr.eval_iexpr env t.term))
+    !acc d.atoms
+
+let print_linear (e, extent, (u, w)) =
+  Printf.sprintf "%s over extent %d at u=%d w=%d"
+    (Ansor.Expr.to_string (Ansor.Expr.Cast_int e)) extent u w
+
+let gen_linear_case =
+  QCheck2.Gen.(triple gen_linear (int_range 1 64) (pair (int_range 0 20) (int_range 0 20)))
+
+(* [const + sum coef * atom] is the plain evaluation at every point where
+   that does not divide by zero (a term with coefficient 0 is dropped,
+   its division by zero with it). *)
+let prop_linear_exact =
+  qcheck ~count:1000 ~seed:32 ~print:print_linear
+    "linear view equals evaluation" gen_linear_case
+    (fun (e, extent, (u, w)) ->
+      let lin = Access.linear e in
+      List.for_all
+        (fun x ->
+          let env = function "v" -> x | "u" -> u | _ -> w in
+          match Ansor.Expr.eval_iexpr env e with
+          | x -> lin_eval lin env = x
+          | exception Division_by_zero -> true)
+        (List.init extent Fun.id))
+
+(* Every atom recognized as a digit of [v] is [(v / stride) mod len] on
+   [[0, extent)], whatever the other variables; so are the merged digits
+   of the whole expression, against its terms that mention [v]. *)
+let prop_digits_exact =
+  qcheck ~count:1000 ~seed:33 ~print:print_linear
+    "digit view equals evaluation" gen_linear_case
+    (fun (e, extent, (u, w)) ->
+      let ((vars, (d : Access.dim)) as lin) = Access.linear e in
+      let env x = function "v" -> x | "u" -> u | _ -> w in
+      let digit_sum ds x =
+        List.fold_left
+          (fun acc ((g : Access.digit), c) -> acc + (c * (x / g.stride mod g.len)))
+          0 ds
+      in
+      let holds part ds =
+        List.for_all (fun x -> part x = digit_sum ds x) (List.init extent Fun.id)
+      in
+      let l = Option.value (Array.find_index (String.equal "v") vars) ~default:(-1) in
+      let on_v = List.filter (fun (t : Access.atom) -> List.mem l t.vars) d.atoms in
+      List.for_all
+        (fun (t : Access.atom) ->
+          match Access.digits (Access.linear t.term) "v" ~extent with
+          | None -> true
+          | Some ds -> holds (fun x -> Ansor.Expr.eval_iexpr (env x) t.term) ds)
+        on_v
+      &&
+      match Access.digits lin "v" ~extent with
+      | None -> true
+      | Some ds ->
+        holds
+          (fun x ->
+            List.fold_left
+              (fun acc (t : Access.atom) ->
+                acc + (t.coef * Ansor.Expr.eval_iexpr (env x) t.term))
+              (if l < 0 then 0 else d.coefs.(l) * x)
+              on_v)
+          ds)
+
+let test_quotient_of_several_variables () =
+  let module E = Ansor.Expr in
+  let not_digit e =
+    check_bool (E.to_string (E.Cast_int e)) true
+      (Access.digits (Access.linear e) "v" ~extent:16 = None)
+  in
+  not_digit (E.Idiv (E.Iadd (E.Axis "v", E.Axis "u"), E.Int 4));
+  not_digit (E.Imod (E.Idiv (E.Iadd (E.Axis "v", E.Axis "w"), E.Int 2), E.Int 4));
+  check_bool "v / 4 is the digit (4, 4)" true
+    (Access.digits (Access.linear (E.Idiv (E.Axis "v", E.Int 4))) "v" ~extent:16
+    = Some [ ({ Access.stride = 4; len = 4 }, 1) ])
+
 (* The specification of [Access.analyze] on one access, read point by
    point: the element-offset difference of a unit step of each loop, and
    per (loop, dim) the distinct count (a plain sweep when the dim divides
@@ -585,6 +698,9 @@ let () =
           prop_distinct_values;
           prop_distinct_index_forms;
           prop_access_reference;
+          prop_linear_exact;
+          prop_digits_exact;
+          case "quotient of several variables" test_quotient_of_several_variables;
           case "one form under two extents" test_same_form_two_extents;
           case "closed forms fire on the corpus" test_sweep_paths_fire;
         ] );

@@ -193,6 +193,74 @@ let test_cross_iteration_read () =
   check_bool "possible-read-race warn" true (has_code "possible-read-race" races);
   check_bool "not an Error (no constructive proof)" false (D.has_errors races)
 
+let test_rank_mismatch_is_no_claim () =
+  (* B[p] into a 2-d buffer: the offset has no row-major form, so no
+     claim, and no exception out of the gate evolution runs on mutants *)
+  let prog =
+    one_loop_prog ~extent:4 ~shape:[ 2; 2 ] ~indices:[ Expr.Axis "p" ]
+      (Expr.Const 1.0)
+  in
+  check_int "races" 0 (List.length (Ansor_analysis.Races.check prog));
+  check_int "race errors" 0 (List.length (Ansor_analysis.Races.errors prog));
+  check_int "validator" 0 (List.length (Ansor.Validate.check prog));
+  check_int "linter" 0 (List.length (Analysis.lint Analysis.default_config prog));
+  check_bool "certifier unknown" true
+    (Analysis.certify prog = Ansor.Bounds.Unknown);
+  let vectorized =
+    one_loop_prog ~ann:Step.Vectorize ~extent:4 ~shape:[ 2; 2 ]
+      ~indices:[ Expr.Axis "p" ] (Expr.Const 1.0)
+  in
+  check_bool "linter: no stride" false
+    (has_code "vector-stride" (Analysis.lint Analysis.default_config vectorized))
+
+let test_unbound_variable_is_no_claim () =
+  (* B[(p + z) / 2], z bound by no loop: read with z at 0 it would be the
+     digit p / 2, which aliases iterations 0 and 1 *)
+  let index = Expr.Idiv (Expr.Iadd (Expr.Axis "p", Expr.Axis "z"), Expr.Int 2) in
+  let prog =
+    one_loop_prog ~shape:[ 8 ] ~indices:[ index ] (Expr.Cast_int (Expr.Axis "p"))
+  in
+  check_int "races" 0 (List.length (Ansor_analysis.Races.check prog));
+  check_bool "hull inexact" true
+    (match
+       Ansor.Bounds.exact_hull
+         (fun v -> if v = "p" then Some { Ansor.Validate.Interval.lo = 0; hi = 7 } else None)
+         index
+     with
+    | exception Ansor.Bounds.Inexact -> true
+    | _ -> false)
+
+let test_uninit_reduction_reported_once () =
+  (* X[i] += 1 with no init, as test_einsum_validate builds it: the
+     validator's uninit-reduction is the one report, since Defuse judges
+     only the buffers a statement's value reads *)
+  let stmt =
+    {
+      Prog.stage = "X";
+      tensor = "X";
+      indices = [ Expr.Axis "i" ];
+      rhs = Expr.Const 1.0;
+      update = Some Ansor.Op.Sum;
+      max_unroll = None;
+    }
+  in
+  let prog =
+    {
+      Prog.items =
+        [
+          Prog.Loop
+            { lvar = "i"; extent = 4; kind = State.Space; ann = Step.No_ann; body = [ Prog.Stmt stmt ] };
+        ];
+      buffers = [ ("X", [ 4 ]) ];
+      inits = [];
+    }
+  in
+  check_bool "validator: uninit-reduction" true
+    (match Ansor.Validate.check prog with
+    | [ d ] -> d.D.code = "uninit-reduction" && d.D.severity = D.Error
+    | _ -> false);
+  check_int "def-use: nothing" 0 (List.length (Ansor.Defuse.check prog))
+
 (* ---- linter --------------------------------------------------------------- *)
 
 let loop ?(ann = Step.No_ann) ?(extent = 8) lvar body =
@@ -566,6 +634,9 @@ let () =
           case "disjoint writes clean" test_disjoint_writes_are_clean;
           case "vector write race is warn" test_vector_write_race_is_warn;
           case "cross-iteration read" test_cross_iteration_read;
+          case "rank mismatch is no claim" test_rank_mismatch_is_no_claim;
+          case "unbound variable is no claim" test_unbound_variable_is_no_claim;
+          case "uninit reduction reported once" test_uninit_reduction_reported_once;
         ] );
       ( "linter",
         [

@@ -34,7 +34,7 @@ module Protocol = Ansor.Measure_protocol
 module Toolchain = Ansor.Toolchain
 module C = Ansor.Codegen_c
 module Rng = Ansor.Rng
-module Linform = Ansor_analysis.Linform
+module Access = Ansor.Access
 
 let machine = Ansor.Machine.intel_cpu
 let has_code code ds = List.exists (fun d -> d.D.code = code) ds
@@ -195,7 +195,7 @@ let prop_digit_range_is_scan =
     (fun (stride, len, c, extent) ->
       extent = 0
       ||
-      let digit = ({ Linform.stride; len }, c) in
+      let digit = ({ Access.stride; len }, c) in
       Bounds.digits_range ~extent [ digit ] = Bounds.scan_digits ~extent [ digit ])
 
 (* Groups of one to four digits, in shuffled order.  Strides form a
@@ -219,7 +219,7 @@ let prop_nested_digit_range_is_scan =
     let digits =
       List.mapi
         (fun i (stride, len, c) ->
-          ({ Linform.stride = (if i = bump then stride + 1 else stride); len }, c))
+          ({ Access.stride = (if i = bump then stride + 1 else stride); len }, c))
         (List.rev
            (fst
               (List.fold_left
@@ -241,7 +241,7 @@ let prop_nested_digit_range_is_scan =
       Printf.sprintf "extent %d: %s" extent
         (String.concat " + "
            (List.map
-              (fun ((d : Linform.digit), c) ->
+              (fun ((d : Access.digit), c) ->
                 Printf.sprintf "%d·((p / %d) mod %d)" c d.stride d.len)
               digits)))
     "nested digit range equals the scan" group
